@@ -264,7 +264,7 @@ def normalize_counting(f: FOFormula, signature: Signature) -> FOFormula:
     atoms (or an ``Acc`` node) into Boolean combinations of single-guard
     counting quantifiers, avoiding double counting and preserving quantifier
     rank.  Other nodes are rebuilt with normalized subformulas."""
-    memo: dict[int, FOFormula] = {}
+    memo: dict[FOFormula, FOFormula] = {}
 
     def split(count: int, var: str, guards: list[Rel], body: FOFormula) -> FOFormula:
         if count == 0:
@@ -284,7 +284,7 @@ def normalize_counting(f: FOFormula, signature: Signature) -> FOFormula:
         return sx.disj_all(options)
 
     def walk(g: FOFormula) -> FOFormula:
-        got = memo.get(id(g))
+        got = memo.get(g)
         if got is not None:
             return got
         if isinstance(g, (Rel, Eq, sx.Top, sx.Bottom, Acc)):
@@ -314,7 +314,7 @@ def normalize_counting(f: FOFormula, signature: Signature) -> FOFormula:
                 out = split(g.count, g.var, guards, body)
         else:
             raise TypeError(f"not a first-order formula: {g!r}")
-        memo[id(g)] = out
+        memo[g] = out
         return out
 
     return walk(f)

@@ -55,16 +55,16 @@ def atom_relation(name: str) -> str:
 class _Evaluator:
     """Single-call evaluator with DAG-aware caching.
 
-    Characteristic and Scott formulas share subformulas heavily; caching on
-    (node identity, restriction of the environment to the node's free
-    variables) keeps evaluation linear in the number of distinct
-    subformula/environment pairs.
+    Characteristic and Scott formulas share subformulas heavily.  First-order
+    nodes are interned, so a shared subformula is one object that stores its
+    sorted free variables; caching on (node, values of those variables)
+    keeps evaluation linear in the number of distinct subformula/assignment
+    pairs.
     """
 
     def __init__(self, s: Structure):
         self.s = s
-        self._free: dict[int, frozenset[str]] = {}
-        self._cache: dict[tuple[int, tuple], bool] = {}
+        self._cache: dict[tuple[FOFormula, tuple], bool] = {}
 
     def term(self, t: Term, env: Mapping[str, str]) -> str:
         if isinstance(t, Var):
@@ -81,16 +81,8 @@ class _Evaluator:
             return self.s.basepoints[t.index - 1]
         raise TypeError(f"not a term: {t!r}")
 
-    def free(self, f: FOFormula) -> frozenset[str]:
-        key = id(f)
-        got = self._free.get(key)
-        if got is None:
-            got = sx.free_vars(f)
-            self._free[key] = got
-        return got
-
     def eval(self, f: FOFormula, env: Mapping[str, str]) -> bool:
-        key = (id(f), tuple(sorted((v, env[v]) for v in self.free(f) if v in env)))
+        key = (f, tuple([env.get(v) for v in f.free]))
         got = self._cache.get(key)
         if got is None:
             got = self._eval(f, env)
@@ -116,7 +108,7 @@ class _Evaluator:
                 raise ScopeError(f"unbound variable {f.var!r}")
             sources = [self.term(t, env) for t in f.sources]
             return any(
-                (src, target) in set(s.relations[name])
+                s.has_tuple(name, (src, target))
                 for name in s.signature.transitions
                 for src in sources
             )
@@ -302,6 +294,8 @@ def distance_at_most(
 def _rename_free_var(f: FOFormula, old: str, new: str) -> FOFormula:
     """Rename a free variable; quantifiers in generated distance formulas
     never capture because fresh names are drawn from a shared pool."""
+    if old not in f.free:
+        return f
 
     def rt(t: Term) -> Term:
         return Var(new) if t == Var(old) else t
@@ -310,29 +304,20 @@ def _rename_free_var(f: FOFormula, old: str, new: str) -> FOFormula:
         return Rel(f.name, tuple(rt(t) for t in f.args))
     if isinstance(f, Eq):
         return Eq(rt(f.left), rt(f.right))
-    if isinstance(f, (Top, Bottom)):
-        return f
     if isinstance(f, Acc):
         return Acc(tuple(rt(t) for t in f.sources), new if f.var == old else f.var)
     if isinstance(f, Not):
         return Not(_rename_free_var(f.sub, old, new))
-    if isinstance(f, And):
-        return And(_rename_free_var(f.left, old, new), _rename_free_var(f.right, old, new))
-    if isinstance(f, Or):
-        return Or(_rename_free_var(f.left, old, new), _rename_free_var(f.right, old, new))
+    if isinstance(f, (And, Or)):
+        ctor = type(f)
+        return ctor(_rename_free_var(f.left, old, new), _rename_free_var(f.right, old, new))
     if isinstance(f, (Forall, Exists)):
-        if f.var == old:
-            return f
         ctor = type(f)
         return ctor(f.var, _rename_free_var(f.body, old, new))
     if isinstance(f, (BoundedForall, BoundedExists)):
-        if f.var == old:
-            return f
         ctor = type(f)
         return ctor(f.var, _rename_free_var(f.guard, old, new), _rename_free_var(f.body, old, new))
     if isinstance(f, CountExists):
-        if f.var == old:
-            return f
         return CountExists(
             f.count, f.var, _rename_free_var(f.guard, old, new), _rename_free_var(f.body, old, new)
         )

@@ -112,7 +112,7 @@ class Structure:
     Immutable after construction; all operations in this package are pure.
     """
 
-    __slots__ = ("signature", "universe", "relations", "basepoints", "_pos")
+    __slots__ = ("signature", "universe", "relations", "basepoints", "_pos", "_tuple_sets")
 
     def __init__(
         self,
@@ -167,6 +167,7 @@ class Structure:
         self.relations = canon
         self.basepoints = bps
         self._pos = pos
+        self._tuple_sets: dict[str, frozenset[tuple[str, ...]]] = {}
 
     # -- identity -----------------------------------------------------------
 
@@ -203,7 +204,12 @@ class Structure:
         return self._pos[element]
 
     def has_tuple(self, relation: str, tup: Sequence[str]) -> bool:
-        return tuple(tup) in set(self.relations[relation])
+        """Membership in a relation, against a frozenset of its tuples built
+        on first use."""
+        tuples = self._tuple_sets.get(relation)
+        if tuples is None:
+            tuples = self._tuple_sets[relation] = frozenset(self.relations[relation])
+        return tuple(tup) in tuples
 
     def transition_edges(self) -> set[tuple[str, str]]:
         """All directed (u, v) pairs related by some transition relation."""

@@ -1,15 +1,29 @@
 """Formula ASTs for the two languages: hybrid modal logic and first-order logic
 with bounded and counting quantifiers.
 
-All nodes are frozen dataclasses, so formulas are hashable and equality is
-syntactic.  The first-order language has terms (variables and the constants
-``c1..cm`` read off the basepoints), guarded quantifier nodes whose guard is a
-single transition atom, and a dedicated one-step accessibility guard ``Acc``
-that abbreviates the disjunction of all transition atoms from a tuple of
-sources.
+Hybrid nodes are frozen dataclasses: hashable, with syntactic equality, built
+as small trees.
+
+First-order nodes (terms and formulas) are hash-consed.  Every constructor
+call goes through one weak table keyed on the node class and its parts, so a
+structurally equal node is the same object, equality is identity, and a
+formula is a DAG with one node per distinct subformula.  Each node computes
+its hash, its free variables and its quantifier rank once, when it is built,
+from its already-interned children; ``free_vars`` and ``quantifier_rank``
+read them back.  The nodes are still dataclasses whose fields are exactly
+their syntactic parts.  (Filliatre and Conchon, *Type-safe modular
+hash-consing*, ML Workshop 2006.)
+
+The first-order language has terms (variables and the constants ``c1..cm``
+read off the basepoints), guarded quantifier nodes whose guard is a single
+transition atom, and a dedicated one-step accessibility guard ``Acc`` that
+abbreviates the disjunction of all transition atoms from a tuple of sources.
 """
 from __future__ import annotations
 
+import inspect
+import threading
+import weakref
 from dataclasses import dataclass
 
 from .structures import Signature
@@ -140,90 +154,179 @@ def hybrid_depth(f: HybridFormula) -> int:
 # -- first-order logic ----------------------------------------------------------
 
 
-class Term:
+class _Entry(weakref.ref):
+    """Intern-table value: a weak reference to a node that knows its key."""
+
+    __slots__ = ("key",)
+
+
+#: The intern table: (node class, *parts) -> weak reference to the one live
+#: node with those parts.  It is shared by the whole process, because equal
+#: nodes must be one object wherever they are built.  A key holds the parts
+#: strongly, which keeps alive nothing the node itself does not.
+_table: dict[tuple, _Entry] = {}
+_table_lock = threading.Lock()
+
+
+def _evict(entry: _Entry) -> None:
+    """Weak-reference callback: drop the entry of a node that died, unless a
+    new node already took its key."""
+    if _table.get(entry.key) is entry:
+        del _table[entry.key]
+
+
+class _Interning(type):
+    """Metaclass of the first-order nodes: a constructor call returns the one
+    live node with the same class and parts, building it only on a miss."""
+
+    def __call__(cls, *parts, **named):
+        if named:
+            # the dataclass __init__ binds the keywords; __match_args__ lists
+            # the fields in order
+            probe = super().__call__(*parts, **named)
+            parts = tuple(getattr(probe, name) for name in cls.__match_args__)
+        # a wrong number of parts matches no key, and __init__ rejects it below
+        key = (cls, *parts)
+        entry = _table.get(key)
+        node = None if entry is None else entry()
+        if node is not None:
+            return node
+        with _table_lock:
+            entry = _table.get(key)
+            node = None if entry is None else entry()
+            if node is None:
+                node = super().__call__(*parts)
+                try:
+                    free, rank = _derive(node)
+                except AttributeError:
+                    raise TypeError(
+                        f"{cls.__name__}: parts must be terms or first-order formulas"
+                    ) from None
+                set_slot = object.__setattr__  # the dataclass is frozen
+                set_slot(node, "_hash", hash((cls.__name__, *parts)))
+                set_slot(node, "free", free)
+                set_slot(node, "rank", rank)
+                entry = _Entry(node, _evict)
+                entry.key = key
+                _table[key] = entry
+        return node
+
+
+def interned_count() -> int:
+    """Number of live first-order nodes (terms and formulas)."""
+    return len(_table)
+
+
+class _Node(metaclass=_Interning):
+    """Common base of terms and first-order formulas.
+
+    Besides its dataclass fields, every node stores, once, its structural
+    hash, ``free`` (the sorted tuple of its free variable names) and
+    ``rank`` (its quantifier rank; 0 for terms).  Equality is identity.
+    """
+
+    __slots__ = ("_hash", "free", "rank", "__weakref__")
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+class Term(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen, slotted first-order node class whose equality is identity,
+    constructed through the intern table with its dataclass signature."""
+    cls = dataclass(frozen=True, eq=False, slots=True)(cls)
+    init = inspect.signature(cls.__init__)
+    cls.__signature__ = init.replace(parameters=list(init.parameters.values())[1:])
+    return cls
+
+
+@_node
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Const(Term):
     index: int  # constant c_i, 1-based; denotes basepoint i
 
 
-class FOFormula:
+class FOFormula(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Rel(FOFormula):
     name: str
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Eq(FOFormula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@_node
 class Top(FOFormula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Bottom(FOFormula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Not(FOFormula):
     sub: FOFormula
 
 
-@dataclass(frozen=True)
+@_node
 class And(FOFormula):
     left: FOFormula
     right: FOFormula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(FOFormula):
     left: FOFormula
     right: FOFormula
 
 
-@dataclass(frozen=True)
+@_node
 class Forall(FOFormula):
     var: str
     body: FOFormula
 
 
-@dataclass(frozen=True)
+@_node
 class Exists(FOFormula):
     var: str
     body: FOFormula
 
 
-@dataclass(frozen=True)
+@_node
 class BoundedForall(FOFormula):
     var: str
     guard: FOFormula  # transition atom mentioning var exactly once
     body: FOFormula
 
 
-@dataclass(frozen=True)
+@_node
 class BoundedExists(FOFormula):
     var: str
     guard: FOFormula
     body: FOFormula
 
 
-@dataclass(frozen=True)
+@_node
 class CountExists(FOFormula):
     count: int  # at least `count` witnesses, count >= 1
     var: str
@@ -231,7 +334,7 @@ class CountExists(FOFormula):
     body: FOFormula
 
 
-@dataclass(frozen=True)
+@_node
 class Acc(FOFormula):
     """One-step accessibility of ``var`` from ``sources`` through any
     transition relation; abbreviates a disjunction of transition atoms."""
@@ -240,80 +343,67 @@ class Acc(FOFormula):
     var: str
 
 
+def _union(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
+    """Sorted union of two sorted name tuples, reusing one when it can."""
+    if not b or a == b:
+        return a
+    if not a:
+        return b
+    return tuple(sorted(set(a).union(b)))
+
+
+def _without(free: tuple[str, ...], var: str) -> tuple[str, ...]:
+    return tuple(v for v in free if v != var) if var in free else free
+
+
+def _terms_free(terms: tuple[Term, ...]) -> tuple[str, ...]:
+    free: tuple[str, ...] = ()
+    for t in terms:
+        free = _union(free, t.free)
+    return free
+
+
+def _derive(f: _Node) -> tuple[tuple[str, ...], int]:
+    """Free variables and quantifier rank of a new node, read off its
+    already-interned children; the commonest node kinds are tested first."""
+    if isinstance(f, (And, Or)):
+        return _union(f.left.free, f.right.free), max(f.left.rank, f.right.rank)
+    if isinstance(f, Not):
+        return f.sub.free, f.sub.rank
+    if isinstance(f, Rel):
+        return _terms_free(f.args), 0
+    if isinstance(f, Eq):
+        return _union(f.left.free, f.right.free), 0
+    if isinstance(f, (BoundedExists, BoundedForall, CountExists)):
+        free = _without(_union(f.guard.free, f.body.free), f.var)
+        return free, 1 + max(f.guard.rank, f.body.rank)
+    if isinstance(f, Var):
+        return (f.name,), 0
+    if isinstance(f, (Const, Top, Bottom)):
+        return (), 0
+    if isinstance(f, Acc):
+        return _union((f.var,), _terms_free(f.sources)), 0
+    if isinstance(f, (Forall, Exists)):
+        return _without(f.body.free, f.var), 1 + f.body.rank
+    raise TypeError(f"not a first-order node: {f!r}")
+
+
 TRUE = Top()
 FALSE = Bottom()
 
-_QUANTIFIERS = (Forall, Exists, BoundedForall, BoundedExists, CountExists)
-
-
-def term_vars(t: Term) -> frozenset[str]:
-    return frozenset({t.name}) if isinstance(t, Var) else frozenset()
-
 
 def free_vars(f: FOFormula) -> frozenset[str]:
-    if isinstance(f, Rel):
-        out: frozenset[str] = frozenset()
-        for t in f.args:
-            out |= term_vars(t)
-        return out
-    if isinstance(f, Eq):
-        return term_vars(f.left) | term_vars(f.right)
-    if isinstance(f, (Top, Bottom)):
-        return frozenset()
-    if isinstance(f, Not):
-        return free_vars(f.sub)
-    if isinstance(f, (And, Or)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (Forall, Exists)):
-        return free_vars(f.body) - {f.var}
-    if isinstance(f, (BoundedForall, BoundedExists, CountExists)):
-        return (free_vars(f.guard) | free_vars(f.body)) - {f.var}
-    if isinstance(f, Acc):
-        out = frozenset({f.var})
-        for t in f.sources:
-            out |= term_vars(t)
-        return out
-    raise TypeError(f"not a first-order formula: {f!r}")
-
-
-def max_constant(f: FOFormula) -> int:
-    """Largest constant index used, 0 if none."""
-
-    def of_term(t: Term) -> int:
-        return t.index if isinstance(t, Const) else 0
-
-    if isinstance(f, Rel):
-        return max((of_term(t) for t in f.args), default=0)
-    if isinstance(f, Eq):
-        return max(of_term(f.left), of_term(f.right))
-    if isinstance(f, (Top, Bottom)):
-        return 0
-    if isinstance(f, Not):
-        return max_constant(f.sub)
-    if isinstance(f, (And, Or)):
-        return max(max_constant(f.left), max_constant(f.right))
-    if isinstance(f, (Forall, Exists)):
-        return max_constant(f.body)
-    if isinstance(f, (BoundedForall, BoundedExists, CountExists)):
-        return max(max_constant(f.guard), max_constant(f.body))
-    if isinstance(f, Acc):
-        return max((of_term(t) for t in f.sources), default=0)
-    raise TypeError(f"not a first-order formula: {f!r}")
+    """Free variable names, read off the node."""
+    if not isinstance(f, FOFormula):
+        raise TypeError(f"not a first-order formula: {f!r}")
+    return frozenset(f.free)
 
 
 def quantifier_rank(f: FOFormula) -> int:
     """Standard quantifier rank; bounded and counting quantifiers count one each."""
-    if isinstance(f, (Rel, Eq, Top, Bottom, Acc)):
-        return 0
-    if isinstance(f, Not):
-        return quantifier_rank(f.sub)
-    if isinstance(f, (And, Or)):
-        return max(quantifier_rank(f.left), quantifier_rank(f.right))
-    if isinstance(f, (Forall, Exists)):
-        return 1 + quantifier_rank(f.body)
-    if isinstance(f, (BoundedForall, BoundedExists, CountExists)):
-        return 1 + max(quantifier_rank(f.guard), quantifier_rank(f.body))
-    raise TypeError(f"not a first-order formula: {f!r}")
+    if not isinstance(f, FOFormula):
+        raise TypeError(f"not a first-order formula: {f!r}")
+    return f.rank
 
 
 def is_transition_guard(guard: FOFormula, var: str, signature: Signature) -> bool:
@@ -333,20 +423,26 @@ def is_transition_guard(guard: FOFormula, var: str, signature: Signature) -> boo
 def is_bounded(f: FOFormula, signature: Signature) -> bool:
     """True iff every quantifier is guarded by a transition atom over a
     transition symbol of the signature, with the bound variable distinct
-    from the source term."""
-    if isinstance(f, (Rel, Eq, Top, Bottom, Acc)):
-        return True
-    if isinstance(f, Not):
-        return is_bounded(f.sub, signature)
-    if isinstance(f, (And, Or)):
-        return is_bounded(f.left, signature) and is_bounded(f.right, signature)
-    if isinstance(f, (Forall, Exists)):
-        return False
-    if isinstance(f, (BoundedForall, BoundedExists, CountExists)):
-        return is_transition_guard(f.guard, f.var, signature) and is_bounded(
-            f.body, signature
-        )
-    raise TypeError(f"not a first-order formula: {f!r}")
+    from the source term.  Each distinct subformula is visited once."""
+    seen: set[FOFormula] = set()
+
+    def walk(g: FOFormula) -> bool:
+        if g in seen:
+            return True  # a false answer ends the whole walk at once
+        seen.add(g)
+        if isinstance(g, (Rel, Eq, Top, Bottom, Acc)):
+            return True
+        if isinstance(g, Not):
+            return walk(g.sub)
+        if isinstance(g, (And, Or)):
+            return walk(g.left) and walk(g.right)
+        if isinstance(g, (Forall, Exists)):
+            return False
+        if isinstance(g, (BoundedForall, BoundedExists, CountExists)):
+            return is_transition_guard(g.guard, g.var, signature) and walk(g.body)
+        raise TypeError(f"not a first-order formula: {g!r}")
+
+    return walk(f)
 
 
 def conj_all(parts: list[FOFormula]) -> FOFormula:

@@ -1,0 +1,341 @@
+"""Hash-consed first-order syntax: interning, the weak intern table, the
+per-node free variables, rank and boundedness, checked against naive tree
+walks and a naive evaluator written here."""
+import copy
+import dataclasses
+import gc
+import inspect
+import pickle
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hybridkit import syntax as sx
+from hybridkit.parser import parse_fo, print_fo
+from hybridkit.scott import characteristic_formula, normalize_counting, scott_formula
+from hybridkit.semantics import eval_fo
+
+from fixtures import C2, FIXTURES30, UNIMODAL
+
+#: Two elements, a loop and one edge, P everywhere: its rank-4 characteristic
+#: formula is 275,730 nodes written out as a tree.
+SHARED = FIXTURES30[20]
+
+# -- naive references: plain tree walks, no caching ----------------------------------
+
+
+def children(f):
+    return [
+        value
+        for value in (getattr(f, field.name) for field in dataclasses.fields(f))
+        if isinstance(value, sx.FOFormula)
+    ]
+
+
+def naive_free(f) -> frozenset:
+    if isinstance(f, (sx.Rel, sx.Acc, sx.Eq)):
+        terms = f.args if isinstance(f, sx.Rel) else (
+            f.sources if isinstance(f, sx.Acc) else (f.left, f.right)
+        )
+        out = {t.name for t in terms if isinstance(t, sx.Var)}
+        if isinstance(f, sx.Acc):
+            out.add(f.var)
+        return frozenset(out)
+    out = frozenset().union(*(naive_free(c) for c in children(f)))
+    if hasattr(f, "var"):
+        out -= {f.var}
+    return out
+
+
+def naive_rank(f) -> int:
+    below = max((naive_rank(c) for c in children(f)), default=0)
+    quantified = isinstance(
+        f, (sx.Forall, sx.Exists, sx.BoundedForall, sx.BoundedExists, sx.CountExists)
+    )
+    return below + 1 if quantified else below
+
+
+def naive_bounded(f, signature) -> bool:
+    if isinstance(f, (sx.Forall, sx.Exists)):
+        return False
+    if isinstance(f, (sx.BoundedForall, sx.BoundedExists, sx.CountExists)):
+        return sx.is_transition_guard(f.guard, f.var, signature) and naive_bounded(
+            f.body, signature
+        )
+    return all(naive_bounded(c, signature) for c in children(f))
+
+
+def naive_eval(f, s, env) -> bool:
+    def term(t):
+        return env[t.name] if isinstance(t, sx.Var) else s.basepoints[t.index - 1]
+
+    def holds(g, e):
+        return naive_eval(g, s, {**env, f.var: e})
+
+    if isinstance(f, sx.Rel):
+        return tuple(term(t) for t in f.args) in s.relations[f.name]
+    if isinstance(f, sx.Eq):
+        return term(f.left) == term(f.right)
+    if isinstance(f, sx.Top):
+        return True
+    if isinstance(f, sx.Bottom):
+        return False
+    if isinstance(f, sx.Acc):
+        return any(
+            (term(t), env[f.var]) in s.relations[name]
+            for name in s.signature.transitions
+            for t in f.sources
+        )
+    if isinstance(f, sx.Not):
+        return not naive_eval(f.sub, s, env)
+    if isinstance(f, sx.And):
+        return naive_eval(f.left, s, env) and naive_eval(f.right, s, env)
+    if isinstance(f, sx.Or):
+        return naive_eval(f.left, s, env) or naive_eval(f.right, s, env)
+    if isinstance(f, sx.Forall):
+        return all(holds(f.body, e) for e in s.universe)
+    if isinstance(f, sx.Exists):
+        return any(holds(f.body, e) for e in s.universe)
+    if isinstance(f, sx.BoundedForall):
+        return all(not holds(f.guard, e) or holds(f.body, e) for e in s.universe)
+    if isinstance(f, sx.BoundedExists):
+        return any(holds(f.guard, e) and holds(f.body, e) for e in s.universe)
+    if isinstance(f, sx.CountExists):
+        hits = sum(1 for e in s.universe if holds(f.guard, e) and holds(f.body, e))
+        return hits >= f.count
+    raise TypeError(f)
+
+
+def distinct(root) -> list:
+    """Every distinct subformula, the root first."""
+    seen: dict = {}
+    stack = [root]
+    while stack:
+        f = stack.pop()
+        if f not in seen:
+            seen[f] = None
+            stack.extend(children(f))
+    return list(seen)
+
+
+def tree_size(root) -> int:
+    """Nodes of the formula written out as a tree, counted without writing
+    it out."""
+    size: dict = {}
+
+    def visit(f) -> int:
+        if f not in size:
+            size[f] = 1 + sum(visit(c) for c in children(f))
+        return size[f]
+
+    return visit(root)
+
+
+# -- interning ------------------------------------------------------------------------
+
+
+def build_sample():
+    y = sx.Var("y")
+    guard = sx.Rel("E", (sx.Const(1), y))
+    return sx.And(
+        sx.BoundedExists("y", guard, sx.Not(sx.Rel("P", (y,)))),
+        sx.CountExists(2, "y", guard, sx.Eq(y, sx.Const(1))),
+    )
+
+
+class TestInterning:
+    def test_equal_constructions_are_one_object(self):
+        assert build_sample() is build_sample()
+        assert sx.Var("y") is sx.Var(name="y")
+        assert sx.Rel("E", (sx.Const(1), sx.Var("y"))) is sx.Rel(
+            args=(sx.Const(1), sx.Var("y")), name="E"
+        )
+        assert sx.Top() is sx.TRUE
+        assert sx.And(sx.TRUE, sx.FALSE) is not sx.Or(sx.TRUE, sx.FALSE)
+
+    def test_copies_and_pickles_are_the_node(self):
+        f = build_sample()
+        assert copy.copy(f) is f
+        assert copy.deepcopy(f) is f
+        assert pickle.loads(pickle.dumps(f)) is f
+
+    def test_reparse_of_chi_is_chi(self):
+        for k in (1, 2, 3):
+            chi = characteristic_formula(C2, k, temporal=True)
+            assert parse_fo(print_fo(chi)) is chi
+
+    def test_table_releases_dead_formulas(self):
+        gc.collect()
+        before = sx.interned_count()
+        chi = characteristic_formula(SHARED, 3)
+        normalized = normalize_counting(scott_formula(SHARED, 2), UNIMODAL)
+        assert sx.interned_count() > before
+        del chi, normalized
+        gc.collect()
+        assert sx.interned_count() <= before
+
+    def test_fields_are_only_syntactic_parts(self):
+        expected = {
+            sx.Var: ["name"],
+            sx.Const: ["index"],
+            sx.Rel: ["name", "args"],
+            sx.Eq: ["left", "right"],
+            sx.Top: [],
+            sx.Bottom: [],
+            sx.Not: ["sub"],
+            sx.And: ["left", "right"],
+            sx.Or: ["left", "right"],
+            sx.Forall: ["var", "body"],
+            sx.Exists: ["var", "body"],
+            sx.BoundedForall: ["var", "guard", "body"],
+            sx.BoundedExists: ["var", "guard", "body"],
+            sx.CountExists: ["count", "var", "guard", "body"],
+            sx.Acc: ["sources", "var"],
+        }
+        node_classes = {
+            value
+            for value in vars(sx).values()
+            if isinstance(value, type)
+            and dataclasses.is_dataclass(value)
+            and issubclass(value, (sx.Term, sx.FOFormula))
+        }
+        assert node_classes == set(expected)
+        for cls, names in expected.items():
+            assert [field.name for field in dataclasses.fields(cls)] == names
+            assert list(inspect.signature(cls).parameters) == names
+
+    def test_nodes_have_no_instance_dict(self):
+        for f in (sx.Var("y"), sx.TRUE, build_sample()):
+            assert not hasattr(f, "__dict__")
+
+    def test_nodes_are_immutable(self):
+        f = build_sample()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.left = sx.TRUE
+        assert f is build_sample()
+
+
+# -- per-node fields against tree walks ----------------------------------------------
+
+
+class TestStoredFields:
+    def test_chi_sharing_counts(self):
+        chi = characteristic_formula(SHARED, 4)
+        assert tree_size(chi) == 275730
+        assert len(distinct(chi)) == 1276  # 2,845 distinct objects before interning
+
+    def test_chi_fields_match_tree_walks(self):
+        # every distinct subformula up to rank 2, then the whole formula at
+        # rank 3: the tree walks alone take seconds at rank 4
+        checked = [f for k in (0, 1, 2) for f in distinct(characteristic_formula(SHARED, k))]
+        checked.append(characteristic_formula(SHARED, 3))
+        for f in checked:
+            assert sx.free_vars(f) == naive_free(f)
+            assert sx.quantifier_rank(f) == naive_rank(f)
+            assert sx.is_bounded(f, UNIMODAL) == naive_bounded(f, UNIMODAL)
+
+    def test_is_bounded_visits_each_distinct_node_once(self, monkeypatch):
+        chi = characteristic_formula(SHARED, 4)
+        checked = []
+        real = sx.is_transition_guard
+
+        def counting(guard, var, signature):
+            checked.append(guard)
+            return real(guard, var, signature)
+
+        monkeypatch.setattr(sx, "is_transition_guard", counting)
+        assert sx.is_bounded(chi, UNIMODAL)
+        guarded = (sx.BoundedForall, sx.BoundedExists, sx.CountExists)
+        assert len(checked) == sum(isinstance(f, guarded) for f in distinct(chi))
+
+    def test_open_subformulas(self):
+        f = build_sample()
+        body = f.left.body
+        assert body.free == ("y",)
+        assert sx.free_vars(f) == frozenset()
+        inner = sx.And(body, sx.Rel("E", (sx.Var("x"), sx.Var("z"))))
+        assert inner.free == ("x", "y", "z")
+        assert sx.free_vars(sx.Acc((sx.Var("x"),), "y")) == {"x", "y"}
+
+    def test_unguarded_quantifier_is_not_bounded(self):
+        f = sx.And(build_sample(), sx.Exists("y", sx.Rel("P", (sx.Var("y"),))))
+        assert not sx.is_bounded(f, UNIMODAL)
+        assert naive_bounded(f, UNIMODAL) is False
+
+
+# -- random formulas ---------------------------------------------------------------
+
+VARS = ("y1", "y2", "y3")
+TERMS = st.sampled_from([sx.Const(1)] + [sx.Var(v) for v in VARS])
+
+
+def _guard(draw, var):
+    source = draw(TERMS.filter(lambda t: t != sx.Var(var)))
+    if draw(st.booleans()):
+        return sx.Rel("E", (source, sx.Var(var)))
+    return sx.Rel("E", (sx.Var(var), source))
+
+
+@st.composite
+def formulas(draw, depth=3):
+    """A random first-order formula over P, Q and E, nested at most
+    ``depth`` deep, whose free variables are among y1..y3."""
+    kinds = ["rel", "eq", "top", "acc"]
+    if depth > 0:
+        kinds += ["not", "and", "or", "forall", "exists", "bforall", "bexists", "count"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "rel":
+        name = draw(st.sampled_from(["P", "Q", "E"]))
+        arity = 2 if name == "E" else 1
+        return sx.Rel(name, tuple(draw(TERMS) for _ in range(arity)))
+    if kind == "eq":
+        return sx.Eq(draw(TERMS), draw(TERMS))
+    if kind == "top":
+        return draw(st.sampled_from([sx.TRUE, sx.FALSE]))
+    if kind == "acc":
+        return sx.Acc((draw(TERMS),), draw(st.sampled_from(VARS)))
+    sub = formulas(depth=depth - 1)
+    if kind == "not":
+        return sx.Not(draw(sub))
+    if kind in ("and", "or"):
+        ctor = sx.And if kind == "and" else sx.Or
+        return ctor(draw(sub), draw(sub))
+    var = draw(st.sampled_from(VARS))
+    if kind == "forall":
+        return sx.Forall(var, draw(sub))
+    if kind == "exists":
+        return sx.Exists(var, draw(sub))
+    guard = _guard(draw, var)
+    if kind == "bforall":
+        return sx.BoundedForall(var, guard, draw(sub))
+    if kind == "bexists":
+        return sx.BoundedExists(var, guard, draw(sub))
+    return sx.CountExists(draw(st.integers(1, 3)), var, guard, draw(sub))
+
+
+def rebuild(f):
+    """A structurally equal copy made by fresh constructor calls."""
+    parts = []
+    for name in f.__match_args__:
+        value = getattr(f, name)
+        if isinstance(value, tuple):
+            value = tuple(rebuild(t) for t in value)
+        elif isinstance(value, (sx.FOFormula, sx.Term)):
+            value = rebuild(value)
+        parts.append(value)
+    return type(f)(*parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    formulas(),
+    st.sampled_from(FIXTURES30[:12]),
+    st.lists(st.integers(0, 3), min_size=len(VARS), max_size=len(VARS)),
+)
+def test_random_formulas_intern_and_evaluate(f, s, picks):
+    assert rebuild(f) is f
+    assert sx.free_vars(f) == naive_free(f)
+    assert sx.quantifier_rank(f) == naive_rank(f)
+    assert sx.is_bounded(f, UNIMODAL) == naive_bounded(f, UNIMODAL)
+    env = {v: s.universe[i % len(s.universe)] for v, i in zip(VARS, picks)}
+    assert eval_fo(f, s, env) == naive_eval(f, s, env)
