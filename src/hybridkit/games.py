@@ -1,15 +1,37 @@
-"""A uniform engine for the model-comparison games, solved exactly by
-memoized backward induction.
+"""The model-comparison games, solved exactly by memoized backward induction.
 
-Positions are quotiented by the partial map induced by the two move
-sequences: the winning condition and the legal moves depend only on that map
-and the sets of played elements, so memoizing on the pair set is sound.  All
-iteration follows universe order, which makes winners, strategies and traces
-deterministic.
+Every game but the bijection game is played in one arena.  At a position,
+``options`` are Spoiler's moves ``(side, x)`` in structure A or B,
+``replies`` are Duplicator's answers in the other structure, and ``step``
+plays a move and its answer.  The ``pairs`` of a position are the elements
+matched so far, and a move's ``element`` is the element it plays.  The
+winning condition on the pairs is a partial isomorphism in the back-and-forth
+games and a partial homomorphism from A to B in the existential ones.
+``extends`` checks it incrementally, through the tuples at the new pair
+only, for solving and extraction; ``holds`` recomputes it from scratch, for
+the initial position, the traces and ``replay``, which trusts no recorded
+move.  ``win``, ``extract`` and ``replay`` are written once over this:
 
-The exposed round count ``k`` is the number of free rounds after the forced
-basepoint round(s); the winning condition is checked at every position
-including the initial one.
+* :class:`_Arena` plays the sequence games.  A position is the aligned
+  sequence of pairs from the basepoints on.  Spoiler plays any element (EF
+  variants) or one a transition step from an element played on that side
+  (either way in the temporal game); Duplicator answers with any element.
+  Positions are memoized on the pair set and the rounds played, on which
+  the condition and the legal moves alone depend.
+* :class:`_CarrierArena` plays the comonadic game ``G_k``.  A position is a
+  pair of plays in the two hybrid comonad carriers (its pairs are the plays
+  zipped), and a move steps to an immediate extension.
+
+Outside the arena stay the bijection game, whose rounds open with Duplicator
+committing to a bijection rather than with a Spoiler move, and
+``back_and_forth_rank`` and ``find_cokleisli_morphism``: they are the
+independent procedures the games are checked against, so they must not
+share the arena's code.
+
+All iteration follows universe (or carrier) order, which makes winners,
+strategies and traces deterministic.  The exposed round count ``k`` is the
+number of free rounds after the forced basepoint round(s); the winning
+condition is checked at every position including the initial one.
 """
 from __future__ import annotations
 
@@ -71,39 +93,12 @@ class GameResult:
     @property
     def strategy(self) -> dict:
         """Deterministic strategy for the winner, keyed by the position
-        reached (the aligned pair sequence) plus the opponent's move where
-        one is needed.  Extracted lazily and cached."""
+        reached (the aligned pair sequence, or the pair of plays in
+        ``comonadic-gk``) plus the opponent's move where one is needed.
+        Extracted lazily and cached."""
         if self._strategy is None:
             self._strategy = self._strategy_fn()
         return self._strategy
-
-
-class _Side:
-    """Move bookkeeping for one structure of a game."""
-
-    def __init__(self, s: Structure, variant: GameVariant):
-        self.structure = s
-        self.universe = s.universe
-        edges = s.transition_edges()
-        self.seen_from: dict[str, frozenset[str]] = {}
-        for e in s.universe:
-            if variant in (GameVariant.EXISTENTIAL_EF, GameVariant.EF):
-                continue
-            if variant is GameVariant.BACK_FORTH_TEMPORAL:
-                self.seen_from[e] = frozenset(
-                    z for z in s.universe if (e, z) in edges or (z, e) in edges
-                )
-            else:
-                self.seen_from[e] = frozenset(z for z in s.universe if (e, z) in edges)
-        self.unrestricted = variant in (GameVariant.EXISTENTIAL_EF, GameVariant.EF)
-
-    def legal(self, played: frozenset[str]) -> tuple[str, ...]:
-        if self.unrestricted:
-            return self.universe
-        allowed: set[str] = set()
-        for e in played:
-            allowed |= self.seen_from[e]
-        return tuple(e for e in self.universe if e in allowed)
 
 
 def _check_variant(a: Structure, b: Structure, variant: GameVariant, k: int):
@@ -120,8 +115,26 @@ def _check_variant(a: Structure, b: Structure, variant: GameVariant, k: int):
         )
 
 
-class _Engine:
-    """Backward-induction solver for the sequence-move variants."""
+def _orient(side: str, x, y) -> tuple:
+    """The pair of a move ``x`` made on ``side`` and answered by ``y``, with
+    the component from A first."""
+    return (x, y) if side == "A" else (y, x)
+
+
+def _maps_into(tuples, h: Mapping[str, str], target: Structure) -> bool:
+    """Whether ``h`` sends each ``(relation, tuple)`` it is defined on to a
+    tuple of that relation in ``target``."""
+    for name, tup in tuples:
+        if all(e in h for e in tup) and not target.has_tuple(
+            name, tuple(h[e] for e in tup)
+        ):
+            return False
+    return True
+
+
+class _Arena:
+    """The sequence games: a position is the aligned tuple of pairs played so
+    far, starting with the basepoint pairs."""
 
     def __init__(self, a: Structure, b: Structure, variant: GameVariant, k: int):
         self.a = a
@@ -129,190 +142,200 @@ class _Engine:
         self.variant = variant
         self.k = k
         self.existential = variant in _EXISTENTIAL
-        self.left = _Side(a, variant)
-        self.right = _Side(b, variant)
-        self.init_pairs = tuple(zip(a.basepoints, b.basepoints))
-        self.memo: dict[tuple[frozenset, int], str] = {}
-        # tuples of each relation grouped by a participating element
-        self.a_tuples_at = self._index_tuples(a)
-        self.b_tuples_at = self._index_tuples(b)
-        self.a_rel_sets = {n: set(t) for n, t in a.relations.items()}
-        self.b_rel_sets = {n: set(t) for n, t in b.relations.items()}
+        self.start = tuple(zip(a.basepoints, b.basepoints))
+        self.memo: dict = {}
 
-    @staticmethod
-    def _index_tuples(s: Structure) -> dict[str, list[tuple[str, tuple[str, ...]]]]:
-        at: dict[str, list[tuple[str, tuple[str, ...]]]] = {e: [] for e in s.universe}
-        for name, tuples in s.relations.items():
-            for tup in tuples:
-                for e in set(tup):
-                    at[e].append((name, tup))
-        return at
+    # -- positions and moves ----------------------------------------------------------
 
-    # -- winning condition ----------------------------------------------------
+    def key(self, pos):
+        """Memo key: the pair set and the number of rounds played."""
+        return frozenset(pos), len(pos)
 
-    def initial_ok(self) -> bool:
-        pairs = self.init_pairs
-        if self.existential:
-            fwd: dict[str, str] = {}
-            for x, y in pairs:
-                if fwd.setdefault(x, y) != y:
-                    return False
-            for name, tuples in self.a.relations.items():
-                tgt = self.b_rel_sets[name]
-                for tup in tuples:
-                    if all(e in fwd for e in tup):
-                        if tuple(fwd[e] for e in tup) not in tgt:
-                            return False
-            return True
-        return is_partial_isomorphism(pairs, self.a, self.b)
+    def pairs(self, pos) -> tuple[tuple[str, str], ...]:
+        return pos
 
-    def extension_ok(
-        self, fwd: Mapping[str, str], bwd: Mapping[str, str], x: str, y: str
-    ) -> bool:
-        """Whether the winning condition still holds after adding (x, y),
-        assuming it holds for the current map."""
-        if x in fwd:
-            return fwd[x] == y
-        if not self.existential and y in bwd:
-            return False
-        tmp_x = dict(fwd)
-        tmp_x[x] = y
-        for name, tup in self.a_tuples_at[x]:
-            if all(e in tmp_x for e in tup):
-                if tuple(tmp_x[e] for e in tup) not in self.b_rel_sets[name]:
-                    return False
-        if self.existential:
-            return True
-        tmp_y = dict(bwd)
-        tmp_y[y] = x
-        for name, tup in self.b_tuples_at[y]:
-            if all(e in tmp_y for e in tup):
-                if tuple(tmp_y[e] for e in tup) not in self.a_rel_sets[name]:
-                    return False
-        return True
+    def element(self, move) -> str:
+        return move
 
-    # -- solving ----------------------------------------------------------------
-
-    def spoiler_options(
-        self, dom: frozenset[str], rng: frozenset[str]
-    ) -> list[tuple[str, str]]:
-        options = [("A", x) for x in self.left.legal(dom)]
+    def options(self, pos) -> list[tuple[str, str]]:
+        """Spoiler's moves ``(side, x)``, A-side first, in universe order."""
+        if len(pos) - len(self.start) == self.k:
+            return []
+        options = [("A", x) for x in self._legal(self.a, [x for x, _ in pos])]
         if not self.existential:
-            options.extend(("B", y) for y in self.right.legal(rng))
+            options += [("B", y) for y in self._legal(self.b, [y for _, y in pos])]
         return options
 
-    def responses(self, side: str) -> tuple[str, ...]:
-        return self.right.universe if side == "A" else self.left.universe
+    def _legal(self, s: Structure, played: list[str]) -> tuple[str, ...]:
+        if self.variant in (GameVariant.EF, GameVariant.EXISTENTIAL_EF):
+            return s.universe
+        temporal = self.variant is GameVariant.BACK_FORTH_TEMPORAL
+        return s.accessible(played, backward=temporal)
 
-    def win(self, pairs: frozenset[tuple[str, str]], rounds: int) -> str:
-        """Game value at a position where the winning condition holds."""
-        if rounds == 0:
-            return DUPLICATOR
-        key = (pairs, rounds)
-        got = self.memo.get(key)
-        if got is not None:
-            return got
+    def replies(self, pos, side: str) -> tuple[str, ...]:
+        """Duplicator's answers to a Spoiler move on ``side``."""
+        return self.b.universe if side == "A" else self.a.universe
+
+    def step(self, pos, side: str, x, y):
+        return pos + (_orient(side, x, y),)
+
+    # -- the winning condition ---------------------------------------------------------
+
+    def holds(self, pos) -> bool:
+        """The winning condition at ``pos``, computed from scratch."""
+        pairs = self.pairs(pos)
+        if not self.existential:
+            return is_partial_isomorphism(pairs, self.a, self.b)
+        fwd: dict[str, str] = {}
+        for x, y in pairs:
+            if fwd.setdefault(x, y) != y:
+                return False
+        return all(_maps_into(self.a.tuples_at(x), fwd, self.b) for x in fwd)
+
+    def extends(self, pos, side: str, x, y) -> bool:
+        """Whether the winning condition still holds after Spoiler's ``x`` is
+        answered by ``y``, given that it holds at ``pos``: only the tuples
+        through the new pair are checked."""
+        x, y = _orient(side, self.element(x), self.element(y))
+        pairs = self.pairs(pos)
         fwd = dict(pairs)
-        bwd = {y: x for x, y in pairs}
-        dom = frozenset(fwd)
-        rng = frozenset(bwd)
-        value = DUPLICATOR
-        for side, x in self.spoiler_options(dom, rng):
-            survivable = False
-            for y in self.responses(side):
-                pair = (x, y) if side == "A" else (y, x)
-                if side == "A":
-                    ok = self.extension_ok(fwd, bwd, x, y)
-                else:
-                    ok = self.extension_ok(fwd, bwd, y, x)
-                if ok and self.win(pairs | {pair}, rounds - 1) == DUPLICATOR:
-                    survivable = True
-                    break
-            if not survivable:
-                value = SPOILER
-                break
-        self.memo[key] = value
+        if x in fwd:
+            return fwd[x] == y
+        fwd[x] = y
+        if self.existential:
+            return _maps_into(self.a.tuples_at(x), fwd, self.b)
+        bwd = {v: u for u, v in pairs}
+        if y in bwd:
+            return False
+        bwd[y] = x
+        return _maps_into(self.a.tuples_at(x), fwd, self.b) and _maps_into(
+            self.b.tuples_at(y), bwd, self.a
+        )
+
+    # -- solving, extraction and replay ----------------------------------------------
+
+    def answer(self, pos, side: str, x):
+        """Duplicator's least reply to ``x`` that keeps a won position, or
+        ``None`` when the move refutes Duplicator."""
+        for y in self.replies(pos, side):
+            if self.extends(pos, side, x, y):
+                if self.win(self.step(pos, side, x, y)) == DUPLICATOR:
+                    return y
+        return None
+
+    def win(self, pos) -> str:
+        """Game value at a position where the winning condition holds."""
+        key = self.key(pos)
+        value = self.memo.get(key)
+        if value is None:
+            refuted = any(self.answer(pos, *move) is None for move in self.options(pos))
+            value = self.memo[key] = SPOILER if refuted else DUPLICATOR
         return value
 
     def solve(self) -> GameResult:
-        if not self.initial_ok():
-            winner = SPOILER
-        else:
-            winner = self.win(frozenset(self.init_pairs), self.k)
-        return GameResult(winner, self.variant, self.k, lambda: self._extract(winner))
+        winner = self.win(self.start) if self.holds(self.start) else SPOILER
+        return GameResult(winner, self.variant, self.k, lambda: self.extract(winner))
 
-    # -- strategy extraction -------------------------------------------------------
-
-    def _extract(self, winner: str) -> dict:
+    def extract(self, winner: str) -> dict:
+        """The winner's strategy on every position reachable against it:
+        Duplicator's least winning reply keyed ``(pos, side, x)``, or
+        Spoiler's first refuting move keyed ``pos``."""
         strategy: dict = {}
-        if winner == SPOILER and not self.initial_ok():
-            return strategy
 
-        def visit(seq: tuple[tuple[str, str], ...]):
-            rounds = self.k - (len(seq) - len(self.init_pairs))
-            if rounds == 0:
-                return
-            pairs = frozenset(seq)
-            fwd = dict(pairs)
-            bwd = {y: x for x, y in pairs}
-            dom = frozenset(fwd)
-            rng = frozenset(bwd)
+        def visit(pos):
             if winner == DUPLICATOR:
-                for side, x in self.spoiler_options(dom, rng):
-                    response = None
-                    for y in self.responses(side):
-                        ok = (
-                            self.extension_ok(fwd, bwd, x, y)
-                            if side == "A"
-                            else self.extension_ok(fwd, bwd, y, x)
-                        )
-                        pair = (x, y) if side == "A" else (y, x)
-                        if ok and self.win(pairs | {pair}, rounds - 1) == DUPLICATOR:
-                            response = y
-                            break
-                    if response is None:
-                        continue  # Spoiler move loses immediately for Spoiler
-                    key = (seq, side, x)
-                    if key in strategy:
+                for side, x in self.options(pos):
+                    if (pos, side, x) in strategy:
                         continue
-                    strategy[key] = response
-                    pair = (x, response) if side == "A" else (response, x)
-                    visit(seq + (pair,))
-            else:
-                if seq in strategy:
-                    return
-                best = None
-                for side, x in self.spoiler_options(dom, rng):
-                    refuted = True
-                    for y in self.responses(side):
-                        ok = (
-                            self.extension_ok(fwd, bwd, x, y)
-                            if side == "A"
-                            else self.extension_ok(fwd, bwd, y, x)
-                        )
-                        pair = (x, y) if side == "A" else (y, x)
-                        if ok and self.win(pairs | {pair}, rounds - 1) == DUPLICATOR:
-                            refuted = False
-                            break
-                    if refuted:
-                        best = (side, x)
-                        break
-                if best is None:
-                    return
-                strategy[seq] = best
-                side, x = best
-                for y in self.responses(side):
-                    ok = (
-                        self.extension_ok(fwd, bwd, x, y)
-                        if side == "A"
-                        else self.extension_ok(fwd, bwd, y, x)
-                    )
-                    if ok:
-                        pair = (x, y) if side == "A" else (y, x)
-                        visit(seq + (pair,))
+                    y = self.answer(pos, side, x)
+                    if y is not None:
+                        strategy[pos, side, x] = y
+                        visit(self.step(pos, side, x, y))
+            elif pos not in strategy:
+                for side, x in self.options(pos):
+                    if self.answer(pos, side, x) is None:
+                        strategy[pos] = (side, x)
+                        for y in self.replies(pos, side):
+                            if self.extends(pos, side, x, y):
+                                visit(self.step(pos, side, x, y))
+                        return
 
-        visit(self.init_pairs)
+        if self.holds(self.start):
+            visit(self.start)
         return strategy
+
+    def replay(self, strategy: dict, winner: str) -> bool:
+        """Play the recorded strategy against every opponent move, checking
+        the winning condition from scratch at each position reached.  A
+        recorded move the arena does not offer fails the replay; a missing
+        one raises."""
+
+        def duplicator(pos) -> bool:
+            if not self.holds(pos):
+                return False
+            for side, x in self.options(pos):
+                if (pos, side, x) not in strategy:
+                    raise ValueError(
+                        f"strategy is not total: no response at {(pos, side, x)!r}"
+                    )
+                y = strategy[pos, side, x]
+                if y not in self.replies(pos, side) or not duplicator(
+                    self.step(pos, side, x, y)
+                ):
+                    return False
+            return True
+
+        def spoiler(pos) -> bool:
+            if not self.holds(pos):
+                return True
+            options = self.options(pos)
+            if not options:
+                return False
+            if pos not in strategy:
+                raise ValueError(f"strategy is not total: no move at {pos!r}")
+            if strategy[pos] not in options:
+                return False
+            side, x = strategy[pos]
+            return all(
+                spoiler(self.step(pos, side, x, y)) for y in self.replies(pos, side)
+            )
+
+        return (duplicator if winner == DUPLICATOR else spoiler)(self.start)
+
+
+class _CarrierArena(_Arena):
+    """The comonadic game ``G_k``: a position is a pair of plays, one in each
+    hybrid comonad carrier, and a move steps to an immediate extension."""
+
+    def __init__(
+        self, a: Structure, b: Structure, k: int, max_plays: int | None = None
+    ):
+        super().__init__(a, b, GameVariant.COMONADIC_GK, k)
+        kwargs = {} if max_plays is None else {"max_plays": max_plays}
+        self.carriers = tuple(
+            build_comonad(s, ComonadKind.HYBRID, k, **kwargs) for s in (a, b)
+        )
+        self.start = tuple(c.carrier.basepoints[-1] for c in self.carriers)
+
+    def key(self, pos):
+        return pos
+
+    def pairs(self, pos) -> tuple[tuple[str, str], ...]:
+        return tuple(zip(play_parts(pos[0]), play_parts(pos[1])))
+
+    def element(self, move) -> str:
+        return play_parts(move)[-1]
+
+    def options(self, pos) -> list[tuple[str, str]]:
+        a_moves, b_moves = (c.children(p) for c, p in zip(self.carriers, pos))
+        return [("A", s) for s in a_moves] + [("B", t) for t in b_moves]
+
+    def replies(self, pos, side: str) -> tuple[str, ...]:
+        i = 1 if side == "A" else 0
+        return self.carriers[i].children(pos[i])
+
+    def step(self, pos, side: str, x, y):
+        return _orient(side, x, y)
 
 
 def solve(a: Structure, b: Structure, variant: GameVariant, k: int) -> GameResult:
@@ -322,16 +345,38 @@ def solve(a: Structure, b: Structure, variant: GameVariant, k: int) -> GameResul
         return solve_bijection(a, b, k)
     if variant is GameVariant.COMONADIC_GK:
         return solve_Gk(a, b, k)
-    return _Engine(a, b, variant, k).solve()
+    return _Arena(a, b, variant, k).solve()
+
+
+def solve_Gk(
+    a: Structure, b: Structure, k: int, max_plays: int | None = None
+) -> GameResult:
+    """The back-and-forth game played on the hybrid comonad carriers: moves
+    step to immediate extensions, and a position is winning when pairing the
+    two plays elementwise yields a partial isomorphism (so repeated elements
+    must correspond)."""
+    _check_variant(a, b, GameVariant.COMONADIC_GK, k)
+    if k < 1:
+        raise ValueError("the comonadic game needs k >= 1")
+    return _CarrierArena(a, b, k, max_plays).solve()
 
 
 # -- the bounded bijection game ---------------------------------------------------------
 
 
-def _accessible_from(s: Structure, elems: frozenset[str]) -> tuple[str, ...]:
-    edges = s.transition_edges()
-    hits = {v for (u, v) in edges if u in elems}
-    return tuple(e for e in s.universe if e in hits)
+def _bijection_round(a: Structure, b: Structure, pairs, rounds: int):
+    """The winner when the bijection game is over at a position, else the
+    one-step-accessible sets of the two sides, which the next round is
+    played on."""
+    if not is_partial_isomorphism(pairs, a, b):
+        return SPOILER
+    if rounds == 0:
+        return DUPLICATOR
+    acc_a = a.accessible(x for x, _ in pairs)
+    acc_b = b.accessible(y for _, y in pairs)
+    if len(acc_a) != len(acc_b):
+        return SPOILER
+    return (acc_a, acc_b) if acc_a else DUPLICATOR
 
 
 def _has_perfect_matching(
@@ -399,39 +444,29 @@ def solve_bijection(
     memo: dict[tuple[frozenset, int], str] = {}
 
     def win(pairs: frozenset[tuple[str, str]], rounds: int) -> str:
-        if not is_partial_isomorphism(pairs, a, b):
-            return SPOILER
-        if rounds == 0:
-            return DUPLICATOR
+        # the condition depends on the pair set alone, so losses memoize too
         key = (pairs, rounds)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        dom = frozenset(x for x, _ in pairs)
-        rng = frozenset(y for _, y in pairs)
-        acc_a = _accessible_from(a, dom)
-        acc_b = _accessible_from(b, rng)
-        if len(acc_a) != len(acc_b):
-            value = SPOILER
-        elif not acc_a:
-            value = DUPLICATOR
-        elif len(acc_a) > max_accessible:
+        if key not in memo:
+            memo[key] = value(pairs, rounds)
+        return memo[key]
+
+    def value(pairs: frozenset[tuple[str, str]], rounds: int) -> str:
+        state = _bijection_round(a, b, pairs, rounds)
+        if isinstance(state, str):
+            return state
+        acc_a, acc_b = state
+        if len(acc_a) > max_accessible:
             raise ResourceLimitError(
                 f"bijection round over {len(acc_a)} accessible elements exceeds "
                 f"the cap of {max_accessible}"
             )
-        else:
-            good = {
-                (x, y)
-                for x in acc_a
-                for y in acc_b
-                if win(pairs | {(x, y)}, rounds - 1) == DUPLICATOR
-            }
-            value = (
-                DUPLICATOR if _has_perfect_matching(acc_a, acc_b, good) else SPOILER
-            )
-        memo[key] = value
-        return value
+        good = {
+            (x, y)
+            for x in acc_a
+            for y in acc_b
+            if win(pairs | {(x, y)}, rounds - 1) == DUPLICATOR
+        }
+        return DUPLICATOR if _has_perfect_matching(acc_a, acc_b, good) else SPOILER
 
     winner = win(frozenset(init_pairs), k)
 
@@ -441,14 +476,10 @@ def solve_bijection(
         def visit(seq: tuple[tuple[str, str], ...]):
             rounds = k - (len(seq) - len(init_pairs))
             pairs = frozenset(seq)
-            if not is_partial_isomorphism(pairs, a, b) or rounds == 0:
+            state = _bijection_round(a, b, pairs, rounds)
+            if isinstance(state, str):
                 return
-            dom = frozenset(x for x, _ in pairs)
-            rng = frozenset(y for _, y in pairs)
-            acc_a = _accessible_from(a, dom)
-            acc_b = _accessible_from(b, rng)
-            if len(acc_a) != len(acc_b) or not acc_a:
-                return
+            acc_a, acc_b = state
             if winner == DUPLICATOR:
                 if seq in strategy:
                     return
@@ -482,130 +513,6 @@ def solve_bijection(
         return strategy
 
     return GameResult(winner, GameVariant.BIJECTION, k, extract)
-
-
-# -- the comonadic game over carriers -----------------------------------------------------
-
-
-def solve_Gk(
-    a: Structure, b: Structure, k: int, max_plays: int | None = None
-) -> GameResult:
-    """The back-and-forth game played on the hybrid comonad carriers: moves
-    step to immediate extensions, and a position is winning when pairing the
-    two plays elementwise yields a partial isomorphism (so repeated elements
-    must correspond)."""
-    _check_variant(a, b, GameVariant.COMONADIC_GK, k)
-    if k < 1:
-        raise ValueError("the comonadic game needs k >= 1")
-    kwargs = {} if max_plays is None else {"max_plays": max_plays}
-    c_a = build_comonad(a, ComonadKind.HYBRID, k, **kwargs)
-    c_b = build_comonad(b, ComonadKind.HYBRID, k, **kwargs)
-
-    def winning_pos(s_play: str, t_play: str) -> bool:
-        pairs = tuple(zip(play_parts(s_play), play_parts(t_play)))
-        return is_partial_isomorphism(pairs, a, b)
-
-    memo: dict[tuple[str, str], str] = {}
-
-    def win(s_play: str, t_play: str) -> str:
-        key = (s_play, t_play)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        value = DUPLICATOR
-        for s_next in c_a.children(s_play):
-            if not any(
-                winning_pos(s_next, t_next) and win(s_next, t_next) == DUPLICATOR
-                for t_next in c_b.children(t_play)
-            ):
-                value = SPOILER
-                break
-        if value == DUPLICATOR:
-            for t_next in c_b.children(t_play):
-                if not any(
-                    winning_pos(s_next, t_next) and win(s_next, t_next) == DUPLICATOR
-                    for s_next in c_a.children(s_play)
-                ):
-                    value = SPOILER
-                    break
-        memo[key] = value
-        return value
-
-    start = (c_a.carrier.basepoints[-1], c_b.carrier.basepoints[-1])
-    if not winning_pos(*start):
-        winner = SPOILER
-    else:
-        winner = win(*start)
-
-    def extract() -> dict:
-        strategy: dict = {}
-        if winner == SPOILER and not winning_pos(*start):
-            return strategy
-
-        def visit(s_play: str, t_play: str):
-            if winner == DUPLICATOR:
-                for side, mover, other, own in (
-                    ("A", c_a, c_b, t_play),
-                    ("B", c_b, c_a, s_play),
-                ):
-                    moving_from = s_play if side == "A" else t_play
-                    for nxt in mover.children(moving_from):
-                        key = ((s_play, t_play), side, nxt)
-                        if key in strategy:
-                            continue
-                        response = None
-                        for cand in other.children(own):
-                            pos = (nxt, cand) if side == "A" else (cand, nxt)
-                            if winning_pos(*pos) and win(*pos) == DUPLICATOR:
-                                response = cand
-                                break
-                        if response is None:
-                            continue
-                        strategy[key] = response
-                        pos = (nxt, response) if side == "A" else (response, nxt)
-                        visit(*pos)
-            else:
-                if (s_play, t_play) in strategy:
-                    return
-                best = None
-                for side, mover, other, own in (
-                    ("A", c_a, c_b, t_play),
-                    ("B", c_b, c_a, s_play),
-                ):
-                    moving_from = s_play if side == "A" else t_play
-                    for nxt in mover.children(moving_from):
-                        refuted = all(
-                            not (
-                                winning_pos(
-                                    *((nxt, cand) if side == "A" else (cand, nxt))
-                                )
-                                and win(
-                                    *((nxt, cand) if side == "A" else (cand, nxt))
-                                )
-                                == DUPLICATOR
-                            )
-                            for cand in other.children(own)
-                        )
-                        if refuted:
-                            best = (side, nxt)
-                            break
-                    if best:
-                        break
-                if best is None:
-                    return
-                strategy[(s_play, t_play)] = best
-                side, nxt = best
-                other = c_b if side == "A" else c_a
-                own = t_play if side == "A" else s_play
-                for cand in other.children(own):
-                    pos = (nxt, cand) if side == "A" else (cand, nxt)
-                    if winning_pos(*pos):
-                        visit(*pos)
-
-        visit(*start)
-        return strategy
-
-    return GameResult(winner, GameVariant.COMONADIC_GK, k, extract)
 
 
 # -- the inductive back-and-forth relations ----------------------------------------------
@@ -687,188 +594,50 @@ def verify_strategy(
     result: GameResult, a: Structure, b: Structure, variant: GameVariant, k: int
 ) -> bool:
     """Replay every opponent option against the recorded strategy and confirm
-    the winning condition at every reached position.  Raises when the
-    strategy is missing a response at a reachable state."""
+    the winning condition at every reached position.  A recorded move that
+    is not legal fails the replay; a missing one raises."""
     if variant is GameVariant.BIJECTION:
         return _verify_bijection(result, a, b, k)
     if variant is GameVariant.COMONADIC_GK:
-        return _verify_gk(result, a, b, k)
-    engine = _Engine(a, b, variant, k)
-    strategy = result.strategy
-    init = engine.init_pairs
-
-    def condition(pairs) -> bool:
-        if engine.existential:
-            fwd: dict[str, str] = {}
-            for x, y in pairs:
-                if fwd.setdefault(x, y) != y:
-                    return False
-            for name, tuples in a.relations.items():
-                tgt = engine.b_rel_sets[name]
-                for tup in tuples:
-                    if all(e in fwd for e in tup):
-                        if tuple(fwd[e] for e in tup) not in tgt:
-                            return False
-            return True
-        return is_partial_isomorphism(pairs, a, b)
-
-    if result.winner == DUPLICATOR:
-
-        def replay_dup(seq) -> bool:
-            if not condition(seq):
-                return False
-            rounds = k - (len(seq) - len(init))
-            if rounds == 0:
-                return True
-            dom = frozenset(x for x, _ in seq)
-            rng = frozenset(y for _, y in seq)
-            for side, x in engine.spoiler_options(dom, rng):
-                key = (seq, side, x)
-                if key not in strategy:
-                    raise ValueError(
-                        f"strategy is not total: no response at {key!r}"
-                    )
-                y = strategy[key]
-                pair = (x, y) if side == "A" else (y, x)
-                if not replay_dup(seq + (pair,)):
-                    return False
-            return True
-
-        return replay_dup(init)
-
-    def replay_spoiler(seq) -> bool:
-        if not condition(seq):
-            return True
-        rounds = k - (len(seq) - len(init))
-        if rounds == 0:
-            return False
-        if seq not in strategy:
-            raise ValueError(f"strategy is not total: no move at {seq!r}")
-        side, x = strategy[seq]
-        dom = frozenset(e for e, _ in seq)
-        rng = frozenset(e for _, e in seq)
-        legal = engine.left.legal(dom) if side == "A" else engine.right.legal(rng)
-        if x not in legal:
-            return False
-        for y in engine.responses(side):
-            pair = (x, y) if side == "A" else (y, x)
-            if not replay_spoiler(seq + (pair,)):
-                return False
-        return True
-
-    return replay_spoiler(init)
+        arena = _CarrierArena(a, b, k)
+    else:
+        arena = _Arena(a, b, variant, k)
+    return arena.replay(result.strategy, result.winner)
 
 
 def _verify_bijection(result: GameResult, a: Structure, b: Structure, k: int) -> bool:
     strategy = result.strategy
     init = tuple(zip(a.basepoints, b.basepoints))
 
-    if result.winner == DUPLICATOR:
-
-        def replay(seq) -> bool:
-            if not is_partial_isomorphism(seq, a, b):
-                return False
-            rounds = k - (len(seq) - len(init))
-            if rounds == 0:
-                return True
-            dom = frozenset(x for x, _ in seq)
-            rng = frozenset(y for _, y in seq)
-            acc_a = _accessible_from(a, dom)
-            acc_b = _accessible_from(b, rng)
-            if len(acc_a) != len(acc_b):
-                return False
-            if not acc_a:
-                return True
+    def replay(seq) -> bool:
+        state = _bijection_round(a, b, seq, k - (len(seq) - len(init)))
+        if isinstance(state, str):
+            return state == result.winner
+        acc_a, acc_b = state
+        if result.winner == DUPLICATOR:
             if seq not in strategy:
                 raise ValueError(f"strategy is not total: no bijection at {seq!r}")
             bijection = strategy[seq]
-            if bijection is None or {x for x, _ in bijection} != set(acc_a):
+            if (
+                bijection is None
+                or len(bijection) != len(acc_a)
+                or {x for x, _ in bijection} != set(acc_a)
+                or {y for _, y in bijection} != set(acc_b)
+            ):
                 return False
             return all(replay(seq + ((x, y),)) for x, y in bijection)
-
-        return replay(init)
-
-    def replay(seq) -> bool:
-        if not is_partial_isomorphism(seq, a, b):
-            return True
-        rounds = k - (len(seq) - len(init))
-        if rounds == 0:
-            return False
-        dom = frozenset(x for x, _ in seq)
-        rng = frozenset(y for _, y in seq)
-        acc_a = _accessible_from(a, dom)
-        acc_b = _accessible_from(b, rng)
-        if len(acc_a) != len(acc_b):
-            return True
-        if not acc_a:
-            return False
         for perm in permutations(acc_b):
             bijection = tuple(zip(acc_a, perm))
-            bkey = (seq, bijection)
-            if bkey not in strategy:
-                raise ValueError(f"strategy is not total: no pick at {bkey!r}")
-            pick = strategy[bkey]
-            if pick is None:
-                return False
-            y = dict(bijection)[pick]
-            if not replay(seq + ((pick, y),)):
+            if (seq, bijection) not in strategy:
+                raise ValueError(
+                    f"strategy is not total: no pick at {(seq, bijection)!r}"
+                )
+            pick = strategy[seq, bijection]
+            if pick not in acc_a or not replay(seq + ((pick, dict(bijection)[pick]),)):
                 return False
         return True
 
     return replay(init)
-
-
-def _verify_gk(result: GameResult, a: Structure, b: Structure, k: int) -> bool:
-    c_a = build_comonad(a, ComonadKind.HYBRID, k)
-    c_b = build_comonad(b, ComonadKind.HYBRID, k)
-    strategy = result.strategy
-
-    def winning_pos(s_play: str, t_play: str) -> bool:
-        return is_partial_isomorphism(
-            tuple(zip(play_parts(s_play), play_parts(t_play))), a, b
-        )
-
-    start = (c_a.carrier.basepoints[-1], c_b.carrier.basepoints[-1])
-
-    if result.winner == DUPLICATOR:
-
-        def replay(s_play: str, t_play: str) -> bool:
-            if not winning_pos(s_play, t_play):
-                return False
-            for side, mover, own in (("A", c_a, t_play), ("B", c_b, s_play)):
-                moving_from = s_play if side == "A" else t_play
-                for nxt in mover.children(moving_from):
-                    key = ((s_play, t_play), side, nxt)
-                    if key not in strategy:
-                        raise ValueError(
-                            f"strategy is not total: no response at {key!r}"
-                        )
-                    response = strategy[key]
-                    pos = (nxt, response) if side == "A" else (response, nxt)
-                    if not replay(*pos):
-                        return False
-            return True
-
-        return replay(*start)
-
-    def replay(s_play: str, t_play: str) -> bool:
-        if not winning_pos(s_play, t_play):
-            return True
-        key = (s_play, t_play)
-        if key not in strategy:
-            raise ValueError(f"strategy is not total: no move at {key!r}")
-        side, nxt = strategy[key]
-        other = c_b if side == "A" else c_a
-        own = t_play if side == "A" else s_play
-        responses = other.children(own)
-        if not responses:
-            return True  # Duplicator cannot respond at all
-        return all(
-            replay(*((nxt, cand) if side == "A" else (cand, nxt)))
-            for cand in responses
-        )
-
-    return replay(*start)
 
 
 # -- traces ------------------------------------------------------------------------------
@@ -882,64 +651,35 @@ def trace_game(a: Structure, b: Structure, variant: GameVariant, k: int) -> str:
     if variant in (GameVariant.BIJECTION, GameVariant.COMONADIC_GK):
         lines.append("trace: not rendered for this variant")
         return "\n".join(lines) + "\n"
-    engine = _Engine(a, b, variant, k)
+    arena = _Arena(a, b, variant, k)
     strategy = result.strategy
-    seq = engine.init_pairs
-    ok = engine.initial_ok()
-    lines.append(f"round 0: initial position {_fmt_pairs(seq)} [{_verdict(ok)}]")
+    pos = arena.start
+    ok = arena.holds(pos)
+    lines.append(f"round 0: initial position {_fmt_pairs(pos)} [{_verdict(ok)}]")
     for rnd in range(1, k + 1):
         if not ok:
             break
-        dom = frozenset(x for x, _ in seq)
-        rng = frozenset(y for _, y in seq)
         if result.winner == SPOILER:
-            move = strategy.get(seq)
+            move = strategy.get(pos)
             if move is None:
                 break
             side, x = move
-            response = None
-            for y in engine.responses(side):
-                pair = (x, y) if side == "A" else (y, x)
-                ext = (
-                    engine.extension_ok(dict(seq), {b_: a_ for a_, b_ in seq}, x, y)
-                    if side == "A"
-                    else engine.extension_ok(
-                        dict(seq), {b_: a_ for a_, b_ in seq}, y, x
-                    )
-                )
-                if ext:
-                    response = y
-                    break
-            if response is None:
-                response = engine.responses(side)[0]
-            pair = (x, response) if side == "A" else (response, x)
+            replies = arena.replies(pos, side)
+            y = next(
+                (y for y in replies if arena.holds(arena.step(pos, side, x, y))),
+                replies[0],
+            )
         else:
-            options = engine.spoiler_options(dom, rng)
+            options = arena.options(pos)
             if not options:
                 lines.append(f"round {rnd}: spoiler has no legal move [ok]")
                 break
             side, x = options[0]
-            response = strategy[(seq, side, x)]
-            pair = (x, response) if side == "A" else (response, x)
-        seq = seq + (pair,)
-        if engine.existential:
-            fwd: dict[str, str] = {}
-            ok = True
-            for p, q in seq:
-                if fwd.setdefault(p, q) != q:
-                    ok = False
-            if ok:
-                for name, tuples in a.relations.items():
-                    tgt = engine.b_rel_sets[name]
-                    for tup in tuples:
-                        if all(e in fwd for e in tup):
-                            if tuple(fwd[e] for e in tup) not in tgt:
-                                ok = False
-        else:
-            ok = is_partial_isomorphism(seq, a, b)
+            y = strategy[pos, side, x]
+        pos = arena.step(pos, side, x, y)
+        ok = arena.holds(pos)
         lines.append(
-            f"round {rnd}: spoiler {side}:{x} -> duplicator {pair[1] if side == 'A' else pair[0]} "
-            f"[{_verdict(ok)}]"
+            f"round {rnd}: spoiler {side}:{x} -> duplicator {y} [{_verdict(ok)}]"
         )
     return "\n".join(lines) + "\n"
 

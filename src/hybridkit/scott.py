@@ -79,18 +79,6 @@ def _atomic_type_formula(s: Structure, tup: tuple[str, ...], m: int) -> FOFormul
     return sx.conj_all(parts)
 
 
-def _accessible(s: Structure, tup: tuple[str, ...]) -> tuple[str, ...]:
-    """Elements one transition step from some component, in universe order."""
-    seen: set[str] = set()
-    for name in s.signature.transitions:
-        edges = set(s.relations[name])
-        for src in tup:
-            for e in s.universe:
-                if (src, e) in edges:
-                    seen.add(e)
-    return tuple(e for e in s.universe if e in seen)
-
-
 # -- characteristic formulas ---------------------------------------------------------
 
 
@@ -163,7 +151,7 @@ def scott_type(s: Structure, k: int):
         if rank == 0:
             out = ("atomic", _atomic_type_key(s, tup))
         else:
-            acc = _accessible(s, tup)
+            acc = s.accessible(tup)
             if not acc:
                 out = ("stuck", _atomic_type_key(s, tup))
             else:
@@ -195,7 +183,7 @@ def scott_formula(s: Structure, k: int) -> FOFormula:
             if rank == 0:
                 got = ("atomic", _atomic_type_key(s, tup))
             else:
-                acc = _accessible(s, tup)
+                acc = s.accessible(tup)
                 if not acc:
                     got = ("stuck", _atomic_type_key(s, tup))
                 else:
@@ -212,7 +200,7 @@ def scott_formula(s: Structure, k: int) -> FOFormula:
         if rank == 0:
             out = _atomic_type_formula(s, tup, m)
         else:
-            acc = _accessible(s, tup)
+            acc = s.accessible(tup)
             sources = tuple(_position_term(i, m) for i in range(len(tup)))
             y = f"y{len(tup) - m + 1}"
             guard = Acc(sources, y)

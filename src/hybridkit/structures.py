@@ -112,7 +112,16 @@ class Structure:
     Immutable after construction; all operations in this package are pure.
     """
 
-    __slots__ = ("signature", "universe", "relations", "basepoints", "_pos", "_tuple_sets")
+    __slots__ = (
+        "signature",
+        "universe",
+        "relations",
+        "basepoints",
+        "_pos",
+        "_tuple_sets",
+        "_steps",
+        "_tuples_at",
+    )
 
     def __init__(
         self,
@@ -168,6 +177,11 @@ class Structure:
         self.basepoints = bps
         self._pos = pos
         self._tuple_sets: dict[str, frozenset[tuple[str, ...]]] = {}
+        # successors and predecessors over every transition relation
+        self._steps: tuple[dict[str, tuple[str, ...]], ...] | None = None
+        self._tuples_at: dict[str, tuple[tuple[str, tuple[str, ...]], ...]] | None = (
+            None
+        )
 
     # -- identity -----------------------------------------------------------
 
@@ -210,6 +224,42 @@ class Structure:
         if tuples is None:
             tuples = self._tuple_sets[relation] = frozenset(self.relations[relation])
         return tuple(tup) in tuples
+
+    def tuples_at(self, element: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        """The ``(relation, tuple)`` pairs whose tuple contains ``element``,
+        from a map built on first use."""
+        if self._tuples_at is None:
+            at: dict[str, list] = {e: [] for e in self.universe}
+            for name, tuples in self.relations.items():
+                for tup in tuples:
+                    entry = (name, tup)
+                    for e in dict.fromkeys(tup):
+                        at[e].append(entry)
+            self._tuples_at = {e: tuple(v) for e, v in at.items()}
+        return self._tuples_at[element]
+
+    def accessible(
+        self, elements: Iterable[str], backward: bool = False
+    ) -> tuple[str, ...]:
+        """Elements one transition step forward from some given element (with
+        ``backward`` also one step back), in universe order, from a map of
+        successors and predecessors built on first use."""
+        if self._steps is None:
+            succ: dict[str, list] = {e: [] for e in self.universe}
+            pred: dict[str, list] = {e: [] for e in self.universe}
+            for name in self.signature.transitions:
+                for u, v in self.relations[name]:
+                    succ[u].append(v)
+                    pred[v].append(u)
+            self._steps = tuple(
+                {e: tuple(v) for e, v in m.items()} for m in (succ, pred)
+            )
+        seen: set[str] = set()
+        for e in elements:
+            seen.update(self._steps[0][e])
+            if backward:
+                seen.update(self._steps[1][e])
+        return tuple(e for e in self.universe if e in seen)
 
     def transition_edges(self) -> set[tuple[str, str]]:
         """All directed (u, v) pairs related by some transition relation."""
@@ -369,22 +419,14 @@ def reachable_part(s: Structure, k: float = INF) -> Structure:
     """Induced substructure on elements reachable from a basepoint by a
     directed transition path of length <= k.  ``k=INF`` gives the full
     reachable part."""
-    succ: dict[str, set[str]] = {e: set() for e in s.universe}
-    for u, v in s.transition_edges():
-        succ[u].add(v)
-    depth: dict[str, float] = {e: 0 for e in s.basepoints}
-    frontier = list(dict.fromkeys(s.basepoints))
+    reached = set(s.basepoints)
+    frontier: tuple[str, ...] = s.basepoints
     d = 0
     while frontier and d < k:
         d += 1
-        nxt = []
-        for u in frontier:
-            for v in succ[u]:
-                if v not in depth:
-                    depth[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return s.induced(depth)
+        frontier = tuple(v for v in s.accessible(frontier) if v not in reached)
+        reached.update(frontier)
+    return s.induced(reached)
 
 
 def ball_part(s: Structure, k: float) -> Structure:
@@ -411,9 +453,8 @@ def is_homomorphism(h: Mapping[str, str], a: Structure, b: Structure) -> bool:
         if h[x] != y:
             return False
     for name, tuples in a.relations.items():
-        target = set(b.relations[name])
         for tup in tuples:
-            if tuple(h[e] for e in tup) not in target:
+            if not b.has_tuple(name, tuple(h[e] for e in tup)):
                 return False
     return True
 
@@ -433,18 +474,12 @@ def is_partial_isomorphism(
             return False
         fwd[x] = y
         bwd[y] = x
-    for name, tuples in a.relations.items():
-        target = set(b.relations[name])
-        for tup in tuples:
-            if all(e in fwd for e in tup):
-                if tuple(fwd[e] for e in tup) not in target:
-                    return False
-    for name, tuples in b.relations.items():
-        source = set(a.relations[name])
-        for tup in tuples:
-            if all(e in bwd for e in tup):
-                if tuple(bwd[e] for e in tup) not in source:
-                    return False
+    for h, source, target in ((fwd, a, b), (bwd, b, a)):
+        for x in h:
+            for name, tup in source.tuples_at(x):
+                if all(e in h for e in tup):
+                    if not target.has_tuple(name, tuple(h[e] for e in tup)):
+                        return False
     return True
 
 

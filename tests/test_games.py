@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from hybridkit.comonads import ComonadKind, find_cokleisli_morphism
@@ -5,6 +7,7 @@ from hybridkit.errors import ResourceLimitError
 from hybridkit.games import (
     DUPLICATOR,
     SPOILER,
+    GameResult,
     GameVariant,
     back_and_forth_rank,
     solve,
@@ -23,6 +26,7 @@ from fixtures import (
     STAR2,
     STAR3,
     pairs,
+    unimodal,
 )
 
 
@@ -215,3 +219,69 @@ class TestTrace:
         text = trace_game(PATH3, PATH3, GameVariant.BACK_FORTH_HYBRID, 2)
         assert "winner: Duplicator" in text
         assert "round 1" in text and "round 2" in text
+
+
+class TestPinnedBehaviour:
+    def test_strategies_and_traces_are_unchanged(self):
+        # sha256 over every winner, strategy entry and trace line, so that a
+        # change to any of them fails here
+        digest = hashlib.sha256()
+        for a, b in pairs(FIXTURES30[:8]):
+            for variant in GameVariant:
+                if variant is GameVariant.BIJECTION:
+                    continue
+                for k in (0, 1, 2):
+                    if variant is GameVariant.COMONADIC_GK and k == 0:
+                        continue
+                    result = solve(a, b, variant, k)
+                    entries = sorted(result.strategy.items())
+                    digest.update(repr((result.winner, entries)).encode())
+                    digest.update(trace_game(a, b, variant, k).encode())
+        assert digest.hexdigest() == (
+            "172a2d5fe1a56ce22af37665b43fa2a500a7758a2d42460a38a9c16be31de51a"
+        )
+
+
+def _forged(winner, variant, k, strategy):
+    return GameResult(winner, variant, k, lambda: strategy)
+
+
+class TestReplayRejectsIllegalMoves:
+    def test_spoiler_move_on_a_side_the_variant_forbids(self):
+        a = unimodal(["a"], [])
+        b = unimodal(["b0", "b1"], [], basepoint="b0")
+        variant = GameVariant.EXISTENTIAL_EF
+        assert solve(a, b, variant, 1).winner == DUPLICATOR
+        forged = _forged(SPOILER, variant, 1, {(("a", "b0"),): ("B", "b1")})
+        assert not verify_strategy(forged, a, b, variant, 1)
+
+    def test_answer_outside_the_universe(self):
+        a = unimodal(["a", "z"], [])
+        variant = GameVariant.EXISTENTIAL_EF
+        strategy = dict(solve(a, a, variant, 1).strategy)
+        strategy[(("a", "a"),), "A", "z"] = "ghost"
+        forged = _forged(DUPLICATOR, variant, 1, strategy)
+        assert not verify_strategy(forged, a, a, variant, 1)
+
+    def test_carrier_answer_that_is_not_a_play(self):
+        variant = GameVariant.COMONADIC_GK
+        strategy = dict(solve_Gk(STAR2, STAR2, 1).strategy)
+        strategy[("a", "a"), "A", "a.b1"] = "b1"
+        forged = _forged(DUPLICATOR, variant, 1, strategy)
+        assert not verify_strategy(forged, STAR2, STAR2, variant, 1)
+
+    def test_bijection_that_is_not_onto(self):
+        variant = GameVariant.BIJECTION
+        strategy = dict(solve_bijection(STAR2, STAR2, 1).strategy)
+        strategy[(("a", "a"),)] = (("b1", "b1"), ("b2", "b1"))
+        forged = _forged(DUPLICATOR, variant, 1, strategy)
+        assert not verify_strategy(forged, STAR2, STAR2, variant, 1)
+
+    def test_bijection_pick_outside_the_accessible_set(self):
+        a = unimodal(["a", "b1", "b2", "c"], [("a", "b1"), ("a", "b2"), ("b1", "c")])
+        variant = GameVariant.BIJECTION
+        result = solve_bijection(a, STAR2, 2)
+        assert result.winner == SPOILER
+        strategy = {key: "zzz" for key in result.strategy}
+        forged = _forged(SPOILER, variant, 2, strategy)
+        assert not verify_strategy(forged, a, STAR2, variant, 2)

@@ -20,6 +20,7 @@ from hybridkit.structures import (
 
 from fixtures import (
     BACK_EDGE,
+    BOUNDED_FIXTURES,
     C2,
     FIXTURES30,
     ISOLATED_P,
@@ -169,6 +170,28 @@ class TestSubstructureOperators:
                 reachable_part(s, k + 1).universe
             )
             assert set(ball_part(s, k).universe) <= set(ball_part(s, k + 1).universe)
+
+
+class TestIndex:
+    @pytest.mark.parametrize("s", FIXTURES30 + BOUNDED_FIXTURES, ids=range(40))
+    def test_tuples_at_matches_scan(self, s):
+        for e in s.universe:
+            expected = [(n, t) for n, ts in s.relations.items() for t in ts if e in t]
+            assert list(s.tuples_at(e)) == expected
+
+    @pytest.mark.parametrize("s", FIXTURES30 + BOUNDED_FIXTURES, ids=range(40))
+    def test_accessible_matches_edge_scan(self, s):
+        edges = s.transition_edges()
+        for size in (0, 1, 2):
+            for elems in {tuple(s.universe[i : i + size]) for i in range(len(s))}:
+                forward = [v for v in s.universe if any((u, v) in edges for u in elems)]
+                both = [
+                    v
+                    for v in s.universe
+                    if any((u, v) in edges or (v, u) in edges for u in elems)
+                ]
+                assert s.accessible(elems) == tuple(forward)
+                assert s.accessible(iter(elems), backward=True) == tuple(both)
 
 
 class TestMorphismPredicates:
