@@ -212,7 +212,7 @@ def _dispatch(args: argparse.Namespace, out: TextIO) -> int:
         print(f"coalgebra number: {_ext(number)}", file=out)
         if depth != INF:
             witness = min(
-                (c for c in enumerate_generated_covers(s) if c.height() == depth),
+                enumerate_generated_covers(s, depth - s.signature.num_basepoints),
                 key=lambda c: sorted(c.parent.items()),
             )
             print(f"witness cover: {json.dumps(cover_to_data(witness))}", file=out)

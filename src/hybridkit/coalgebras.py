@@ -7,12 +7,21 @@ reflexive-transitive closure.  For an m-pointed structure the basepoints must
 form the chain ``a1 < ... < am`` with everything else in a tree rooted at the
 last basepoint.  Heights count nodes, and the bound for resource k is
 ``height - m <= k`` (for one basepoint this is the familiar ``height <= k+1``).
+
+Covers are searched by construction, not by filtering parent maps.  A
+transition predecessor is always Gaifman-adjacent, so below any node the
+elements still to place split into Gaifman components that subtrees cannot
+share.  ``enumerate_generated_covers`` builds each cover once, top-down over
+set partitions of those components; ``generated_tree_depth`` is the
+elimination-tree recursion of treedepth, memoized on (remaining set, set
+seen from the branch) within one call.  ``is_generated_tree_cover`` and the
+coalgebra search stay independent of both.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
+from functools import cache
 from typing import Iterator, Mapping
 
 from .errors import InvalidStructureError, ResourceLimitError
@@ -257,26 +266,112 @@ def check_coalgebra_laws(c: Coalgebra) -> CoalgebraLawReport:
 # -- enumeration -----------------------------------------------------------------
 
 
+def _cover_search(s: Structure) -> tuple[list[int], list[int], int, int] | None:
+    """What both cover searches need, over bitmasks of universe positions:
+    each element's Gaifman neighbours and transition successors, the
+    elements below the basepoint chain, and those of them that have a
+    transition predecessor on the chain.  None when no cover can exist."""
+    bps = s.basepoints
+    if not bps or len(set(bps)) != len(bps):
+        return None
+    pos = s._pos
+    adjacency = gaifman_graph(s)
+    near = [sum(1 << pos[y] for y in adjacency[x]) for x in s.universe]
+    succ = [0] * len(s.universe)
+    for u, v in s.transition_edges():
+        succ[pos[u]] |= 1 << pos[v]
+    chain = sum(1 << pos[b] for b in bps)
+    rest = ((1 << len(s.universe)) - 1) & ~chain
+    seen = 0
+    for b in bps:
+        seen |= succ[pos[b]]
+    return near, succ, rest, seen & rest
+
+
+def _components(d: int, near: list[int]) -> list[int]:
+    """The Gaifman components of the element set ``d``, lowest element first."""
+    out = []
+    while d:
+        comp = frontier = d & -d
+        while frontier:
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                grown |= near[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grown & d & ~comp
+            comp |= frontier
+        out.append(comp)
+        d &= ~comp
+    return out
+
+
+def _bits(d: int) -> Iterator[int]:
+    """Positions of the elements of ``d``, in universe order."""
+    while d:
+        low = d & -d
+        yield low.bit_length() - 1
+        d ^= low
+
+
 def enumerate_generated_covers(
     s: Structure, k_bound: int | None = None
 ) -> Iterator[TreeCover]:
-    """All generated tree covers (within the height bound), by exhaustive
-    choice of parents in universe order."""
-    m = s.signature.num_basepoints
-    if m < 1 or len(set(s.basepoints)) != m:
+    """All generated tree covers (within the height bound), each once.
+
+    The elements off the basepoint chain form a forest below its last
+    basepoint, built top-down.  Gaifman-adjacent elements must be
+    comparable, so below any node each child subtree is a union of Gaifman
+    components of the elements still to place: the search runs over set
+    partitions of those components, and the root of each block must have a
+    transition predecessor on its branch.  The height budget prunes a
+    branch as soon as it runs out."""
+    search = _cover_search(s)
+    if search is None:
         return
-    fixed = {s.basepoints[i]: s.basepoints[i - 1] for i in range(1, m)}
-    rest = [e for e in s.universe if e not in s.basepoints]
-    choices = [[p for p in s.universe if p != e] for e in rest]
-    for combo in product(*choices) if rest else [()]:
+    near, succ, rest, seen0 = search
+    budget0 = rest.bit_count() if k_bound is None else k_bound
+    if budget0 < 0:
+        return
+
+    @cache
+    def forests(d: int, node: int, seen: int, budget: int) -> list[tuple]:
+        """Every forest on ``d`` hung below ``node``, as (child, parent)
+        position pairs; ``seen`` holds the elements of ``d`` with a
+        transition predecessor on the branch down to ``node``."""
+        if not d:
+            return [()]
+        if budget <= 0 or not seen:
+            return []
+        first, *others = _components(d, near)
+        out = []
+        for pick in range(1 << len(others)):
+            block = first
+            for i, comp in enumerate(others):
+                if pick >> i & 1:
+                    block |= comp
+            below = trees(block, node, seen & block, budget)
+            if below:
+                for f in forests(d & ~block, node, seen & ~block, budget):
+                    out.extend(t + f for t in below)
+        return out
+
+    @cache
+    def trees(block: int, node: int, seen: int, budget: int) -> list[tuple]:
+        """Every tree on ``block`` hung below ``node``."""
+        out = []
+        for r in _bits(seen):
+            below = block & ~(1 << r)
+            for f in forests(below, r, (seen | succ[r]) & below, budget - 1):
+                out.append(((r, node),) + f)
+        return out
+
+    universe, bps = s.universe, s.basepoints
+    fixed = {bps[i]: bps[i - 1] for i in range(1, len(bps))}
+    for f in forests(rest, s.position(bps[-1]), seen0, budget0):
         parent = dict(fixed)
-        parent.update(zip(rest, combo))
-        cover = TreeCover(s, parent)
-        try:
-            if is_generated_tree_cover(cover, k_bound):
-                yield cover
-        except ValueError:
-            continue  # cyclic parent choice
+        parent.update((universe[c], universe[p]) for c, p in sorted(f))
+        yield TreeCover(s, parent)
 
 
 def enumerate_coalgebras(
@@ -344,13 +439,37 @@ def enumerate_coalgebras(
 
 
 def generated_tree_depth(s: Structure) -> float:
-    """Minimum height over all generated tree covers; INF when none exists."""
-    best = INF
-    for cover in enumerate_generated_covers(s):
-        h = cover.height()
-        if h < best:
-            best = h
-    return best
+    """Minimum height over all generated tree covers; INF when none exists.
+
+    Each Gaifman component of the elements still to place can take its own
+    subtree, and joining components under one root only adds height, so the
+    depth below the basepoint chain is ``depth(D, seen)``: the maximum over
+    the components K of D of the minimum, over roots c in K that have a
+    transition predecessor on the branch (``seen``), of
+    ``1 + depth(K - c, seen')``.  It is 0 on the empty set and INF for a
+    component with no candidate root."""
+    search = _cover_search(s)
+    if search is None:
+        return INF
+    near, succ, rest, seen0 = search
+
+    @cache
+    def component_depth(comp: int, seen: int) -> float:
+        best = INF
+        for c in _bits(seen):
+            below = comp & ~(1 << c)
+            best = min(best, 1 + depth(below, (seen | succ[c]) & below))
+        return best
+
+    def depth(d: int, seen: int) -> float:
+        worst = 0
+        for comp in _components(d, near):
+            worst = max(worst, component_depth(comp, seen & comp))
+            if worst == INF:
+                break
+        return worst
+
+    return len(s.basepoints) + depth(rest, seen0)
 
 
 def coalgebra_number(s: Structure, kind: ComonadKind | None = None) -> float:

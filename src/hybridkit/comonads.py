@@ -117,18 +117,15 @@ def build_comonad(
                 f"element id {e!r} contains the play separator {PLAY_SEP!r}"
             )
 
-    edges = base.transition_edges()
-
-    def extension_ok(played: tuple[str, ...], candidate: str) -> bool:
-        if kind is ComonadKind.EF:
-            return True
+    def extensions(played: tuple[str, ...]) -> tuple[str, ...]:
+        """The elements that may extend a play, in universe order."""
+        if not played or kind is ComonadKind.EF:
+            return base.universe
         if kind is ComonadKind.MODAL:
-            return (played[-1], candidate) in edges
-        if kind is ComonadKind.HYBRID or kind is ComonadKind.BOUNDED:
-            return any((p, candidate) in edges for p in played)
-        return any(
-            (p, candidate) in edges or (candidate, p) in edges for p in played
-        )
+            return base.accessible(played[-1:])
+        if kind is ComonadKind.HYBRID_TEMPORAL:
+            return base.accessible(played, backward=True)
+        return base.accessible(played)
 
     plays: list[tuple[str, ...]] = []
     frontier: list[tuple[str, ...]] = []
@@ -143,11 +140,8 @@ def build_comonad(
         for played in frontier:
             if len(played) >= k + m:
                 continue
-            for candidate in base.universe:
-                if played and not extension_ok(played, candidate):
-                    continue
-                extended = played + (candidate,)
-                nxt.append(extended)
+            for candidate in extensions(played):
+                nxt.append(played + (candidate,))
         plays.extend(nxt)
         if len(plays) > max_plays:
             raise ResourceLimitError(

@@ -665,6 +665,12 @@ def trace_game(a: Structure, b: Structure, variant: GameVariant, k: int) -> str:
                 break
             side, x = move
             replies = arena.replies(pos, side)
+            if not replies:
+                lines.append(
+                    f"round {rnd}: spoiler {side}:{x} -> duplicator has no reply"
+                    " [fail]"
+                )
+                break
             y = next(
                 (y for y in replies if arena.holds(arena.step(pos, side, x, y))),
                 replies[0],

@@ -14,6 +14,7 @@ part (Gaifman balls of radius k around the basepoints).
 from __future__ import annotations
 
 import json
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidStructureError
@@ -121,6 +122,8 @@ class Structure:
         "_tuple_sets",
         "_steps",
         "_tuples_at",
+        "_edges",
+        "_gaifman",
     )
 
     def __init__(
@@ -182,6 +185,8 @@ class Structure:
         self._tuples_at: dict[str, tuple[tuple[str, tuple[str, ...]], ...]] | None = (
             None
         )
+        self._edges: frozenset[tuple[str, str]] | None = None
+        self._gaifman: MappingProxyType | None = None
 
     # -- identity -----------------------------------------------------------
 
@@ -261,12 +266,16 @@ class Structure:
                 seen.update(self._steps[1][e])
         return tuple(e for e in self.universe if e in seen)
 
-    def transition_edges(self) -> set[tuple[str, str]]:
-        """All directed (u, v) pairs related by some transition relation."""
-        edges: set[tuple[str, str]] = set()
-        for name in self.signature.transitions:
-            edges.update(self.relations[name])
-        return edges
+    def transition_edges(self) -> frozenset[tuple[str, str]]:
+        """All directed (u, v) pairs related by some transition relation, as
+        a frozenset built on first use."""
+        if self._edges is None:
+            self._edges = frozenset(
+                tup
+                for name in self.signature.transitions
+                for tup in self.relations[name]
+            )
+        return self._edges
 
     def induced(self, elements: Iterable[str]) -> "Structure":
         """Induced substructure on the given elements, keeping universe order.
@@ -298,16 +307,22 @@ class Structure:
 # -- Gaifman machinery -------------------------------------------------------
 
 
-def gaifman_graph(s: Structure) -> dict[str, tuple[str, ...]]:
-    """Adjacency of the Gaifman graph: distinct elements co-occurring in a tuple."""
-    adj: dict[str, set[str]] = {e: set() for e in s.universe}
-    for tuples in s.relations.values():
-        for tup in tuples:
-            for x in tup:
-                for y in tup:
-                    if x != y:
-                        adj[x].add(y)
-    return {e: tuple(sorted(adj[e], key=s.position)) for e in s.universe}
+def gaifman_graph(s: Structure) -> Mapping[str, tuple[str, ...]]:
+    """Adjacency of the Gaifman graph: distinct elements co-occurring in a
+    tuple, each neighbour list in universe order.  Built once per structure
+    on first use and returned as a read-only view."""
+    if s._gaifman is None:
+        adj: dict[str, set[str]] = {e: set() for e in s.universe}
+        for tuples in s.relations.values():
+            for tup in tuples:
+                for x in tup:
+                    for y in tup:
+                        if x != y:
+                            adj[x].add(y)
+        s._gaifman = MappingProxyType(
+            {e: tuple(sorted(adj[e], key=s.position)) for e in s.universe}
+        )
+    return s._gaifman
 
 
 class DistanceMatrix:

@@ -18,6 +18,7 @@ CASES = [
     ("game_path3_loop_exhyb3", ["game", "--left", "{d}/path3.json", "--right", "{d}/loop.json", "--variant", "existential-hybrid", "--k", "3"]),
     ("game_loop_c2_gk1", ["game", "--left", "{d}/loop.json", "--right", "{d}/c2.json", "--variant", "comonadic-gk", "--k", "1"]),
     ("game_ef_trace", ["game", "--left", "{d}/loop.json", "--right", "{d}/c2.json", "--variant", "ef", "--k", "2", "--trace"]),
+    ("game_ef_no_reply_trace", ["game", "--left", "{d}/one.json", "--right", "{d}/empty.json", "--variant", "ef", "--k", "1", "--trace"]),
     ("comonad_path3_hybrid2", ["comonad", "--structure", "{d}/path3.json", "--kind", "hybrid", "--k", "2"]),
     ("comonad_backedge_temporal1", ["comonad", "--structure", "{d}/back_edge.json", "--kind", "hybrid-temporal", "--k", "1"]),
     ("comonad_loop_hybrid2_i", ["comonad", "--structure", "{d}/loop.json", "--kind", "hybrid", "--k", "2", "--with-i"]),

@@ -1,4 +1,8 @@
+import time
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridkit.coalgebras import (
     Coalgebra,
@@ -31,6 +35,71 @@ from fixtures import (
 
 CHAIN3 = TreeCover(PATH3, {"b": "a", "c": "b"})
 STAR_COVER = TreeCover(STAR2, {"b1": "a", "b2": "a"})
+
+
+def brute_force_covers(s, k_bound=None):
+    """Oracle: every parent map over the universe, filtered through the
+    cover predicate."""
+    m = s.signature.num_basepoints
+    if m < 1 or len(set(s.basepoints)) != m:
+        return
+    fixed = {s.basepoints[i]: s.basepoints[i - 1] for i in range(1, m)}
+    rest = [e for e in s.universe if e not in s.basepoints]
+    choices = [[p for p in s.universe if p != e] for e in rest]
+    for combo in product(*choices) if rest else [()]:
+        parent = dict(fixed)
+        parent.update(zip(rest, combo))
+        cover = TreeCover(s, parent)
+        try:
+            if is_generated_tree_cover(cover, k_bound):
+                yield cover
+        except ValueError:
+            continue  # cyclic parent choice
+
+
+def assert_search_matches_oracle(s):
+    """Covers at every bound are the oracle's, each once, and the depth is
+    the oracle's least height."""
+    every = list(brute_force_covers(s))
+    m = s.signature.num_basepoints
+    for k in (None, 0, 1, 2, 3):
+        found = list(enumerate_generated_covers(s, k))
+        assert len(found) == len(set(found)), (s, k)
+        want = {c for c in every if k is None or c.height() - m <= k}
+        assert set(found) == want, (s, k)
+    assert generated_tree_depth(s) == min((c.height() for c in every), default=INF)
+
+
+VOCABULARIES = [
+    ({"P": 1, "E": 2}, ["E"]),
+    ({"P": 1, "E": 2, "F": 2}, ["E", "F"]),
+    ({"E": 2, "R": 2}, ["E"]),  # R adds Gaifman edges no transition gives
+]
+
+
+@st.composite
+def small_structures(draw):
+    """Up to six elements, one or two transitions, one or two basepoints.
+    Most elements get a transition from an earlier one, so that covers are
+    common, but elements may be unreachable and basepoints may repeat."""
+    relations, transitions = draw(st.sampled_from(VOCABULARIES))
+    m = draw(st.integers(1, 2))
+    n = draw(st.integers(m, 6))
+    universe = [f"v{i}" for i in range(n)]
+    element = st.sampled_from(universe)
+    interp = {
+        name: draw(st.lists(st.tuples(*[element] * arity), max_size=n))
+        for name, arity in relations.items()
+    }
+    for i in range(1, n):
+        source = draw(st.integers(0, i))  # i: no edge into v{i}
+        if source < i:
+            name = draw(st.sampled_from(transitions))
+            interp[name].append((universe[source], universe[i]))
+    basepoints = draw(
+        st.just(universe[:m]) | st.lists(element, min_size=m, max_size=m)
+    )
+    return Structure(Signature(relations, transitions, m), universe, interp, basepoints)
 
 
 class TestCoverPredicate:
@@ -124,6 +193,30 @@ class TestDepthAndNumber:
             assert number == INF
         else:
             assert number == max(depth - 1, 1)
+
+
+class TestCoverSearch:
+    @pytest.mark.parametrize("s", FIXTURES30 + BOUNDED_FIXTURES, ids=range(40))
+    def test_fixtures_match_oracle(self, s):
+        assert_search_matches_oracle(s)
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_structures())
+    def test_random_structures_match_oracle(self, s):
+        assert_search_matches_oracle(s)
+
+    def test_depth_of_twelve_elements_within_a_second(self):
+        # an out-tree from v0 on twelve elements, plus twenty chords
+        v = [f"v{i}" for i in range(12)]
+        edges = [(v[i // 2], v[i]) for i in range(1, 12)]
+        edges += [(v[(5 * i + 3) % 12], v[(7 * i) % 12]) for i in range(20)]
+        s = unimodal(v, edges, basepoint="v0")
+        start = time.perf_counter()
+        depth = generated_tree_depth(s)
+        assert time.perf_counter() - start < 1.0
+        witness = next(enumerate_generated_covers(s, depth - 1))
+        assert is_generated_tree_cover(witness) and witness.height() == depth
+        assert next(enumerate_generated_covers(s, depth - 2), None) is None
 
 
 class TestBijectionCount:

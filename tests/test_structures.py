@@ -180,6 +180,20 @@ class TestIndex:
             assert list(s.tuples_at(e)) == expected
 
     @pytest.mark.parametrize("s", FIXTURES30 + BOUNDED_FIXTURES, ids=range(40))
+    def test_edges_and_gaifman_built_once_read_only(self, s):
+        edges = s.transition_edges()
+        assert edges is s.transition_edges() and isinstance(edges, frozenset)
+        assert edges == {t for n in s.signature.transitions for t in s.relations[n]}
+        adj = gaifman_graph(s)
+        assert adj is gaifman_graph(s)
+        with pytest.raises(TypeError):
+            adj["a"] = ()
+        assert list(adj) == list(s.universe)
+        for x in s.universe:
+            near = {y for ts in s.relations.values() for t in ts if x in t for y in t}
+            assert adj[x] == tuple(y for y in s.universe if y in near - {x})
+
+    @pytest.mark.parametrize("s", FIXTURES30 + BOUNDED_FIXTURES, ids=range(40))
     def test_accessible_matches_edge_scan(self, s):
         edges = s.transition_edges()
         for size in (0, 1, 2):
