@@ -286,6 +286,9 @@ def workspace_game_result(a: Structure, q: int, check_invariants: bool = True):
     right = machine.right.structure
     strategy: dict = {}
     violations: list[str] = []
+    # the partial-isomorphism check depends on the pair set alone; the
+    # invariants depend on the order of play and are checked at every state
+    iso: dict[frozenset, bool] = {}
 
     def record(state: WorkspaceStrategyState):
         pairs = tuple(zip(state.left_play, state.right_play))
@@ -294,7 +297,10 @@ def workspace_game_result(a: Structure, q: int, check_invariants: bool = True):
             for issue in machine.invariant_violations(state):
                 violations.append(f"at {pairs!r}: {issue}")
                 broken = True
-        if not is_partial_isomorphism(pairs, left, right):
+        pair_set = frozenset(pairs)
+        if pair_set not in iso:
+            iso[pair_set] = is_partial_isomorphism(pair_set, left, right)
+        if not iso[pair_set]:
             violations.append(f"at {pairs!r}: not a partial isomorphism")
             broken = True
         if broken or state.round >= q:

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 the computed property holds (or Duplicator wins); 1 it fails
-(or Spoiler wins); 2 usage or input error; 3 a resource guard tripped.
+(or Spoiler wins); 2 usage or input error; 3 a resource guard tripped, or
+the run ran out of recursion depth or memory.
 All output is deterministic for fixed inputs.
 """
 from __future__ import annotations
@@ -146,6 +147,13 @@ def run(argv: list[str], out: TextIO | None = None) -> int:
         return _dispatch(args, out)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=out)
+        return 3
+    except RecursionError:
+        # a fixed line: the interpreter's own message varies by version
+        print("resource limit: recursion too deep", file=out)
+        return 3
+    except MemoryError:
+        print("resource limit: out of memory", file=out)
         return 3
     except HybridKitError as exc:
         print(f"error: {exc}", file=out)

@@ -8,9 +8,11 @@ matched so far, and a move's ``element`` is the element it plays.  The
 winning condition on the pairs is a partial isomorphism in the back-and-forth
 games and a partial homomorphism from A to B in the existential ones.
 ``extends`` checks it incrementally, through the tuples at the new pair
-only, for solving and extraction; ``holds`` recomputes it from scratch, for
-the initial position, the traces and ``replay``, which trusts no recorded
-move.  ``win``, ``extract`` and ``replay`` are written once over this:
+only, for solving and extraction; ``holds`` computes it from scratch, once per
+pair set, for the initial position, the traces and ``replay``, which trusts
+no recorded move.  The condition depends on the pair set alone, so every
+move sequence that reaches one set shares that one check.  ``win``,
+``extract`` and ``replay`` are written once over this:
 
 * :class:`_Arena` plays the sequence games.  A position is the aligned
   sequence of pairs from the basepoints on.  Spoiler plays any element (EF
@@ -144,6 +146,7 @@ class _Arena:
         self.existential = variant in _EXISTENTIAL
         self.start = tuple(zip(a.basepoints, b.basepoints))
         self.memo: dict = {}
+        self.held: dict = {}
 
     # -- positions and moves ----------------------------------------------------------
 
@@ -182,8 +185,16 @@ class _Arena:
     # -- the winning condition ---------------------------------------------------------
 
     def holds(self, pos) -> bool:
-        """The winning condition at ``pos``, computed from scratch."""
-        pairs = self.pairs(pos)
+        """The winning condition at ``pos``, computed from scratch, once per
+        pair set.  Only this method fills ``held``, never ``extends`` or the
+        solver's memo."""
+        pairs = frozenset(self.pairs(pos))
+        value = self.held.get(pairs)
+        if value is None:
+            value = self.held[pairs] = self._condition(pairs)
+        return value
+
+    def _condition(self, pairs: frozenset) -> bool:
         if not self.existential:
             return is_partial_isomorphism(pairs, self.a, self.b)
         fwd: dict[str, str] = {}
@@ -239,21 +250,29 @@ class _Arena:
     def extract(self, winner: str) -> dict:
         """The winner's strategy on every position reachable against it:
         Duplicator's least winning reply keyed ``(pos, side, x)``, or
-        Spoiler's first refuting move keyed ``pos``."""
+        Spoiler's first refuting move keyed ``pos``.  The answer depends on
+        the memo key of ``pos`` alone, so it is computed once per key."""
         strategy: dict = {}
+        answers: dict = {}
+
+        def answer(pos, side, x):
+            key = (self.key(pos), side, x)
+            if key not in answers:
+                answers[key] = self.answer(pos, side, x)
+            return answers[key]
 
         def visit(pos):
             if winner == DUPLICATOR:
                 for side, x in self.options(pos):
                     if (pos, side, x) in strategy:
                         continue
-                    y = self.answer(pos, side, x)
+                    y = answer(pos, side, x)
                     if y is not None:
                         strategy[pos, side, x] = y
                         visit(self.step(pos, side, x, y))
             elif pos not in strategy:
                 for side, x in self.options(pos):
-                    if self.answer(pos, side, x) is None:
+                    if answer(pos, side, x) is None:
                         strategy[pos] = (side, x)
                         for y in self.replies(pos, side):
                             if self.extends(pos, side, x, y):
@@ -608,9 +627,17 @@ def verify_strategy(
 def _verify_bijection(result: GameResult, a: Structure, b: Structure, k: int) -> bool:
     strategy = result.strategy
     init = tuple(zip(a.basepoints, b.basepoints))
+    rounds_of: dict = {}
+
+    def round_state(seq):
+        # the round depends on the pair set and the rounds left alone
+        key = (frozenset(seq), k - (len(seq) - len(init)))
+        if key not in rounds_of:
+            rounds_of[key] = _bijection_round(a, b, *key)
+        return rounds_of[key]
 
     def replay(seq) -> bool:
-        state = _bijection_round(a, b, seq, k - (len(seq) - len(init)))
+        state = round_state(seq)
         if isinstance(state, str):
             return state == result.winner
         acc_a, acc_b = state

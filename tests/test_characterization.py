@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -152,6 +153,41 @@ class TestVerifyWorkspace:
             pairs, machine.left.structure, machine.right.structure
         )
         assert machine.invariant_violations(bad) and not iso
+
+
+class TestWorkspaceQuotient:
+    def test_sabotaged_answer_is_reported_once_per_sequence(self, monkeypatch):
+        # answer every second-round "A:b" on the left with the basepoint "A:a":
+        # each of the first moves leads to one broken sequence, and several
+        # of those sequences reach the same pair set
+        import hybridkit.characterization as characterization
+
+        honest = WorkspaceStrategy.step
+        check = characterization.is_partial_isomorphism
+        failed = []
+
+        def sabotaged(self, state, side, element):
+            nxt = honest(self, state, side, element)
+            if state.round == 1 and side == "left" and element == "A:b":
+                nxt = dataclasses.replace(nxt, right_play=nxt.right_play[:-1] + ("A:a",))
+            return nxt
+
+        def counted(pairs, a, b):
+            ok = check(pairs, a, b)
+            if not ok:
+                failed.append(frozenset(pairs))
+            return ok
+
+        monkeypatch.setattr(WorkspaceStrategy, "step", sabotaged)
+        monkeypatch.setattr(characterization, "is_partial_isomorphism", counted)
+        result, violations = workspace_game_result(PATH3, 2, check_invariants=False)
+        _, left, right = build_workspace(PATH3, 2)
+        assert len(violations) == len(left) + len(right)
+        assert all(
+            v.endswith("('A:b', 'A:a')): not a partial isomorphism") for v in violations
+        )
+        assert len(set(failed)) == len(failed) < len(violations)
+        assert not verify_strategy(result, left, right, GameVariant.EF, 2)
 
 
 class TestUnionLemma:

@@ -1,5 +1,7 @@
 import io
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -65,3 +67,37 @@ def test_resource_guard_exit_code(tmp_path):
     )
     assert code == 3
     assert "resource limit" in sink.getvalue()
+
+
+@pytest.mark.parametrize(
+    "formula",
+    [
+        " & ".join(["E(c1,c1)"] * 1500),
+        "(" * 3000 + "E(c1,c1)" + ")" * 3000,
+    ],
+    ids=["flat_and_1500", "nested_parens_3000"],
+)
+def test_recursion_limit_is_a_resource_exit(formula, capsys):
+    sink = io.StringIO()
+    argv = ["check", "--structure", "data/loop.json", "--formula", formula, "--logic", "fo"]
+    assert run(argv, out=sink) == 3
+    assert sink.getvalue() == "resource limit: recursion too deep\n"
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_module_entry_point_matches_golden():
+    with open(os.path.join(HERE, "golden", "depth_path3.txt"), encoding="utf-8") as fh:
+        expected = fh.read()
+    src = os.path.join(os.path.dirname(HERE), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hybridkit", "depth", "--structure", "data/path3.json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=HERE,
+        timeout=60,
+    )
+    assert f"exit: {proc.returncode}\n{proc.stdout}" == expected
+    assert proc.stderr == ""

@@ -285,3 +285,65 @@ class TestReplayRejectsIllegalMoves:
         strategy = {key: "zzz" for key in result.strategy}
         forged = _forged(SPOILER, variant, 2, strategy)
         assert not verify_strategy(forged, a, STAR2, variant, 2)
+
+
+class TestPairSetQuotient:
+    def test_replay_checks_each_pair_set_once(self, monkeypatch):
+        import hybridkit.games as games
+
+        variant = GameVariant.EF
+        result = solve(PATH3, PATH3, variant, 3)
+        assert result.winner == DUPLICATOR
+        strategy = result.strategy
+        start = (("a", "a"),)
+        positions = {start}
+        for (pos, side, x), y in strategy.items():
+            positions.add(pos)
+            positions.add(pos + ((x, y) if side == "A" else (y, x),))
+        pair_sets = {frozenset(pos) for pos in positions}
+
+        calls = []
+        check = games.is_partial_isomorphism
+
+        def counted(pairs, a, b):
+            calls.append(frozenset(pairs))
+            return check(pairs, a, b)
+
+        monkeypatch.setattr(games, "is_partial_isomorphism", counted)
+        assert verify_strategy(result, PATH3, PATH3, variant, 3)
+        assert len(calls) == len(pair_sets) == len(set(calls))
+        assert set(calls) == pair_sets
+        assert len(calls) < len(positions)
+
+    def test_bad_answer_under_one_of_two_orders_fails(self):
+        # (b,b) then (c,c) and (c,c) then (b,b) reach one pair set; a wrong
+        # answer a round deeper under either order alone fails the replay
+        variant = GameVariant.EF
+        result = solve(PATH3, PATH3, variant, 3)
+        assert result.winner == DUPLICATOR
+        strategy = dict(result.strategy)
+        first = (("a", "a"), ("b", "b"), ("c", "c"))
+        second = (("a", "a"), ("c", "c"), ("b", "b"))
+        assert strategy[first, "A", "c"] == strategy[second, "A", "c"] == "c"
+        strategy[second, "A", "c"] = "b"
+        forged = _forged(DUPLICATOR, variant, 3, strategy)
+        assert not verify_strategy(forged, PATH3, PATH3, variant, 3)
+        # the same answer under the first order alone fails as well
+        strategy[second, "A", "c"] = "c"
+        strategy[first, "A", "c"] = "b"
+        forged = _forged(DUPLICATOR, variant, 3, strategy)
+        assert not verify_strategy(forged, PATH3, PATH3, variant, 3)
+
+    def test_bijection_replay_checks_every_order(self):
+        # both orders of the two leaves reach one pair set; a bijection that
+        # is not onto under the second order alone must still fail
+        variant = GameVariant.BIJECTION
+        result = solve_bijection(STAR2, STAR2, 3)
+        assert result.winner == DUPLICATOR
+        strategy = dict(result.strategy)
+        first = (("a", "a"), ("b1", "b1"), ("b2", "b2"))
+        second = (("a", "a"), ("b2", "b2"), ("b1", "b1"))
+        assert strategy[first] == strategy[second]
+        strategy[second] = (("b1", "b1"), ("b2", "b1"))
+        forged = _forged(DUPLICATOR, variant, 3, strategy)
+        assert not verify_strategy(forged, STAR2, STAR2, variant, 3)
