@@ -19,7 +19,6 @@ coalgebra search stay independent of both.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterator, Mapping
@@ -392,17 +391,6 @@ def enumerate_coalgebras(
         for i in range(s.signature.num_basepoints)
     }
 
-    def consistent(alpha: dict[str, str], e: str, play: str) -> bool:
-        parts = play_parts(play)
-        for i, entry in enumerate(parts, start=1):
-            want = play_join(parts[:i])
-            got = alpha.get(entry)
-            if got is not None and got != want:
-                return False
-            if entry == e and want != play:
-                return False
-        return True
-
     def assign(i: int, alpha: dict[str, str]) -> Iterator[dict[str, str]]:
         if i == len(order):
             yield dict(alpha)
@@ -412,8 +400,6 @@ def enumerate_coalgebras(
             yield from assign(i + 1, alpha)
             return
         for play in ends_with[e]:
-            if not consistent(alpha, e, play):
-                continue
             added = []
             parts = play_parts(play)
             ok = True
@@ -556,20 +542,5 @@ def check_open_pathwise_embedding(
 # -- cover files ------------------------------------------------------------------------
 
 
-def cover_from_data(base: Structure, data: object) -> TreeCover:
-    if not isinstance(data, dict) or not isinstance(data.get("parent"), dict):
-        raise InvalidStructureError('parent: cover files look like {"parent": {...}}')
-    return TreeCover(base, data["parent"])
-
-
 def cover_to_data(t: TreeCover) -> dict:
     return {"parent": dict(sorted(t.parent.items()))}
-
-
-def load_cover(base: Structure, path: str) -> TreeCover:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidStructureError(f"{path}: not valid JSON: {exc}") from exc
-    return cover_from_data(base, data)

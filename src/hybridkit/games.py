@@ -1,18 +1,18 @@
 """The model-comparison games, solved exactly by memoized backward induction.
 
-Every game but the bijection game is played in one arena.  At a position,
-``options`` are Spoiler's moves ``(side, x)`` in structure A or B,
-``replies`` are Duplicator's answers in the other structure, and ``step``
-plays a move and its answer.  The ``pairs`` of a position are the elements
-matched so far, and a move's ``element`` is the element it plays.  The
-winning condition on the pairs is a partial isomorphism in the back-and-forth
-games and a partial homomorphism from A to B in the existential ones.
-``extends`` checks it incrementally, through the tuples at the new pair
-only, for solving and extraction; ``holds`` computes it from scratch, once per
-pair set, for the initial position, the traces and ``replay``, which trusts
-no recorded move.  The condition depends on the pair set alone, so every
-move sequence that reaches one set shares that one check.  ``win``,
-``extract`` and ``replay`` are written once over this:
+Every game is played in one arena.  At a position, ``options`` are
+Spoiler's moves ``(side, x)`` in structure A or B, ``replies`` are
+Duplicator's answers in the other structure, and ``step`` plays a move and
+its answer.  The ``pairs`` of a position are the elements matched so far,
+and a move's ``element`` is the element it plays.  The winning condition on
+the pairs is a partial isomorphism in the back-and-forth games and a
+partial homomorphism from A to B in the existential ones.  ``extends``
+checks it incrementally, through the tuples at the new pair only, for
+solving and extraction; ``holds`` computes it from scratch, once per pair
+set, for the initial position, the traces and ``replay``, which trusts no
+recorded move.  The condition depends on the pair set alone, so every move
+sequence that reaches one set shares that one check.  ``win`` memoizes
+``value``, and ``value``, ``extract`` and ``replay`` are written once:
 
 * :class:`_Arena` plays the sequence games.  A position is the aligned
   sequence of pairs from the basepoints on.  Spoiler plays any element (EF
@@ -23,12 +23,13 @@ move sequence that reaches one set shares that one check.  ``win``,
 * :class:`_CarrierArena` plays the comonadic game ``G_k``.  A position is a
   pair of plays in the two hybrid comonad carriers (its pairs are the plays
   zipped), and a move steps to an immediate extension.
+* :class:`_BijectionArena` plays the bounded bijection game on the positions
+  of the sequence games, but a round opens with Duplicator matching the two
+  accessible sets, and Spoiler picks a pair of the matching.  It overrides
+  ``value``, ``extract`` and ``replay``.
 
-Outside the arena stay the bijection game, whose rounds open with Duplicator
-committing to a bijection rather than with a Spoiler move, and
-``back_and_forth_rank`` and ``find_cokleisli_morphism``: they are the
-independent procedures the games are checked against, so they must not
-share the arena's code.
+Outside the arena stay ``back_and_forth_rank`` and ``find_cokleisli_morphism``:
+they are the independent checks of the games, so they share no arena code.
 
 All iteration follows universe (or carrier) order, which makes winners,
 strategies and traces deterministic.  The exposed round count ``k`` is the
@@ -115,6 +116,8 @@ def _check_variant(a: Structure, b: Structure, variant: GameVariant, k: int):
             f"{variant.value} needs a unimodal signature "
             "(one transition relation, one basepoint)"
         )
+    if variant is GameVariant.COMONADIC_GK and k < 1:
+        raise ValueError("the comonadic game needs k >= 1")
 
 
 def _orient(side: str, x, y) -> tuple:
@@ -235,13 +238,18 @@ class _Arena:
         return None
 
     def win(self, pos) -> str:
-        """Game value at a position where the winning condition holds."""
+        """Game value at a position where the winning condition holds,
+        memoized on its key."""
         key = self.key(pos)
         value = self.memo.get(key)
         if value is None:
-            refuted = any(self.answer(pos, *move) is None for move in self.options(pos))
-            value = self.memo[key] = SPOILER if refuted else DUPLICATOR
+            value = self.memo[key] = self.value(pos)
         return value
+
+    def value(self, pos) -> str:
+        """Spoiler wins when some move has no winning answer."""
+        refuted = any(self.answer(pos, *move) is None for move in self.options(pos))
+        return SPOILER if refuted else DUPLICATOR
 
     def solve(self) -> GameResult:
         winner = self.win(self.start) if self.holds(self.start) else SPOILER
@@ -357,45 +365,120 @@ class _CarrierArena(_Arena):
         return _orient(side, x, y)
 
 
-def solve(a: Structure, b: Structure, variant: GameVariant, k: int) -> GameResult:
-    """Exact value and deterministic strategy of the k-round game."""
-    _check_variant(a, b, variant, k)
-    if variant is GameVariant.BIJECTION:
-        return solve_bijection(a, b, k)
-    if variant is GameVariant.COMONADIC_GK:
-        return solve_Gk(a, b, k)
-    return _Arena(a, b, variant, k).solve()
+class _BijectionArena(_Arena):
+    """The bounded bijection game: positions as in the sequence games, but
+    each round Duplicator commits to a matching of the two accessible sets
+    and Spoiler picks one of its pairs."""
 
+    def __init__(
+        self, a: Structure, b: Structure, k: int, max_accessible=DEFAULT_MAX_ACCESSIBLE
+    ):
+        super().__init__(a, b, GameVariant.BIJECTION, k)
+        self.max_accessible = max_accessible
 
-def solve_Gk(
-    a: Structure, b: Structure, k: int, max_plays: int | None = None
-) -> GameResult:
-    """The back-and-forth game played on the hybrid comonad carriers: moves
-    step to immediate extensions, and a position is winning when pairing the
-    two plays elementwise yields a partial isomorphism (so repeated elements
-    must correspond)."""
-    _check_variant(a, b, GameVariant.COMONADIC_GK, k)
-    if k < 1:
-        raise ValueError("the comonadic game needs k >= 1")
-    return _CarrierArena(a, b, k, max_plays).solve()
+    def round(self, pos):
+        """The winner when the game is over at ``pos`` (no round left or
+        nothing to pick, or a cardinality clash), else the one-step-accessible
+        sets of the two sides, which the next round is played on."""
+        if len(pos) - len(self.start) == self.k:
+            return DUPLICATOR
+        acc_a = self.a.accessible(x for x, _ in pos)
+        acc_b = self.b.accessible(y for _, y in pos)
+        if len(acc_a) != len(acc_b):
+            return SPOILER
+        return (acc_a, acc_b) if acc_a else DUPLICATOR
 
+    def good(self, pos, acc_a, acc_b) -> set[tuple[str, str]]:
+        """The pairs Duplicator can match and still win from."""
+        return {
+            (x, y)
+            for x in acc_a
+            for y in acc_b
+            if self.extends(pos, "A", x, y)
+            and self.win(self.step(pos, "A", x, y)) == DUPLICATOR
+        }
 
-# -- the bounded bijection game ---------------------------------------------------------
+    def value(self, pos) -> str:
+        """Duplicator wins when the good pairs hold a perfect matching."""
+        state = self.round(pos)
+        if isinstance(state, str):
+            return state
+        acc_a, acc_b = state
+        if len(acc_a) > self.max_accessible:
+            raise ResourceLimitError(
+                f"bijection round over {len(acc_a)} accessible elements exceeds "
+                f"the cap of {self.max_accessible}"
+            )
+        good = self.good(pos, acc_a, acc_b)
+        return DUPLICATOR if _has_perfect_matching(acc_a, acc_b, good) else SPOILER
 
+    def extract(self, winner: str) -> dict:
+        """Duplicator's least winning matching keyed ``pos``, or Spoiler's
+        first pick off the good pairs keyed ``(pos, matching)`` for every
+        matching of the accessible sets."""
+        strategy: dict = {}
 
-def _bijection_round(a: Structure, b: Structure, pairs, rounds: int):
-    """The winner when the bijection game is over at a position, else the
-    one-step-accessible sets of the two sides, which the next round is
-    played on."""
-    if not is_partial_isomorphism(pairs, a, b):
-        return SPOILER
-    if rounds == 0:
-        return DUPLICATOR
-    acc_a = a.accessible(x for x, _ in pairs)
-    acc_b = b.accessible(y for _, y in pairs)
-    if len(acc_a) != len(acc_b):
-        return SPOILER
-    return (acc_a, acc_b) if acc_a else DUPLICATOR
+        def visit(pos):
+            state = self.round(pos)
+            if isinstance(state, str):
+                return
+            acc_a, acc_b = state
+            good = self.good(pos, acc_a, acc_b)
+            if winner == DUPLICATOR:
+                strategy[pos] = matching = _least_matching(acc_a, acc_b, good)
+                for x, y in matching:
+                    visit(self.step(pos, "A", x, y))
+                return
+            for perm in permutations(acc_b):
+                matching = tuple(zip(acc_a, perm))
+                if (pos, matching) in strategy:  # reached again by another matching
+                    return
+                x, y = next(pair for pair in matching if pair not in good)
+                strategy[pos, matching] = x
+                if self.extends(pos, "A", x, y):
+                    visit(self.step(pos, "A", x, y))
+
+        if self.holds(self.start):
+            visit(self.start)
+        return strategy
+
+    def replay(self, strategy: dict, winner: str) -> bool:
+        """Play the recorded strategy against every opponent choice, checking
+        the winning condition from scratch at each position reached.  A
+        matching that is not a bijection of the accessible sets, or a pick
+        outside them, fails the replay; a missing one raises."""
+
+        def play(pos) -> bool:
+            if not self.holds(pos):
+                return winner == SPOILER
+            state = self.round(pos)
+            if isinstance(state, str):
+                return state == winner
+            acc_a, acc_b = state
+            if winner == DUPLICATOR:
+                if pos not in strategy:
+                    raise ValueError(f"strategy is not total: no bijection at {pos!r}")
+                matching = strategy[pos]
+                if (
+                    matching is None
+                    or len(matching) != len(acc_a)
+                    or {x for x, _ in matching} != set(acc_a)
+                    or {y for _, y in matching} != set(acc_b)
+                ):
+                    return False
+                return all(play(self.step(pos, "A", x, y)) for x, y in matching)
+            for perm in permutations(acc_b):
+                key = pos, tuple(zip(acc_a, perm))
+                if key not in strategy:
+                    raise ValueError(f"strategy is not total: no pick at {key!r}")
+                pick = strategy[key]
+                if pick not in acc_a or not play(
+                    self.step(pos, "A", pick, perm[acc_a.index(pick)])
+                ):
+                    return False
+            return True
+
+        return play(self.start)
 
 
 def _has_perfect_matching(
@@ -420,118 +503,70 @@ def _has_perfect_matching(
 
 def _least_matching(
     rows: tuple[str, ...], cols: tuple[str, ...], good: set[tuple[str, str]]
-) -> tuple[tuple[str, str], ...] | None:
-    """Lexicographically least perfect matching over rows in order."""
+) -> tuple[tuple[str, str], ...]:
+    """Lexicographically least perfect matching over rows in order, given
+    that one exists: each row takes the least column that leaves the rest
+    matchable, so no choice is ever undone."""
+    free = list(cols)
+    matching = []
+    for i, r in enumerate(rows):
+        c = next(
+            c
+            for c in free
+            if (r, c) in good
+            and _has_perfect_matching(
+                rows[i + 1 :], tuple(d for d in free if d != c), good
+            )
+        )
+        free.remove(c)
+        matching.append((r, c))
+    return tuple(matching)
 
-    def extend(i: int, taken: dict[str, str]) -> dict[str, str] | None:
-        if i == len(rows):
-            return taken
-        r = rows[i]
-        for c in cols:
-            if c in taken or (r, c) not in good:
-                continue
-            taken[c] = r
-            rest_rows = rows[i + 1 :]
-            rest_cols = tuple(c2 for c2 in cols if c2 not in taken)
-            rest_good = {(x, y) for (x, y) in good if y not in taken}
-            if _has_perfect_matching(rest_rows, rest_cols, rest_good):
-                out = extend(i + 1, taken)
-                if out is not None:
-                    return out
-            del taken[c]
-        return None
 
-    full = extend(0, {})
-    if full is None:
-        return None
-    by_row = {r: c for c, r in full.items()}
-    return tuple((r, by_row[r]) for r in rows)
+def _arena(a: Structure, b: Structure, variant: GameVariant, k: int, **cap) -> _Arena:
+    """The arena of the k-round ``variant`` game, once the two structures are
+    checked to suit it; ``cap`` is the bijection or carrier arena's size cap."""
+    _check_variant(a, b, variant, k)
+    if variant is GameVariant.BIJECTION:
+        return _BijectionArena(a, b, k, **cap)
+    if variant is GameVariant.COMONADIC_GK:
+        return _CarrierArena(a, b, k, **cap)
+    return _Arena(a, b, variant, k)
+
+
+def solve(a: Structure, b: Structure, variant: GameVariant, k: int) -> GameResult:
+    """Exact value and deterministic strategy of the k-round game."""
+    return _arena(a, b, variant, k).solve()
+
+
+def solve_Gk(
+    a: Structure, b: Structure, k: int, max_plays: int | None = None
+) -> GameResult:
+    """The back-and-forth game played on the hybrid comonad carriers: moves
+    step to immediate extensions, and a position is winning when pairing the
+    two plays elementwise yields a partial isomorphism (so repeated elements
+    must correspond)."""
+    return _arena(a, b, GameVariant.COMONADIC_GK, k, max_plays=max_plays).solve()
 
 
 def solve_bijection(
-    a: Structure,
-    b: Structure,
-    k: int,
-    max_accessible: int = DEFAULT_MAX_ACCESSIBLE,
+    a: Structure, b: Structure, k: int, max_accessible: int = DEFAULT_MAX_ACCESSIBLE
 ) -> GameResult:
     """Value of the m+k-round bounded bijection game: each round Duplicator
     commits to a bijection between the one-step-accessible sets (Spoiler wins
     on a cardinality clash), Spoiler picks an accessible element, and the
     accumulated correspondence must stay a partial isomorphism."""
-    _check_variant(a, b, GameVariant.BIJECTION, k)
-    init_pairs = tuple(zip(a.basepoints, b.basepoints))
-    memo: dict[tuple[frozenset, int], str] = {}
+    arena = _arena(a, b, GameVariant.BIJECTION, k, max_accessible=max_accessible)
+    return arena.solve()
 
-    def win(pairs: frozenset[tuple[str, str]], rounds: int) -> str:
-        # the condition depends on the pair set alone, so losses memoize too
-        key = (pairs, rounds)
-        if key not in memo:
-            memo[key] = value(pairs, rounds)
-        return memo[key]
 
-    def value(pairs: frozenset[tuple[str, str]], rounds: int) -> str:
-        state = _bijection_round(a, b, pairs, rounds)
-        if isinstance(state, str):
-            return state
-        acc_a, acc_b = state
-        if len(acc_a) > max_accessible:
-            raise ResourceLimitError(
-                f"bijection round over {len(acc_a)} accessible elements exceeds "
-                f"the cap of {max_accessible}"
-            )
-        good = {
-            (x, y)
-            for x in acc_a
-            for y in acc_b
-            if win(pairs | {(x, y)}, rounds - 1) == DUPLICATOR
-        }
-        return DUPLICATOR if _has_perfect_matching(acc_a, acc_b, good) else SPOILER
-
-    winner = win(frozenset(init_pairs), k)
-
-    def extract() -> dict:
-        strategy: dict = {}
-
-        def visit(seq: tuple[tuple[str, str], ...]):
-            rounds = k - (len(seq) - len(init_pairs))
-            pairs = frozenset(seq)
-            state = _bijection_round(a, b, pairs, rounds)
-            if isinstance(state, str):
-                return
-            acc_a, acc_b = state
-            if winner == DUPLICATOR:
-                if seq in strategy:
-                    return
-                good = {
-                    (x, y)
-                    for x in acc_a
-                    for y in acc_b
-                    if win(pairs | {(x, y)}, rounds - 1) == DUPLICATOR
-                }
-                bijection = _least_matching(acc_a, acc_b, good)
-                strategy[seq] = bijection
-                for x, y in bijection:
-                    visit(seq + ((x, y),))
-            else:
-                for perm in permutations(acc_b):
-                    bijection = tuple(zip(acc_a, perm))
-                    bkey = (seq, bijection)
-                    if bkey in strategy:
-                        continue
-                    pick = None
-                    for x, y in bijection:
-                        if win(pairs | {(x, y)}, rounds - 1) == SPOILER:
-                            pick = x
-                            break
-                    strategy[bkey] = pick
-                    if pick is not None:
-                        y = dict(bijection)[pick]
-                        visit(seq + ((pick, y),))
-
-        visit(init_pairs)
-        return strategy
-
-    return GameResult(winner, GameVariant.BIJECTION, k, extract)
+def verify_strategy(
+    result: GameResult, a: Structure, b: Structure, variant: GameVariant, k: int
+) -> bool:
+    """Replay every opponent option against the recorded strategy and confirm
+    the winning condition at every reached position.  A recorded move that
+    is not legal fails the replay; a missing one raises."""
+    return _arena(a, b, variant, k).replay(result.strategy, result.winner)
 
 
 # -- the inductive back-and-forth relations ----------------------------------------------
@@ -604,67 +639,6 @@ def back_and_forth_rank(a: Structure, b: Structure, k: int) -> bool:
         return value
 
     return bf(a.basepoints, b.basepoints, k)
-
-
-# -- strategy verification --------------------------------------------------------------
-
-
-def verify_strategy(
-    result: GameResult, a: Structure, b: Structure, variant: GameVariant, k: int
-) -> bool:
-    """Replay every opponent option against the recorded strategy and confirm
-    the winning condition at every reached position.  A recorded move that
-    is not legal fails the replay; a missing one raises."""
-    if variant is GameVariant.BIJECTION:
-        return _verify_bijection(result, a, b, k)
-    if variant is GameVariant.COMONADIC_GK:
-        arena = _CarrierArena(a, b, k)
-    else:
-        arena = _Arena(a, b, variant, k)
-    return arena.replay(result.strategy, result.winner)
-
-
-def _verify_bijection(result: GameResult, a: Structure, b: Structure, k: int) -> bool:
-    strategy = result.strategy
-    init = tuple(zip(a.basepoints, b.basepoints))
-    rounds_of: dict = {}
-
-    def round_state(seq):
-        # the round depends on the pair set and the rounds left alone
-        key = (frozenset(seq), k - (len(seq) - len(init)))
-        if key not in rounds_of:
-            rounds_of[key] = _bijection_round(a, b, *key)
-        return rounds_of[key]
-
-    def replay(seq) -> bool:
-        state = round_state(seq)
-        if isinstance(state, str):
-            return state == result.winner
-        acc_a, acc_b = state
-        if result.winner == DUPLICATOR:
-            if seq not in strategy:
-                raise ValueError(f"strategy is not total: no bijection at {seq!r}")
-            bijection = strategy[seq]
-            if (
-                bijection is None
-                or len(bijection) != len(acc_a)
-                or {x for x, _ in bijection} != set(acc_a)
-                or {y for _, y in bijection} != set(acc_b)
-            ):
-                return False
-            return all(replay(seq + ((x, y),)) for x, y in bijection)
-        for perm in permutations(acc_b):
-            bijection = tuple(zip(acc_a, perm))
-            if (seq, bijection) not in strategy:
-                raise ValueError(
-                    f"strategy is not total: no pick at {(seq, bijection)!r}"
-                )
-            pick = strategy[seq, bijection]
-            if pick not in acc_a or not replay(seq + ((pick, dict(bijection)[pick]),)):
-                return False
-        return True
-
-    return replay(init)
 
 
 # -- traces ------------------------------------------------------------------------------

@@ -132,15 +132,9 @@ def characteristic_formula(s: Structure, k: int, temporal: bool = False) -> FOFo
 # -- Scott types -----------------------------------------------------------------------
 
 
-def scott_type(s: Structure, k: int):
-    """Canonical recursive descriptor of the rank-k counting type of the
-    basepoint tuple: the atomic type at rank 0; at positive rank either a
-    stuck marker with the atomic type, or the exact multiset of rank-(k-1)
-    extension types over the accessible elements.
-
-    Two structures get equal descriptors exactly when they satisfy the same
-    rank-k Scott sentence.
-    """
+def _types(s: Structure):
+    """The descriptor function ``ty(tup, rank)`` of ``s``, memoized per
+    extension tuple and rank for the life of the returned closure."""
     memo: dict[tuple[tuple[str, ...], int], object] = {}
 
     def ty(tup: tuple[str, ...], rank: int):
@@ -160,7 +154,19 @@ def scott_type(s: Structure, k: int):
         memo[key] = out
         return out
 
-    return ty(s.basepoints, k)
+    return ty
+
+
+def scott_type(s: Structure, k: int):
+    """Canonical recursive descriptor of the rank-k counting type of the
+    basepoint tuple: the atomic type at rank 0; at positive rank either a
+    stuck marker with the atomic type, or the exact multiset of rank-(k-1)
+    extension types over the accessible elements.
+
+    Two structures get equal descriptors exactly when they satisfy the same
+    rank-k Scott sentence.
+    """
+    return _types(s)(s.basepoints, k)
 
 
 def scott_formula(s: Structure, k: int) -> FOFormula:
@@ -173,24 +179,8 @@ def scott_formula(s: Structure, k: int) -> FOFormula:
     output is deterministic.
     """
     m = s.signature.num_basepoints
-    ty_memo: dict[tuple[tuple[str, ...], int], object] = {}
+    ty = _types(s)
     fm_memo: dict[tuple[tuple[str, ...], int], FOFormula] = {}
-
-    def ty(tup: tuple[str, ...], rank: int):
-        key = (tup, rank)
-        got = ty_memo.get(key)
-        if got is None:
-            if rank == 0:
-                got = ("atomic", _atomic_type_key(s, tup))
-            else:
-                acc = s.accessible(tup)
-                if not acc:
-                    got = ("stuck", _atomic_type_key(s, tup))
-                else:
-                    counts = Counter(ty(tup + (b,), rank - 1) for b in acc)
-                    got = ("counts", tuple(sorted(counts.items())))
-            ty_memo[key] = got
-        return got
 
     def fm(tup: tuple[str, ...], rank: int) -> FOFormula:
         key = (tup, rank)

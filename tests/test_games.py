@@ -1,7 +1,10 @@
 import hashlib
+import types
 
 import pytest
 
+from hybridkit import scott
+from hybridkit.coalgebras import coalgebra_number, enumerate_coalgebras
 from hybridkit.comonads import ComonadKind, find_cokleisli_morphism
 from hybridkit.errors import ResourceLimitError
 from hybridkit.games import (
@@ -9,6 +12,7 @@ from hybridkit.games import (
     SPOILER,
     GameResult,
     GameVariant,
+    _least_matching,
     back_and_forth_rank,
     solve,
     solve_Gk,
@@ -72,6 +76,12 @@ class TestBijection:
         big = STAR3.relabel({e: e for e in STAR3.universe})
         with pytest.raises(ResourceLimitError):
             solve_bijection(STAR3, big, 1, max_accessible=2)
+
+    def test_least_matching_leaves_the_rest_matchable(self):
+        # r1 gives up its least column c1, the only one r2 can take
+        good = {("r1", "c1"), ("r1", "c2"), ("r2", "c1")}
+        matching = _least_matching(("r1", "r2"), ("c1", "c2"), good)
+        assert matching == (("r1", "c2"), ("r2", "c1"))
 
 
 class TestGk:
@@ -241,6 +251,21 @@ class TestPinnedBehaviour:
             "172a2d5fe1a56ce22af37665b43fa2a500a7758a2d42460a38a9c16be31de51a"
         )
 
+    def test_bijection_strategies_and_verdicts_are_unchanged(self):
+        # sha256 over every winner, strategy entry and replay verdict of the
+        # bijection game, one- and two-basepoint
+        cases = [(a, b, k) for a, b in pairs(FIXTURES30[:8]) for k in (0, 1, 2, 3)]
+        cases += [(a, b, k) for a, b in pairs(BOUNDED_FIXTURES[:4]) for k in (0, 1, 2)]
+        digest = hashlib.sha256()
+        for a, b, k in cases:
+            result = solve_bijection(a, b, k)
+            entries = sorted(result.strategy.items())
+            verdict = verify_strategy(result, a, b, GameVariant.BIJECTION, k)
+            digest.update(repr((result.winner, entries, verdict)).encode())
+        assert digest.hexdigest() == (
+            "3a84aa496b2b1bb45f1af94593354f223476cfd96fb17bd9f2dc4200cbab8a02"
+        )
+
 
 def _forged(winner, variant, k, strategy):
     return GameResult(winner, variant, k, lambda: strategy)
@@ -334,6 +359,31 @@ class TestPairSetQuotient:
         forged = _forged(DUPLICATOR, variant, 3, strategy)
         assert not verify_strategy(forged, PATH3, PATH3, variant, 3)
 
+    def test_bijection_replay_checks_each_pair_set_once(self, monkeypatch):
+        import hybridkit.games as games
+
+        result = solve_bijection(STAR2, STAR2, 3)
+        assert result.winner == DUPLICATOR
+        positions = {(("a", "a"),)}
+        for pos, matching in result.strategy.items():
+            positions.add(pos)
+            positions.update(pos + (pair,) for pair in matching)
+        pair_sets = {frozenset(pos) for pos in positions}
+        # a repeated pick reaches one pair set after two different numbers of rounds
+        assert len({(frozenset(pos), len(pos)) for pos in positions}) > len(pair_sets)
+
+        calls = []
+        check = games.is_partial_isomorphism
+
+        def counted(pairs, a, b):
+            calls.append(frozenset(pairs))
+            return check(pairs, a, b)
+
+        monkeypatch.setattr(games, "is_partial_isomorphism", counted)
+        assert verify_strategy(result, STAR2, STAR2, GameVariant.BIJECTION, 3)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == pair_sets
+
     def test_bijection_replay_checks_every_order(self):
         # both orders of the two leaves reach one pair set; a bijection that
         # is not onto under the second order alone must still fail
@@ -347,3 +397,53 @@ class TestPairSetQuotient:
         strategy[second] = (("b1", "b1"), ("b2", "b1"))
         forged = _forged(DUPLICATOR, variant, 3, strategy)
         assert not verify_strategy(forged, STAR2, STAR2, variant, 3)
+
+
+def _reached(fn) -> tuple[set[str], set]:
+    """The names used by ``fn``, its nested closures and every package
+    function they name, transitively, and those functions."""
+    names: set[str] = set()
+    functions = {fn}
+    todo = [fn]
+    while todo:
+        f = todo.pop()
+        codes = [f.__code__]
+        while codes:
+            code = codes.pop()
+            names.update(code.co_names)
+            codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+            for name in code.co_names:
+                target = f.__globals__.get(name)
+                if (
+                    isinstance(target, types.FunctionType)
+                    and target.__module__.startswith("hybridkit")
+                    and target not in functions
+                ):
+                    functions.add(target)
+                    todo.append(target)
+    return names, functions
+
+
+class TestCrossChecksStayApart:
+    # the independent checks validate the game engine, so none may reach it
+    ARENA_NAMES = {"_Arena", "_CarrierArena", "_BijectionArena", "_arena", "solve"}
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            back_and_forth_rank,
+            find_cokleisli_morphism,
+            scott.scott_type,
+            coalgebra_number,
+            enumerate_coalgebras,
+        ],
+        ids=lambda fn: fn.__name__,
+    )
+    def test_cross_check_names_no_arena(self, check):
+        names, _ = _reached(check)
+        assert not names & self.ARENA_NAMES
+
+    def test_walk_reaches_helpers_and_the_arena(self):
+        assert scott._types in _reached(scott.scott_type)[1]
+        for entry in (solve, solve_bijection, solve_Gk, verify_strategy):
+            assert "_arena" in _reached(entry)[0]
