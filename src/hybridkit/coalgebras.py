@@ -471,16 +471,6 @@ def coalgebra_number(s: Structure, kind: ComonadKind | None = None) -> float:
     return INF
 
 
-def carrier_tree_cover(c: ComonadStructure) -> TreeCover:
-    """The prefix order on a carrier, as a cover of the carrier structure."""
-    parent = {}
-    for play in c.plays:
-        parts = play_parts(play)
-        if len(parts) > 1:
-            parent[play] = play_join(parts[:-1])
-    return TreeCover(c.carrier, parent)
-
-
 # -- paths, embeddings, open maps ----------------------------------------------------
 
 

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 from typing import Mapping
 
-from .errors import ResourceLimitError
+from .errors import InvalidStructureError, ResourceLimitError
 from .structures import (
     RESERVED_IDENTITY,
     Signature,
@@ -87,19 +88,12 @@ class ComonadStructure:
         return cached
 
 
-def build_comonad(
-    base: Structure,
-    kind: ComonadKind,
-    k: int,
-    with_I: bool = False,
-    max_plays: int = DEFAULT_MAX_PLAYS,
-) -> ComonadStructure:
-    """Materialize the comonad carrier over a pointed structure.
-
-    The carrier universe is ordered by play length, then lexicographically by
-    base universe positions, which fixes deterministic iteration for morphism
-    search and dump output.
-    """
+def _plays(
+    base: Structure, kind: ComonadKind, k: int, max_plays: int
+) -> list[tuple[str, ...]]:
+    """The plays of the carrier over a pointed structure, as element tuples,
+    ordered by length, then lexicographically by base universe positions.
+    Raises when the carrier cannot be built or would pass ``max_plays``."""
     if k < 1:
         raise ValueError(f"comonad resource k must be at least 1, got {k}")
     sig = base.signature
@@ -149,7 +143,25 @@ def build_comonad(
                 "raise max_plays to build it anyway"
             )
         frontier = nxt
+    return plays
 
+
+def build_comonad(
+    base: Structure,
+    kind: ComonadKind,
+    k: int,
+    with_I: bool = False,
+    max_plays: int = DEFAULT_MAX_PLAYS,
+) -> ComonadStructure:
+    """Materialize the comonad carrier over a pointed structure.
+
+    The carrier universe is ordered by play length, then lexicographically by
+    base universe positions, which fixes deterministic iteration for morphism
+    search and dump output.
+    """
+    plays = _plays(base, kind, k, max_plays)
+    sig = base.signature
+    m = sig.num_basepoints
     encoded = [play_join(p) for p in plays]
     rels: dict[str, list[tuple[str, ...]]] = {name: [] for name in sig.relations}
     single_transition = next(iter(sig.transitions)) if sig.transitions else None
@@ -266,15 +278,6 @@ def comultiplication(c: ComonadStructure, play: str) -> tuple[str, ...]:
     return tuple(play_join(parts[:i]) for i in range(1, len(parts) + 1))
 
 
-def lift_homomorphism(
-    f: Mapping[str, str], c_a: ComonadStructure, c_b: ComonadStructure
-) -> dict[str, str]:
-    """Functorial lift of a base homomorphism: map plays elementwise."""
-    return {
-        play: play_join(f[e] for e in play_parts(play)) for play in c_a.plays
-    }
-
-
 @dataclass(frozen=True)
 class ComonadLawReport:
     counit_law: bool  # counit after coextension recovers the map
@@ -353,89 +356,107 @@ def find_cokleisli_morphism(
 ) -> dict[str, str] | None:
     """Deterministic least coKleisli morphism from A to B, or None.
 
-    The search looks for a homomorphism from the I-carrier over A to B with
-    the identity I-relation, preserving basepoints.  Carrier relations only
-    relate comparable plays, so the image of a play is constrained by its
-    prefix branch alone; subtree viability is memoized on (play, branch
-    images) and witnesses are chosen least in universe order.
+    The morphism is a homomorphism from the I-carrier over A to B with the
+    identity I-relation, preserving basepoints.  Carrier relations only
+    relate comparable plays, so the constraints on the image of a play come
+    from A and the play's prefix alone, and no carrier is built: every tuple
+    of A through the play's last element whose elements all occur in the
+    prefix must map into B's relation at each choice of prefix depths that
+    realizes it (for the Modal kind's transition relation, only the
+    parent-to-child edge counts), and a play whose last element occurs at
+    an earlier depth must repeat that depth's image (the I-relation).
+    Subtree viability is memoized on (play, branch images), and witnesses
+    are chosen least in universe order, keyed by play in carrier order.
     """
     if not a.signature.same_vocabulary(b.signature):
         raise ValueError("signature mismatch between the two structures")
     if a.signature.num_basepoints != b.signature.num_basepoints:
         raise ValueError("basepoint count mismatch between the two structures")
-    c_a = build_comonad(a, kind, k, with_I=True, max_plays=max_plays)
-    target = with_identity_I(b)
-    carrier = c_a.carrier
+    plays = _plays(a, kind, k, max_plays)
+    if RESERVED_IDENTITY in a.signature.relations:
+        raise InvalidStructureError("structure already interprets 'I'")
     m = a.signature.num_basepoints
+    targets = {name: frozenset(tuples) for name, tuples in b.relations.items()}
+    modal_edge = (
+        next(iter(a.signature.transitions)) if kind is ComonadKind.MODAL else None
+    )
 
-    by_parts = {p: play_parts(p) for p in carrier.universe}
-    # Constraint tuples grouped under their longest component play.
-    constraints: dict[str, list[tuple[set[tuple[str, ...]], tuple[int, ...]]]] = {
-        p: [] for p in carrier.universe
-    }
-    for name, tuples in carrier.relations.items():
-        target_set = set(target.relations[name])
-        for tup in tuples:
-            longest = max(tup, key=lambda q: len(by_parts[q]))
-            depths = tuple(len(by_parts[q]) - 1 for q in tup)
-            constraints[longest].append((target_set, depths))
+    children: dict[tuple[str, ...], list[tuple[str, ...]]] = {p: [] for p in plays}
+    for play in plays:
+        if len(play) > 1:
+            children[play[:-1]].append(play)
 
-    forced: dict[str, str] = {}
-    for i in range(m):
-        forced[play_join(a.basepoints[: i + 1])] = b.basepoints[i]
+    constraints: dict[tuple[str, ...], tuple] = {}
 
-    def candidates(play: str) -> tuple[str, ...]:
-        want = forced.get(play)
-        if want is not None:
-            return (want,)
-        return b.universe
+    def constraints_of(play: tuple[str, ...]):
+        """The earlier depth whose image the play's last depth must repeat
+        (or None), and the (B relation, depths) pairs through that depth."""
+        n = len(play) - 1
+        last = play[n]
+        where: dict[str, list[int]] = {}
+        for depth, e in enumerate(play):
+            where.setdefault(e, []).append(depth)
+        first = where[last][0]
+        tuples = []
+        for name, tup in a.tuples_at(last):
+            if name == modal_edge:
+                continue
+            places = [where.get(e) for e in tup]
+            if None in places:
+                continue
+            target = targets[name]
+            tuples.extend(
+                (target, depths) for depths in product(*places) if n in depths
+            )
+        if n and modal_edge is not None and a.has_tuple(modal_edge, play[n - 1 :]):
+            tuples.append((targets[modal_edge], (n - 1, n)))
+        return (first if first < n else None), tuples
 
-    def constraints_ok(play: str, images: tuple[str, ...]) -> bool:
-        for target_set, depths in constraints[play]:
-            mapped = tuple(images[d] for d in depths)
-            if mapped not in target_set:
-                return False
-        return True
+    def choices(play: tuple[str, ...], images: tuple[str, ...]):
+        """The image tuples of the play that extend its prefix's ``images``
+        and meet the play's constraints, least last image first."""
+        got = constraints.get(play)
+        if got is None:
+            got = constraints[play] = constraints_of(play)
+        same, tuples = got
+        n = len(images)
+        pool = b.universe if n >= m else (b.basepoints[n],)
+        if same is not None:
+            want = images[same]
+            pool = (want,) if n >= m or pool[0] == want else ()
+        for v in pool:
+            full = images + (v,)
+            if all(tuple(full[d] for d in ds) in target for target, ds in tuples):
+                yield full
 
-    viable_memo: dict[tuple[str, tuple[str, ...]], bool] = {}
+    viable_memo: dict[tuple[tuple[str, ...], tuple[str, ...]], bool] = {}
 
-    def viable(play: str, images: tuple[str, ...]) -> bool:
+    def viable(play: tuple[str, ...], images: tuple[str, ...]) -> bool:
         key = (play, images)
         got = viable_memo.get(key)
-        if got is not None:
-            return got
-        ok = True
-        for child in c_a.children(play):
-            if not any(
-                constraints_ok(child, images + (v,)) and viable(child, images + (v,))
-                for v in candidates(child)
-            ):
-                ok = False
-                break
-        viable_memo[key] = ok
-        return ok
+        if got is None:
+            got = viable_memo[key] = all(
+                any(viable(child, full) for full in choices(child, images))
+                for child in children[play]
+            )
+        return got
 
+    chosen: dict[tuple[str, ...], tuple[str, ...]] = {}
     witness: dict[str, str] = {}
-    for play in carrier.universe:
-        parts = by_parts[play]
-        images = tuple(
-            witness[play_join(parts[:i])] for i in range(1, len(parts))
+    for play in plays:
+        images = next(
+            (
+                full
+                for full in choices(play, chosen.get(play[:-1], ()))
+                if viable(play, full)
+            ),
+            None,
         )
-        chosen = None
-        for v in candidates(play):
-            if constraints_ok(play, images + (v,)) and viable(play, images + (v,)):
-                chosen = v
-                break
-        if chosen is None:
+        if images is None:
             return None
-        witness[play] = chosen
+        chosen[play] = images
+        witness[play_join(play)] = images[-1]
     return witness
-
-
-def lands_in_carrier(h_star: Mapping[str, str], c: ComonadStructure) -> bool:
-    """Whether every image of a coextension is a play of the given carrier."""
-    plays = set(c.plays)
-    return all(v in plays for v in h_star.values())
 
 
 def is_cokleisli_homomorphism(

@@ -28,8 +28,11 @@ sequence that reaches one set shares that one check.  ``win`` memoizes
   accessible sets, and Spoiler picks a pair of the matching.  It overrides
   ``value``, ``extract`` and ``replay``.
 
-Outside the arena stay ``back_and_forth_rank`` and ``find_cokleisli_morphism``:
-they are the independent checks of the games, so they share no arena code.
+Outside the arena stay the independent checks of the games, which share no
+arena code: ``back_and_forth_rank`` here, ``comonads.find_cokleisli_morphism``,
+``scott.scott_type`` and ``coalgebras.coalgebra_number``.  Each builds its
+own atomic information incrementally along its extension tuples or plays, as
+the arena's ``extends`` does, but through code of its own.
 
 All iteration follows universe (or carrier) order, which makes winners,
 strategies and traces deterministic.  The exposed round count ``k`` is the
@@ -575,7 +578,12 @@ def verify_strategy(
 def back_and_forth_rank(a: Structure, b: Structure, k: int) -> bool:
     """The inductively defined rank-k back-and-forth relation over extension
     tuples: atomic agreement at every level, and matching one-step transition
-    extensions of every tuple component.  Independent of the game engine."""
+    extensions of every tuple component.  Independent of the game engine.
+
+    Full atomic agreement is checked once, at the basepoints; an extension
+    pair agrees when the atoms and equalities through its new positions do,
+    each side's computed once per tuple and compared after the memo lookup.
+    """
     if not a.signature.same_vocabulary(b.signature):
         raise ValueError("signature mismatch between the two structures")
     if a.signature.num_basepoints != b.signature.num_basepoints:
@@ -584,61 +592,67 @@ def back_and_forth_rank(a: Structure, b: Structure, k: int) -> bool:
     a_edges = {n: set(a.relations[n]) for n in transitions}
     b_edges = {n: set(b.relations[n]) for n in transitions}
     memo: dict[tuple[tuple[str, ...], tuple[str, ...], int], bool] = {}
+    seen_a: dict[tuple[str, ...], tuple] = {}
+    seen_b: dict[tuple[str, ...], tuple] = {}
 
-    rel_sets = {
-        name: (set(a.relations[name]), set(b.relations[name]))
-        for name in a.signature.relations
-    }
+    def atoms_at_last(s: Structure, seen: dict, tup: tuple[str, ...]):
+        """The atoms of ``tup`` through its last position, as (relation,
+        positions) pairs, and the earlier positions equal to it."""
+        got = seen.get(tup)
+        if got is None:
+            n = len(tup) - 1
+            where: dict[str, list[int]] = {}
+            for i, e in enumerate(tup):
+                where.setdefault(e, []).append(i)
+            hits = []
+            for name, t in s.tuples_at(tup[n]):
+                places = [where.get(e) for e in t]
+                if None not in places:
+                    hits.extend((name, idx) for idx in product(*places) if n in idx)
+            got = seen[tup] = (frozenset(hits), tuple(where[tup[n]][:-1]))
+        return got
 
-    def atomic_agree(ta: tuple[str, ...], tb: tuple[str, ...]) -> bool:
-        for i in range(len(ta)):
-            for j in range(i + 1, len(ta)):
-                if (ta[i] == ta[j]) != (tb[i] == tb[j]):
-                    return False
-        for name, arity in a.signature.relations.items():
-            a_set, b_set = rel_sets[name]
-            for idx in product(range(len(ta)), repeat=arity):
-                in_a = tuple(ta[i] for i in idx) in a_set
-                in_b = tuple(tb[i] for i in idx) in b_set
-                if in_a != in_b:
+    def agree(ta: tuple[str, ...], tb: tuple[str, ...]) -> bool:
+        return atoms_at_last(a, seen_a, ta) == atoms_at_last(b, seen_b, tb)
+
+    def bf(ta: tuple[str, ...], tb: tuple[str, ...], rank: int) -> bool:
+        """Whether a pair whose atoms agree below its newest positions is
+        in the rank-``rank`` relation."""
+        key = (ta, tb, rank)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = agree(ta, tb) and forth_and_back(ta, tb, rank)
+        return got
+
+    def forth_and_back(ta: tuple[str, ...], tb: tuple[str, ...], rank: int) -> bool:
+        if rank == 0:
+            return True
+        for name in transitions:
+            ea, eb = a_edges[name], b_edges[name]
+            for i in range(len(ta)):
+                forth = all(
+                    any(
+                        (tb[i], y) in eb and bf(ta + (x,), tb + (y,), rank - 1)
+                        for y in b.universe
+                    )
+                    for x in a.universe
+                    if (ta[i], x) in ea
+                )
+                back = forth and all(
+                    any(
+                        (ta[i], x) in ea and bf(ta + (x,), tb + (y,), rank - 1)
+                        for x in a.universe
+                    )
+                    for y in b.universe
+                    if (tb[i], y) in eb
+                )
+                if not (forth and back):
                     return False
         return True
 
-    def bf(ta: tuple[str, ...], tb: tuple[str, ...], rank: int) -> bool:
-        key = (ta, tb, rank)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        value = atomic_agree(ta, tb)
-        if value and rank > 0:
-            for name in transitions:
-                ea, eb = a_edges[name], b_edges[name]
-                for i in range(len(ta)):
-                    forth = all(
-                        any(
-                            (tb[i], y) in eb and bf(ta + (x,), tb + (y,), rank - 1)
-                            for y in b.universe
-                        )
-                        for x in a.universe
-                        if (ta[i], x) in ea
-                    )
-                    back = forth and all(
-                        any(
-                            (ta[i], x) in ea and bf(ta + (x,), tb + (y,), rank - 1)
-                            for x in a.universe
-                        )
-                        for y in b.universe
-                        if (tb[i], y) in eb
-                    )
-                    if not (forth and back):
-                        value = False
-                        break
-                if not value:
-                    break
-        memo[key] = value
-        return value
-
-    return bf(a.basepoints, b.basepoints, k)
+    ta, tb = a.basepoints, b.basepoints
+    roots_agree = all(agree(ta[:i], tb[:i]) for i in range(1, len(ta) + 1))
+    return roots_agree and forth_and_back(ta, tb, k)
 
 
 # -- traces ------------------------------------------------------------------------------

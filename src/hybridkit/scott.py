@@ -40,27 +40,32 @@ def _position_term(i: int, m: int) -> Term:
     return Var(f"y{i - m + 1}")
 
 
-def _atomic_type_key(s: Structure, tup: tuple[str, ...]):
-    """Canonical atomic type of a tuple: which relation atoms and equalities
-    hold between its components."""
-    atoms = []
-    for name in sorted(s.signature.relations):
-        arity = s.signature.relations[name]
-        hits = frozenset(
-            idx
-            for idx in product(range(len(tup)), repeat=arity)
-            if s.has_tuple(name, tuple(tup[i] for i in idx))
+def _extend_key(s: Structure, key, tup: tuple[str, ...]):
+    """Canonical atomic type of ``tup`` (which relation atoms and equalities
+    hold between its components) from ``key``, that of ``tup[:-1]``: the
+    atoms through the last position are read from the tuples at its
+    element, and its equalities are the earlier positions of that element."""
+    n = len(tup) - 1
+    where: dict[str, list[int]] = {}
+    for i, e in enumerate(tup):
+        where.setdefault(e, []).append(i)
+    hits: dict[str, list[tuple[int, ...]]] = {}
+    for name, t in s.tuples_at(tup[n]):
+        places = [where.get(e) for e in t]
+        if None not in places:
+            hits.setdefault(name, []).extend(
+                idx for idx in product(*places) if n in idx
+            )
+    atoms, eqs = key
+    if hits:
+        atoms = tuple(
+            (name, tuple(sorted(old + tuple(hits[name]))) if name in hits else old)
+            for name, old in atoms
         )
-        atoms.append((name, tuple(sorted(hits))))
-    eqs = tuple(
-        sorted(
-            (i, j)
-            for i in range(len(tup))
-            for j in range(i + 1, len(tup))
-            if tup[i] == tup[j]
-        )
-    )
-    return (tuple(atoms), eqs)
+    earlier = where[tup[n]][:-1]
+    if earlier:
+        eqs = tuple(sorted(eqs + tuple((i, n) for i in earlier)))
+    return (atoms, eqs)
 
 
 def _atomic_type_formula(s: Structure, tup: tuple[str, ...], m: int) -> FOFormula:
@@ -96,6 +101,17 @@ def characteristic_formula(s: Structure, k: int, temporal: bool = False) -> FOFo
     if m < 1:
         raise ValueError("characteristic formulas need at least one basepoint")
     memo: dict[tuple[tuple[str, ...], int], FOFormula] = {}
+    # per transition, the successors and predecessors of each element, in
+    # universe order
+    steps: dict[str, tuple[dict[str, list[str]], dict[str, list[str]]]] = {}
+    for name in s.signature.transitions:
+        succ: dict[str, list[str]] = {e: [] for e in s.universe}
+        pred: dict[str, list[str]] = {e: [] for e in s.universe}
+        edges = s.relations[name]
+        for u, v in sorted(edges, key=lambda t: (s.position(t[0]), s.position(t[1]))):
+            succ[u].append(v)
+            pred[v].append(u)
+        steps[name] = (succ, pred)
 
     def chi(tup: tuple[str, ...], rank: int) -> FOFormula:
         key = (tup, rank)
@@ -107,14 +123,14 @@ def characteristic_formula(s: Structure, k: int, temporal: bool = False) -> FOFo
             y = f"y{len(tup) - m + 1}"
             directions = [True, False] if temporal else [True]
             for name in sorted(s.signature.transitions):
-                edges = set(s.relations[name])
+                succ, pred = steps[name]
                 for i in range(len(tup)):
                     for forward in directions:
                         if forward:
-                            succs = [b for b in s.universe if (tup[i], b) in edges]
+                            succs = succ[tup[i]]
                             guard = Rel(name, (_position_term(i, m), Var(y)))
                         else:
-                            succs = [b for b in s.universe if (b, tup[i]) in edges]
+                            succs = pred[tup[i]]
                             guard = Rel(name, (Var(y), _position_term(i, m)))
                         child_fms = list(
                             dict.fromkeys(chi(tup + (b,), rank - 1) for b in succs)
@@ -134,8 +150,18 @@ def characteristic_formula(s: Structure, k: int, temporal: bool = False) -> FOFo
 
 def _types(s: Structure):
     """The descriptor function ``ty(tup, rank)`` of ``s``, memoized per
-    extension tuple and rank for the life of the returned closure."""
+    extension tuple and rank for the life of the returned closure.  Atomic
+    keys are built incrementally along each tuple, once per prefix."""
     memo: dict[tuple[tuple[str, ...], int], object] = {}
+    keys: dict[tuple[str, ...], object] = {
+        (): (tuple((name, ()) for name in sorted(s.signature.relations)), ())
+    }
+
+    def atomic(tup: tuple[str, ...]):
+        got = keys.get(tup)
+        if got is None:
+            got = keys[tup] = _extend_key(s, atomic(tup[:-1]), tup)
+        return got
 
     def ty(tup: tuple[str, ...], rank: int):
         key = (tup, rank)
@@ -143,11 +169,11 @@ def _types(s: Structure):
         if got is not None:
             return got
         if rank == 0:
-            out = ("atomic", _atomic_type_key(s, tup))
+            out = ("atomic", atomic(tup))
         else:
             acc = s.accessible(tup)
             if not acc:
-                out = ("stuck", _atomic_type_key(s, tup))
+                out = ("stuck", atomic(tup))
             else:
                 counts = Counter(ty(tup + (b,), rank - 1) for b in acc)
                 out = ("counts", tuple(sorted(counts.items())))
@@ -164,7 +190,10 @@ def scott_type(s: Structure, k: int):
     extension types over the accessible elements.
 
     Two structures get equal descriptors exactly when they satisfy the same
-    rank-k Scott sentence.
+    rank-k Scott sentence.  Atomic types are built incrementally along each
+    extension tuple: a tuple's type is its prefix's type plus the atoms
+    through its last position, read from the tuples at that element, and
+    that position's equalities with earlier ones.
     """
     return _types(s)(s.basepoints, k)
 

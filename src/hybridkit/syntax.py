@@ -212,11 +212,6 @@ class _Interning(type):
         return node
 
 
-def interned_count() -> int:
-    """Number of live first-order nodes (terms and formulas)."""
-    return len(_table)
-
-
 class _Node(metaclass=_Interning):
     """Common base of terms and first-order formulas.
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import random
 
-from hybridkit.randgen import random_structure
 from hybridkit.structures import Signature, Structure
+from randgen import random_structure
 
 UNIMODAL = Signature({"P": 1, "Q": 1, "E": 2}, ["E"], 1)
 BARE = Signature({"E": 2, "P": 1}, ["E"], 1)

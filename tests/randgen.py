@@ -1,4 +1,5 @@
-"""Seeded random generators for structures, formulas, and homomorphisms.
+"""Seeded random generators for structures, formulas, and homomorphisms,
+for the tests.
 
 Everything here is driven by an explicit ``random.Random`` instance so test
 runs are reproducible; nothing in the package itself uses randomness.
@@ -8,9 +9,9 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .structures import Signature, Structure
-from .comonads import ComonadStructure, play_parts
-from . import syntax as sx
+from hybridkit.structures import Signature, Structure
+from hybridkit.comonads import ComonadStructure, play_parts
+from hybridkit import syntax as sx
 
 
 def random_structure(

@@ -33,7 +33,7 @@ from hybridkit.games import (
     solve_bijection,
 )
 from hybridkit.parser import parse_fo
-from hybridkit.randgen import (
+from randgen import (
     random_bounded_sentence,
     random_cokleisli_map,
     random_fo_sentence,

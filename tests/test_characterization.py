@@ -14,7 +14,7 @@ from hybridkit.characterization import (
 )
 from hybridkit.games import DUPLICATOR, GameVariant, solve, verify_strategy
 from hybridkit.parser import parse_fo
-from hybridkit.randgen import random_bounded_sentence, random_structure
+from randgen import random_bounded_sentence, random_structure
 from hybridkit.scott import characteristic_formula
 from hybridkit.semantics import eval_fo
 from hybridkit.structures import (

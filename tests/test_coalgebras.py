@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from hybridkit.coalgebras import (
     Coalgebra,
     TreeCover,
-    carrier_tree_cover,
     check_coalgebra_laws,
     check_open_pathwise_embedding,
     coalgebra_number,
@@ -21,6 +20,8 @@ from hybridkit.coalgebras import (
 from hybridkit.comonads import ComonadKind, build_comonad, counit, play_join
 from hybridkit.errors import ResourceLimitError
 from hybridkit.structures import INF, Signature, Structure
+
+from helpers import carrier_tree_cover
 
 from fixtures import (
     BOUNDED_FIXTURES,

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hybridkit.errors import ResourceLimitError
+from hybridkit.errors import InvalidStructureError, ResourceLimitError
 from hybridkit.comonads import (
     ComonadKind,
     build_comonad,
@@ -13,12 +13,12 @@ from hybridkit.comonads import (
     dump_carrier,
     find_cokleisli_morphism,
     is_cokleisli_homomorphism,
-    lands_in_carrier,
-    lift_homomorphism,
     play_parts,
 )
-from hybridkit.randgen import random_cokleisli_map, random_structure
 from hybridkit.structures import is_homomorphism, with_identity_I
+
+from helpers import lands_in_carrier, lift_homomorphism
+from randgen import random_cokleisli_map, random_structure
 
 from fixtures import (
     BACK_EDGE,
@@ -318,6 +318,18 @@ class TestMorphismSearch:
     def test_loop_to_path3_blocked(self):
         assert find_cokleisli_morphism(LOOP, PATH3, ComonadKind.HYBRID, 1) is None
 
+    def test_search_keeps_the_carrier_guards(self):
+        with pytest.raises(ResourceLimitError):
+            find_cokleisli_morphism(PATH3, PATH3, ComonadKind.EF, 3, max_plays=5)
+        with pytest.raises(ValueError):
+            find_cokleisli_morphism(PATH3, PATH3, ComonadKind.HYBRID, 0)
+        s = BOUNDED_FIXTURES[0]
+        with pytest.raises(ValueError):
+            find_cokleisli_morphism(s, s, ComonadKind.MODAL, 1)
+        carrier = build_comonad(SINGLE, ComonadKind.HYBRID, 1, with_I=True).carrier
+        with pytest.raises(InvalidStructureError):
+            find_cokleisli_morphism(carrier, carrier, ComonadKind.EF, 1)
+
     @pytest.mark.parametrize("s", FIXTURES30[:8], ids=range(8))
     def test_identity_always_exists(self, s):
         witness = find_cokleisli_morphism(s, s, ComonadKind.HYBRID, 2)
@@ -351,7 +363,7 @@ class TestFunctoriality:
     @pytest.mark.parametrize("s", FIXTURES30[:6], ids=range(6))
     def test_lifted_homomorphism(self, s):
         rng = random.Random(40)
-        from hybridkit.randgen import random_quotient
+        from randgen import random_quotient
 
         f, image = random_quotient(rng, s)
         c_a = build_comonad(s, ComonadKind.HYBRID, 2)

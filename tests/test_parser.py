@@ -132,7 +132,7 @@ class TestRoundTrips:
     def test_random_hybrid_round_trip(self):
         import random
 
-        from hybridkit.randgen import random_hybrid_formula
+        from randgen import random_hybrid_formula
 
         rng = random.Random(404)
         for _ in range(150):
@@ -142,7 +142,7 @@ class TestRoundTrips:
     def test_random_fo_round_trip(self):
         import random
 
-        from hybridkit.randgen import random_bounded_sentence, random_fo_sentence
+        from randgen import random_bounded_sentence, random_fo_sentence
         from hybridkit.structures import Signature
 
         sig = Signature({"P": 1, "Q": 1, "E": 2}, ["E"], 2)

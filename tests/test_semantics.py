@@ -5,7 +5,7 @@ import pytest
 from hybridkit import syntax as sx
 from hybridkit.errors import ScopeError
 from hybridkit.parser import parse_fo, parse_hybrid, print_fo
-from hybridkit.randgen import random_hybrid_formula
+from randgen import random_hybrid_formula
 from hybridkit.semantics import (
     eval_fo,
     eval_hybrid,
@@ -229,7 +229,7 @@ def _term(t, s, env):
 
 class TestEvalAgainstReference:
     def test_random_sentences(self):
-        from hybridkit.randgen import random_bounded_sentence, random_fo_sentence
+        from randgen import random_bounded_sentence, random_fo_sentence
 
         rng = random.Random(808)
         for _ in range(120):

@@ -16,6 +16,7 @@ from hybridkit.scott import characteristic_formula, normalize_counting, scott_fo
 from hybridkit.semantics import eval_fo
 
 from fixtures import C2, FIXTURES30, UNIMODAL
+from helpers import interned_count
 
 #: Two elements, a loop and one edge, P everywhere: its rank-4 characteristic
 #: formula is 275,730 nodes written out as a tree.
@@ -166,13 +167,13 @@ class TestInterning:
 
     def test_table_releases_dead_formulas(self):
         gc.collect()
-        before = sx.interned_count()
+        before = interned_count()
         chi = characteristic_formula(SHARED, 3)
         normalized = normalize_counting(scott_formula(SHARED, 2), UNIMODAL)
-        assert sx.interned_count() > before
+        assert interned_count() > before
         del chi, normalized
         gc.collect()
-        assert sx.interned_count() <= before
+        assert interned_count() <= before
 
     def test_fields_are_only_syntactic_parts(self):
         expected = {
