@@ -4,15 +4,17 @@ Every game is played in one arena.  At a position, ``options`` are
 Spoiler's moves ``(side, x)`` in structure A or B, ``replies`` are
 Duplicator's answers in the other structure, and ``step`` plays a move and
 its answer.  The ``pairs`` of a position are the elements matched so far,
-and a move's ``element`` is the element it plays.  The winning condition on
-the pairs is a partial isomorphism in the back-and-forth games and a
-partial homomorphism from A to B in the existential ones.  ``extends``
-checks it incrementally, through the tuples at the new pair only, for
-solving and extraction; ``holds`` computes it from scratch, once per pair
-set, for the initial position, the traces and ``replay``, which trusts no
-recorded move.  The condition depends on the pair set alone, so every move
-sequence that reaches one set shares that one check.  ``win`` memoizes
-``value``, and ``value``, ``extract`` and ``replay`` are written once:
+and ``elements`` gives the elements that moves play.  The winning condition
+on the pairs is a partial isomorphism in the back-and-forth games and a
+partial homomorphism from A to B in the existential ones.  For solving and
+extraction, ``fits`` keeps the replies to a move under which it still holds:
+atoms on at most two elements are local, so it compares the cached atom codes
+(``Structure.atom_codes``) of move and reply at the played pairs, and checks
+wider tuples per reply.  ``holds`` computes the condition from scratch, once
+per pair set, for the initial position, the traces and ``replay``, which
+trusts no recorded move.  ``win`` memoizes ``value``, and ``answer``
+Duplicator's least winning reply per memo key, shared by solving and
+extraction; ``value``, ``extract`` and ``replay`` are written once:
 
 * :class:`_Arena` plays the sequence games.  A position is the aligned
   sequence of pairs from the basepoints on.  Spoiler plays any element (EF
@@ -29,10 +31,10 @@ sequence that reaches one set shares that one check.  ``win`` memoizes
   ``value``, ``extract`` and ``replay``.
 
 Outside the arena stay the independent checks of the games, which share no
-arena code: ``back_and_forth_rank`` here, ``comonads.find_cokleisli_morphism``,
-``scott.scott_type`` and ``coalgebras.coalgebra_number``.  Each builds its
-own atomic information incrementally along its extension tuples or plays, as
-the arena's ``extends`` does, but through code of its own.
+arena code and read no atom codes: ``back_and_forth_rank`` here,
+``comonads.find_cokleisli_morphism``, ``scott.scott_type`` and
+``coalgebras.coalgebra_number``.  Each builds its own atomic information
+incrementally along its extension tuples or plays.
 
 All iteration follows universe (or carrier) order, which makes winners,
 strategies and traces deterministic.  The exposed round count ``k`` is the
@@ -43,11 +45,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import permutations, product
+from itertools import compress, permutations, product, repeat
 from typing import Callable, Mapping
 
 from .errors import ResourceLimitError
-from .structures import Structure, is_partial_isomorphism
+from .structures import Structure, covers, is_partial_isomorphism, row_codes
 from .comonads import ComonadKind, build_comonad, play_parts
 
 DUPLICATOR = "Duplicator"
@@ -133,8 +135,8 @@ def _maps_into(tuples, h: Mapping[str, str], target: Structure) -> bool:
     """Whether ``h`` sends each ``(relation, tuple)`` it is defined on to a
     tuple of that relation in ``target``."""
     for name, tup in tuples:
-        if all(e in h for e in tup) and not target.has_tuple(
-            name, tuple(h[e] for e in tup)
+        if all(map(h.__contains__, tup)) and not target.has_tuple(
+            name, tuple(map(h.__getitem__, tup))
         ):
             return False
     return True
@@ -152,6 +154,7 @@ class _Arena:
         self.existential = variant in _EXISTENTIAL
         self.start = tuple(zip(a.basepoints, b.basepoints))
         self.memo: dict = {}
+        self.answers: dict = {}
         self.held: dict = {}
 
     # -- positions and moves ----------------------------------------------------------
@@ -163,8 +166,8 @@ class _Arena:
     def pairs(self, pos) -> tuple[tuple[str, str], ...]:
         return pos
 
-    def element(self, move) -> str:
-        return move
+    def elements(self, moves):
+        return moves
 
     def options(self, pos) -> list[tuple[str, str]]:
         """Spoiler's moves ``(side, x)``, A-side first, in universe order."""
@@ -192,7 +195,7 @@ class _Arena:
 
     def holds(self, pos) -> bool:
         """The winning condition at ``pos``, computed from scratch, once per
-        pair set.  Only this method fills ``held``, never ``extends`` or the
+        pair set.  Only this method fills ``held``, never ``fits`` or the
         solver's memo."""
         pairs = frozenset(self.pairs(pos))
         value = self.held.get(pairs)
@@ -209,36 +212,60 @@ class _Arena:
                 return False
         return all(_maps_into(self.a.tuples_at(x), fwd, self.b) for x in fwd)
 
-    def extends(self, pos, side: str, x, y) -> bool:
-        """Whether the winning condition still holds after Spoiler's ``x`` is
-        answered by ``y``, given that it holds at ``pos``: only the tuples
-        through the new pair are checked."""
-        x, y = _orient(side, self.element(x), self.element(y))
+    def fits(self, pos, side: str, x, among=None):
+        """Yield, in order, Duplicator's replies to Spoiler's ``x`` on ``side``
+        (those in ``among``, by default all) after which the winning condition
+        still holds, given that it holds at ``pos``.  By the atom codes, the
+        move's atoms with each played pair must equal the reply's with its
+        image in the back-and-forth games and map into them in the existential
+        ones, where those with an image the reply repeats collapse onto it.
+        Tuples over three or more elements are checked per reply."""
+        mine, theirs = (self.a, self.b) if side == "A" else (self.b, self.a)
+        index, rows, wide = mine.atom_codes()
+        their_index, their_rows, their_wide = theirs.atom_codes()
+        i = 0 if side == "A" else 1  # the mover's place in a pair
         pairs = self.pairs(pos)
-        fwd = dict(pairs)
-        if x in fwd:
-            return fwd[x] == y
-        fwd[x] = y
-        if self.existential:
-            return _maps_into(self.a.tuples_at(x), fwd, self.b)
-        bwd = {v: u for u, v in pairs}
-        if y in bwd:
-            return False
-        bwd[y] = x
-        return _maps_into(self.a.tuples_at(x), fwd, self.b) and _maps_into(
-            self.b.tuples_at(y), bwd, self.a
-        )
+        (ex,) = self.elements((x,))
+        e = index[ex]
+        images = [p[1 - i] for p in pairs]
+        want = row_codes([index[p[i]] for p in pairs])(rows[e])
+        get = row_codes([their_index[v] for v in images])
+        replies = self.replies(pos, side) if among is None else among
+        reached = self.elements(replies)
+        at = map(their_index.__getitem__, reached)
+        got = map(get, map(their_rows.__getitem__, at))
+        if not self.existential:
+            kept = map(want.__eq__, got)
+        else:
+            slots: dict[str, tuple[int, ...]] = {}  # where each image's codes are
+            for k, v in enumerate(images, 1):
+                slots[v] = slots.get(v, ()) + (k,)
+            kept = map(covers, got, repeat(want), map(slots.get, reached, repeat(())))
+        for y, f in compress(zip(replies, reached), kept):
+            t = their_index[f]
+            if wide[e] or their_wide[t]:
+                fwd = {p[i]: p[1 - i] for p in pairs} | {ex: f}
+                back = {v: u for u, v in fwd.items()}
+                if not _maps_into(wide[e], fwd, theirs) or not (
+                    self.existential or _maps_into(their_wide[t], back, mine)
+                ):
+                    continue
+            yield y
 
     # -- solving, extraction and replay ----------------------------------------------
 
     def answer(self, pos, side: str, x):
         """Duplicator's least reply to ``x`` that keeps a won position, or
-        ``None`` when the move refutes Duplicator."""
-        for y in self.replies(pos, side):
-            if self.extends(pos, side, x, y):
+        ``None`` when the move refutes Duplicator; memoized per memo key."""
+        key = (self.key(pos), side, x)
+        if key not in self.answers:
+            for y in self.fits(pos, side, x):
                 if self.win(self.step(pos, side, x, y)) == DUPLICATOR:
-                    return y
-        return None
+                    break
+            else:
+                y = None
+            self.answers[key] = y
+        return self.answers[key]
 
     def win(self, pos) -> str:
         """Game value at a position where the winning condition holds,
@@ -261,33 +288,24 @@ class _Arena:
     def extract(self, winner: str) -> dict:
         """The winner's strategy on every position reachable against it:
         Duplicator's least winning reply keyed ``(pos, side, x)``, or
-        Spoiler's first refuting move keyed ``pos``.  The answer depends on
-        the memo key of ``pos`` alone, so it is computed once per key."""
+        Spoiler's first refuting move keyed ``pos``."""
         strategy: dict = {}
-        answers: dict = {}
-
-        def answer(pos, side, x):
-            key = (self.key(pos), side, x)
-            if key not in answers:
-                answers[key] = self.answer(pos, side, x)
-            return answers[key]
 
         def visit(pos):
             if winner == DUPLICATOR:
                 for side, x in self.options(pos):
                     if (pos, side, x) in strategy:
                         continue
-                    y = answer(pos, side, x)
+                    y = self.answer(pos, side, x)
                     if y is not None:
                         strategy[pos, side, x] = y
                         visit(self.step(pos, side, x, y))
             elif pos not in strategy:
                 for side, x in self.options(pos):
-                    if answer(pos, side, x) is None:
+                    if self.answer(pos, side, x) is None:
                         strategy[pos] = (side, x)
-                        for y in self.replies(pos, side):
-                            if self.extends(pos, side, x, y):
-                                visit(self.step(pos, side, x, y))
+                        for y in self.fits(pos, side, x):
+                            visit(self.step(pos, side, x, y))
                         return
 
         if self.holds(self.start):
@@ -353,8 +371,8 @@ class _CarrierArena(_Arena):
     def pairs(self, pos) -> tuple[tuple[str, str], ...]:
         return tuple(zip(play_parts(pos[0]), play_parts(pos[1])))
 
-    def element(self, move) -> str:
-        return play_parts(move)[-1]
+    def elements(self, moves):
+        return [play_parts(move)[-1] for move in moves]
 
     def options(self, pos) -> list[tuple[str, str]]:
         a_moves, b_moves = (c.children(p) for c, p in zip(self.carriers, pos))
@@ -396,9 +414,8 @@ class _BijectionArena(_Arena):
         return {
             (x, y)
             for x in acc_a
-            for y in acc_b
-            if self.extends(pos, "A", x, y)
-            and self.win(self.step(pos, "A", x, y)) == DUPLICATOR
+            for y in self.fits(pos, "A", x, acc_b)
+            if self.win(self.step(pos, "A", x, y)) == DUPLICATOR
         }
 
     def value(self, pos) -> str:
@@ -438,7 +455,7 @@ class _BijectionArena(_Arena):
                     return
                 x, y = next(pair for pair in matching if pair not in good)
                 strategy[pos, matching] = x
-                if self.extends(pos, "A", x, y):
+                if y in self.fits(pos, "A", x, (y,)):
                     visit(self.step(pos, "A", x, y))
 
         if self.holds(self.start):

@@ -6,16 +6,18 @@ strings; the universe is an ordered tuple, and that order fixes deterministic
 iteration and tie-breaking everywhere downstream.  Relation tuples are stored
 sorted, so structure equality is syntactic.
 
-The module also provides the Gaifman graph and its path metric, disjoint
-unions, and the two idempotent substructure operators: the reachable part
-(directed transition paths from the basepoints, bounded by k) and the ball
-part (Gaifman balls of radius k around the basepoints).
+The module also provides the atom codes the games compare, the Gaifman graph
+and its path metric, disjoint unions, and the two idempotent substructure
+operators: the reachable part (directed transition paths from the
+basepoints, bounded by k) and the ball part (Gaifman balls of radius k around
+the basepoints).
 """
 from __future__ import annotations
 
 import json
+from operator import and_, itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InvalidStructureError
 
@@ -111,6 +113,12 @@ class Structure:
     """A finite relational structure with an m-tuple of basepoints.
 
     Immutable after construction; all operations in this package are pure.
+    Its index is built piece by piece on first use and cached: the relation
+    frozensets behind ``has_tuple``, the tuples through each element
+    (``tuples_at``), successors and predecessors (``accessible``), the
+    transition edges, and the atom-code table (``atom_codes``): one small int
+    per element and per ordered pair of elements for the atoms on exactly
+    those elements, as tuples of ints indexed by universe position.
     """
 
     __slots__ = (
@@ -122,6 +130,7 @@ class Structure:
         "_tuple_sets",
         "_steps",
         "_tuples_at",
+        "_atoms",
         "_edges",
         "_gaifman",
     )
@@ -185,6 +194,7 @@ class Structure:
         self._tuples_at: dict[str, tuple[tuple[str, tuple[str, ...]], ...]] | None = (
             None
         )
+        self._atoms: tuple | None = None
         self._edges: frozenset[tuple[str, str]] | None = None
         self._gaifman: MappingProxyType | None = None
 
@@ -243,6 +253,39 @@ class Structure:
             self._tuples_at = {e: tuple(v) for e, v in at.items()}
         return self._tuples_at[element]
 
+    def atom_codes(
+        self,
+    ) -> tuple[Mapping[str, int], tuple[tuple[int, ...], ...], tuple[tuple, ...]]:
+        """The atom-code table ``(index, rows, wide)``, built on first use.
+
+        ``index`` maps each element to its universe position (it is the
+        structure's own map, read only).  ``rows[i][j]`` codes the atoms on
+        exactly the elements at positions i and j, with i first in the
+        patterns, and ``rows[i][i]`` is ``EQUAL_CODE``; the last entry,
+        ``rows[i][-1]``, codes the atoms on element i alone.  ``wide[i]``
+        holds the ``(relation, tuple)`` pairs through element i over three or
+        more distinct elements, which no code covers."""
+        if self._atoms is None:
+            n = len(self.universe)
+            rows = [[0] * (n + 1) for _ in range(n)]
+            wide: list[list] = [[] for _ in range(n)]
+            for name, tuples in self.relations.items():
+                for tup in tuples:
+                    idx = tuple(map(self._pos.__getitem__, tup))
+                    ends = tuple(dict.fromkeys(idx))
+                    if len(ends) > 2:
+                        for i in ends:
+                            wide[i].append((name, tup))
+                        continue
+                    for i, j in zip(ends, ends[::-1]):
+                        shape = name, tuple(map(i.__ne__, idx))  # 1 where j stands
+                        bit = _SHAPE_BITS.get(shape) or _shape_bit(*shape)
+                        rows[i][n if i == j else j] |= bit
+            for i in range(n):
+                rows[i][i] = EQUAL_CODE
+            self._atoms = self._pos, tuple(map(tuple, rows)), tuple(map(tuple, wide))
+        return self._atoms
+
     def accessible(
         self, elements: Iterable[str], backward: bool = False
     ) -> tuple[str, ...]:
@@ -259,12 +302,13 @@ class Structure:
             self._steps = tuple(
                 {e: tuple(v) for e, v in m.items()} for m in (succ, pred)
             )
+        succ, pred = self._steps
         seen: set[str] = set()
         for e in elements:
-            seen.update(self._steps[0][e])
+            seen.update(succ[e])
             if backward:
-                seen.update(self._steps[1][e])
-        return tuple(e for e in self.universe if e in seen)
+                seen.update(pred[e])
+        return tuple(filter(seen.__contains__, self.universe))
 
     def transition_edges(self) -> frozenset[tuple[str, str]]:
         """All directed (u, v) pairs related by some transition relation, as
@@ -302,6 +346,62 @@ class Structure:
         }
         bps = tuple(mapping[e] for e in self.basepoints)
         return Structure(self.signature, uni, rels, bps)
+
+
+# -- atom codes ---------------------------------------------------------------
+
+
+#: The equality marker of the atom codes: the bit on the diagonal of every
+#: structure's pair codes.
+EQUAL_CODE = 1
+#: The atom shapes ``(relation, pattern)`` behind the other bits of the atom
+#: codes, interned for all structures so that codes of two structures compare
+#: directly.  A pattern gives, for each position of a tuple, 0 for the first
+#: element of the code and 1 for the second.
+_SHAPES: list[tuple[str, tuple[int, ...]]] = []
+_SHAPE_BITS: dict[tuple[str, tuple[int, ...]], int] = {}
+_COLLAPSED: dict[int, int] = {}  # memo of ``collapsed``
+
+
+def _shape_bit(name: str, pattern: tuple[int, ...]) -> int:
+    bit = _SHAPE_BITS.get((name, pattern))
+    if bit is None:
+        _SHAPES.append((name, pattern))
+        bit = _SHAPE_BITS[name, pattern] = 1 << len(_SHAPES)
+    return bit
+
+
+def collapsed(code: int) -> int:
+    """The element code of the atoms of a pair code once its two elements are
+    one: each pattern becomes all first positions, and equality is dropped."""
+    out = _COLLAPSED.get(code)
+    if out is None:
+        out = 0
+        for i, (name, pattern) in enumerate(_SHAPES, 1):
+            if code >> i & 1:
+                out |= _shape_bit(name, (0,) * len(pattern))
+        _COLLAPSED[code] = out
+    return out
+
+
+def row_codes(positions: list[int]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """A getter of an atom-code row's element code and its pair codes with
+    the elements at ``positions``, in that order, as a tuple."""
+    return itemgetter(-1, *positions) if positions else lambda row: row[-1:]
+
+
+def covers(got: tuple[int, ...], want: tuple[int, ...], slots=()) -> bool:
+    """Whether the codes ``got`` hold every atom of ``want``, both read by
+    ``row_codes``.  When the reply read in ``got`` is the element whose pair
+    codes ``want`` holds at ``slots`` (counted from 1), those atoms must
+    collapse onto its element code instead."""
+    if slots:
+        want = list(want)
+        for k in slots:
+            want[0] |= collapsed(want[k])
+            want[k] = 0
+        want = tuple(want)
+    return tuple(map(and_, got, want)) == want
 
 
 # -- Gaifman machinery -------------------------------------------------------
@@ -492,8 +592,8 @@ def is_partial_isomorphism(
     for h, source, target in ((fwd, a, b), (bwd, b, a)):
         for x in h:
             for name, tup in source.tuples_at(x):
-                if all(e in h for e in tup):
-                    if not target.has_tuple(name, tuple(h[e] for e in tup)):
+                if all(map(h.__contains__, tup)):
+                    if not target.has_tuple(name, tuple(map(h.__getitem__, tup))):
                         return False
     return True
 
@@ -541,8 +641,27 @@ def structure_from_data(data: object) -> Structure:
     basepoints = data.get("basepoints", [])
     if not isinstance(basepoints, list):
         raise InvalidStructureError("basepoints: must be a list")
+    _require_strings(transitions, "signature.transitions", "relation names")
+    _require_strings(basepoints, "basepoints", "element ids")
+    for name, tuples in relations.items():
+        if not isinstance(tuples, list):
+            raise InvalidStructureError(f"relations.{name}: must be a list of tuples")
+        for j, tup in enumerate(tuples):
+            if not isinstance(tup, list):
+                raise InvalidStructureError(
+                    f"relations.{name}[{j}]: must be a list of element ids, got {tup!r}"
+                )
+            _require_strings(tup, f"relations.{name}[{j}]", "element ids")
     sig = Signature(rels, transitions, num_basepoints=len(basepoints))
     return Structure(sig, universe, relations, basepoints)
+
+
+def _require_strings(items: list, path: str, what: str) -> None:
+    for i, item in enumerate(items):
+        if not isinstance(item, str):
+            raise InvalidStructureError(
+                f"{path}[{i}]: {what} must be strings, got {item!r}"
+            )
 
 
 def load_structure(path: str) -> Structure:

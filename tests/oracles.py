@@ -2,8 +2,9 @@
 
 Each one is the from-scratch form of something the package now computes
 incrementally: the atomic type of a whole tuple, the coKleisli morphism
-search over the materialized I-carrier, and the back-and-forth relation
-that compares every atom of every extension tuple.
+search over the materialized I-carrier, the back-and-forth relation that
+compares every atom of every extension tuple, and the per-reply check of the
+games' winning condition that the arena's atom-code filter replaced.
 """
 from __future__ import annotations
 
@@ -224,3 +225,36 @@ def back_and_forth_rank(a: Structure, b: Structure, k: int) -> bool:
 
     return bf(a.basepoints, b.basepoints, k)
 
+
+
+def extends(arena, pos, side: str, x, y) -> bool:
+    """Whether the arena's winning condition still holds after Spoiler's
+    ``x`` on ``side`` is answered by ``y``, given that it holds at ``pos``:
+    every tuple through the new pair is mapped through the pairs, one reply
+    at a time."""
+    x, y = arena.elements((x, y))
+    if side == "B":
+        x, y = y, x
+    pairs = arena.pairs(pos)
+    fwd = dict(pairs)
+    if x in fwd:
+        return fwd[x] == y
+    fwd[x] = y
+    if arena.existential:
+        return _maps_into(arena.a.tuples_at(x), fwd, arena.b)
+    bwd = {v: u for u, v in pairs}
+    if y in bwd:
+        return False
+    bwd[y] = x
+    return _maps_into(arena.a.tuples_at(x), fwd, arena.b) and _maps_into(
+        arena.b.tuples_at(y), bwd, arena.a
+    )
+
+
+def _maps_into(tuples, h, target: Structure) -> bool:
+    for name, tup in tuples:
+        if all(e in h for e in tup) and not target.has_tuple(
+            name, tuple(h[e] for e in tup)
+        ):
+            return False
+    return True

@@ -1,11 +1,16 @@
+import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hybridkit.cli import run
+from hybridkit.cli import LOGIC_VARIANTS, run
+from hybridkit.games import GameVariant
 
 from cli_cases import CASES
 
@@ -101,3 +106,135 @@ def test_module_entry_point_matches_golden():
     )
     assert f"exit: {proc.returncode}\n{proc.stdout}" == expected
     assert proc.stderr == ""
+
+
+GOOD = {
+    "signature": {"relations": {"E": 2, "P": 1}, "transitions": ["E"]},
+    "universe": ["a", "b"],
+    "relations": {"E": [["a", "b"]], "P": [["b"]]},
+    "basepoints": ["a"],
+}
+
+
+@pytest.mark.parametrize(
+    "patch, where",
+    [
+        ({"relations": {"E": 5}}, "relations.E: must be a list of tuples"),
+        ({"relations": {"E": [5]}}, "relations.E[0]: must be a list of element ids"),
+        ({"relations": {"E": "ab"}}, "relations.E: must be a list of tuples"),
+        ({"relations": {"E": [[["a"], "b"]]}}, "relations.E[0][0]: element ids"),
+        (
+            {"signature": {"relations": {"E": 2}, "transitions": [["E"]]}},
+            "signature.transitions[0]: relation names",
+        ),
+        ({"basepoints": [["a"]]}, "basepoints[0]: element ids"),
+    ],
+    ids=[
+        "relation_not_a_list",
+        "tuple_not_a_list",
+        "relation_a_string",
+        "entry_not_a_string",
+        "transition_not_a_string",
+        "basepoint_not_a_string",
+    ],
+)
+def test_malformed_document_is_an_input_error(tmp_path, capsys, patch, where):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**GOOD, **patch}))
+    sink = io.StringIO()
+    argv = ["check", "--structure", str(path), "--formula", "p"]
+    assert run(argv, out=sink) == 2
+    assert sink.getvalue().startswith(f"error: {where}")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.text("abEP", max_size=2),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text("abEP", max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def documents(draw):
+    """A structure document over {E, P}: valid, or with one node replaced by
+    an arbitrary JSON value or removed."""
+    universe = [f"u{i}" for i in range(draw(st.integers(0, 4)))]
+    element = st.sampled_from(universe) if universe else st.nothing()
+    m = draw(st.integers(0, 2)) if universe else 0
+    doc = {
+        "signature": {"relations": {"E": 2, "P": 1}, "transitions": ["E"]},
+        "universe": universe,
+        "relations": {
+            "E": draw(st.lists(st.lists(element, min_size=2, max_size=2), max_size=6))
+            if universe
+            else [],
+            "P": draw(st.lists(st.lists(element, min_size=1, max_size=1), max_size=3))
+            if universe
+            else [],
+        },
+        "basepoints": draw(st.lists(element, min_size=m, max_size=m)),
+    }
+    if draw(st.booleans()):
+        paths = list(_paths(doc))
+        *parent, last = draw(st.sampled_from(paths))
+        node = doc
+        for step in parent:
+            node = node[step]
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[last]
+        else:
+            node[last] = draw(JSON_VALUES)
+    return doc
+
+
+def _paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+FORMULAS = ["p", "dia p", "down x. dia x", "E(c1,c1)", "exists y (E(c1,y) & P(y))", "@"]
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    documents(),
+    documents(),
+    st.sampled_from(["check-hybrid", "check-fo", "equiv", "game"]),
+    st.data(),
+)
+def test_cli_fuzz_exits_with_a_documented_code(left, right, command, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, doc in enumerate((left, right)):
+            paths.append(os.path.join(tmp, f"s{i}.json"))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        if command.startswith("check"):
+            logic = command.split("-")[1]
+            formula = data.draw(st.sampled_from(FORMULAS))
+            argv = ["check", "--structure", paths[0], "--formula", formula]
+            argv += ["--logic", logic]
+        elif command == "equiv":
+            argv = ["equiv", "--left", paths[0], "--right", paths[1]]
+            argv += ["--logic", data.draw(st.sampled_from(sorted(LOGIC_VARIANTS)))]
+            argv += ["--depth", str(data.draw(st.integers(0, 2)))]
+        else:
+            variant = data.draw(st.sampled_from([v.value for v in GameVariant]))
+            argv = ["game", "--left", paths[0], "--right", paths[1]]
+            argv += ["--variant", variant, "--k", str(data.draw(st.integers(0, 2)))]
+        if command in ("equiv", "game") and data.draw(st.booleans()):
+            argv.append("--trace")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(argv, out=io.StringIO())
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()

@@ -3,7 +3,7 @@ import types
 
 import pytest
 
-from hybridkit import scott
+from hybridkit import games, scott
 from hybridkit.coalgebras import coalgebra_number, enumerate_coalgebras
 from hybridkit.comonads import ComonadKind, find_cokleisli_morphism
 from hybridkit.errors import ResourceLimitError
@@ -20,6 +20,7 @@ from hybridkit.games import (
     trace_game,
     verify_strategy,
 )
+from hybridkit.structures import Signature, Structure
 
 from fixtures import (
     BOUNDED_FIXTURES,
@@ -399,6 +400,33 @@ class TestPairSetQuotient:
         assert not verify_strategy(forged, STAR2, STAR2, variant, 3)
 
 
+TERNARY = Signature({"E": 2, "R": 3}, ["E"], 1)
+WITH_R = Structure(TERNARY, ["a", "b", "c"], {"R": [("a", "b", "c")]}, ["a"])
+WITHOUT_R = Structure(TERNARY, ["a", "b", "c"], {}, ["a"])
+
+
+class TestReplyFilter:
+    # a tuple over three distinct elements has no atom code, so ``fits``
+    # checks it per reply, in both directions in the back-and-forth games
+    PLAYED = (("a", "a"), ("b", "b"))
+
+    def test_wide_tuple_must_be_preserved(self):
+        arena = games._arena(WITH_R, WITHOUT_R, GameVariant.EXISTENTIAL_EF, 2)
+        assert list(arena.fits(self.PLAYED, "A", "c")) == []
+        assert solve(WITH_R, WITHOUT_R, GameVariant.EXISTENTIAL_EF, 2).winner == SPOILER
+
+    def test_wide_tuple_must_be_reflected(self):
+        arena = games._arena(WITHOUT_R, WITH_R, GameVariant.EF, 2)
+        assert list(arena.fits(self.PLAYED, "A", "c")) == []
+        assert list(arena.fits(self.PLAYED, "B", "c")) == []
+        assert solve(WITHOUT_R, WITH_R, GameVariant.EF, 2).winner == SPOILER
+
+    def test_wide_tuples_that_agree_keep_the_reply(self):
+        arena = games._arena(WITH_R, WITH_R, GameVariant.EF, 2)
+        assert list(arena.fits(self.PLAYED, "A", "c")) == ["c"]
+        assert solve(WITH_R, WITH_R, GameVariant.EF, 3).winner == DUPLICATOR
+
+
 def _reached(fn) -> tuple[set[str], set]:
     """The names used by ``fn``, its nested closures and every package
     function they name, transitively, and those functions."""
@@ -426,7 +454,15 @@ def _reached(fn) -> tuple[set[str], set]:
 
 class TestCrossChecksStayApart:
     # the independent checks validate the game engine, so none may reach it
-    ARENA_NAMES = {"_Arena", "_CarrierArena", "_BijectionArena", "_arena", "solve"}
+    ARENA_NAMES = {
+        "_Arena",
+        "_CarrierArena",
+        "_BijectionArena",
+        "_arena",
+        "solve",
+        "fits",
+        "atom_codes",
+    }
 
     @pytest.mark.parametrize(
         "check",
