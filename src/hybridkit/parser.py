@@ -8,51 +8,63 @@ First-order: ``R(t1,..,tn)``, ``t = u``, ``true``, ``false``, ``!``, ``&``, ``|`
           ``exists y (E(t,y) & f)``, ``exists>=3 y (E(t,y) & f)``, and the
           accessibility guard ``acc(t1,..,tn; y)``.
 
+``&`` binds tighter than ``|``, both associate to the left, and ``->``
+binds loosest and associates to the right.
+
 Identifier classification: ``c``+digits is a nominal/constant; a single letter
 from ``x y z u v w`` (optionally digit-suffixed) is a world/first-order
 variable in hybrid syntax; anything else is a propositional atom.  In
 first-order syntax every non-constant identifier is a variable.  Quantifiers
-whose body starts with a transition-atom guard over the bound variable are
-classified as bounded quantifier nodes; the printer reverses this, so ASTs
-round-trip.
+whose body starts with a binary atom over the bound variable in exactly one
+position are classified as bounded quantifier nodes; the printer reverses
+this, so ASTs round-trip.
+
+Both parsers read one token list.  The tokenizer splits the text with a
+single ``findall`` and checks that the tokens and the whitespace make up the
+whole text; a token is its text, and its kind is read from its
+first character (a letter or ``_`` for an identifier, a digit for a number,
+anything else for an operator), with ``""`` marking the end.  Positions are
+found again, by scanning the text, only when a ``ParseError`` reports one.
+The parsers are recursive descent, with ``&``, ``|`` (and ``->``) handled in
+one loop per nesting level, so a parenthesized operand costs two Python
+frames.
 """
 from __future__ import annotations
 
 import re
+import string
+from typing import NoReturn
 
 from .errors import ParseError, ScopeError
 from . import syntax as sx
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<id>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>[0-9]+)"
-    r"|(?P<op>->|>=|[().,;=&|!@]))"
-)
+_TOKEN = r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|->|>=|[().,;=&|!@]"
+_TOKEN_RE = re.compile(_TOKEN)
+#: the longest prefix of a text made of tokens and whitespace
+_TOKENS_PREFIX_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*\s*")
+_ID_START = frozenset(string.ascii_letters + "_")
 
-_HYBRID_KEYWORDS = {"box", "dia", "boxinv", "diainv", "down"}
+_MODALITIES = {"box": sx.Box, "dia": sx.Dia, "boxinv": sx.BoxInv, "diainv": sx.DiaInv}
 _FO_KEYWORDS = {"forall", "exists", "true", "false", "acc"}
 
 _WORLD_VAR_RE = re.compile(r"^[xyzuvw][0-9]*$")
 _NOMINAL_RE = re.compile(r"^c([0-9]+)$")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
-            break
-        if m.group("id"):
-            tokens.append(("id", m.group("id"), m.start("id")))
-        elif m.group("num"):
-            tokens.append(("num", m.group("num"), m.start("num")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
+def _tokenize(text: str) -> list[str]:
+    """The token texts of ``text``, then ``""`` for the end."""
+    tokens = _TOKEN_RE.findall(text)
+    # tokens hold no whitespace and do not overlap, so they cover every
+    # other character exactly when their lengths add up to its count
+    if len("".join(tokens)) != len("".join(text.split())):
+        end = _TOKENS_PREFIX_RE.match(text).end()
+        raise ParseError(f"unexpected character {text[end]!r}", end)
+    tokens.append("")
     return tokens
+
+
+def _found(tok: str) -> str:
+    return repr(tok or "end of input")
 
 
 class _Parser:
@@ -61,34 +73,21 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i]
+    def fail(self, message: str, at: int) -> NoReturn:
+        """Raise a ``ParseError`` at the position of token ``at``."""
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.text)]
+        raise ParseError(message, (starts + [len(self.text)])[at])
 
-    def next(self):
+    def expect(self, op: str) -> None:
         tok = self.tokens[self.i]
         self.i += 1
-        return tok
+        if tok != op:
+            self.fail(f"expected {op!r}, found {_found(tok)}", self.i - 1)
 
-    def expect(self, kind: str, value: str | None = None):
-        tok = self.next()
-        if tok[0] != kind or (value is not None and tok[1] != value):
-            want = value if value is not None else kind
-            raise ParseError(f"expected {want!r}, found {tok[1] or 'end of input'!r}", tok[2])
-
-    def at_op(self, op: str) -> bool:
-        tok = self.peek()
-        return tok[0] == "op" and tok[1] == op
-
-    def eat_op(self, op: str) -> bool:
-        if self.at_op(op):
-            self.i += 1
-            return True
-        return False
-
-    def done(self):
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+    def done(self) -> None:
+        tok = self.tokens[self.i]
+        if tok:
+            self.fail(f"unexpected trailing input {tok!r}", self.i)
 
 
 # -- hybrid --------------------------------------------------------------------
@@ -96,71 +95,70 @@ class _Parser:
 
 class _HybridParser(_Parser):
     def formula(self) -> sx.HybridFormula:
-        f = self.or_expr()
+        f = self.expr()
         self.done()
         return f
 
-    def or_expr(self) -> sx.HybridFormula:
-        f = self.and_expr()
-        while self.eat_op("|"):
-            f = sx.Disj(f, self.and_expr())
-        return f
-
-    def and_expr(self) -> sx.HybridFormula:
+    def expr(self) -> sx.HybridFormula:
+        """Operands joined by ``&`` and ``|``, ``&`` binding tighter."""
+        tokens = self.tokens
         f = self.unary()
-        while self.eat_op("&"):
-            f = sx.Conj(f, self.unary())
-        return f
+        while True:
+            op = tokens[self.i]
+            if op == "&":
+                self.i += 1
+                f = sx.Conj(f, self.unary())
+            elif op == "|":
+                self.i += 1
+                g = self.unary()
+                while tokens[self.i] == "&":
+                    self.i += 1
+                    g = sx.Conj(g, self.unary())
+                f = sx.Disj(f, g)
+            else:
+                return f
 
     def unary(self) -> sx.HybridFormula:
-        tok = self.peek()
-        if tok[0] == "op" and tok[1] == "!":
-            self.next()
+        tok = self.tokens[self.i]
+        self.i += 1
+        if tok == "!":
             return sx.Neg(self.unary())
-        if tok[0] == "op" and tok[1] == "@":
-            self.next()
+        if tok == "@":
             anchor = self.name_ref()
             return sx.At(anchor, self.unary())
-        if tok[0] == "id" and tok[1] in ("box", "dia", "boxinv", "diainv"):
-            self.next()
-            ctor = {"box": sx.Box, "dia": sx.Dia, "boxinv": sx.BoxInv, "diainv": sx.DiaInv}[tok[1]]
-            return ctor(self.unary())
-        if tok[0] == "id" and tok[1] == "down":
-            self.next()
-            var_tok = self.next()
-            if var_tok[0] != "id" or not _WORLD_VAR_RE.match(var_tok[1]):
-                raise ParseError(f"expected a world variable after 'down', found {var_tok[1]!r}", var_tok[2])
-            self.expect("op", ".")
-            return sx.Bind(var_tok[1], self.or_expr())
-        return self.primary()
-
-    def name_ref(self) -> sx.HybridFormula:
-        tok = self.next()
-        if tok[0] != "id":
-            raise ParseError(f"expected a world variable or nominal, found {tok[1]!r}", tok[2])
-        m = _NOMINAL_RE.match(tok[1])
+        if tok == "(":
+            f = self.expr()
+            self.expect(")")
+            return f
+        if tok[:1] not in _ID_START:
+            self.fail(f"expected a formula, found {_found(tok)}", self.i - 1)
+        if tok in _MODALITIES:
+            return _MODALITIES[tok](self.unary())
+        if tok == "down":
+            var = self.tokens[self.i]
+            self.i += 1
+            if not _WORLD_VAR_RE.match(var):
+                self.fail(f"expected a world variable after 'down', found {var!r}", self.i - 1)
+            self.expect(".")
+            return sx.Bind(var, self.expr())
+        m = _NOMINAL_RE.match(tok)
         if m:
             return sx.Nom(int(m.group(1)))
-        if _WORLD_VAR_RE.match(tok[1]):
-            return sx.WVar(tok[1])
-        raise ParseError(f"{tok[1]!r} is neither a world variable nor a nominal", tok[2])
+        if _WORLD_VAR_RE.match(tok):
+            return sx.WVar(tok)
+        return sx.Atom(tok)
 
-    def primary(self) -> sx.HybridFormula:
-        tok = self.next()
-        if tok[0] == "op" and tok[1] == "(":
-            f = self.or_expr()
-            self.expect("op", ")")
-            return f
-        if tok[0] == "id":
-            if tok[1] in _HYBRID_KEYWORDS:
-                raise ParseError(f"unexpected keyword {tok[1]!r}", tok[2])
-            m = _NOMINAL_RE.match(tok[1])
-            if m:
-                return sx.Nom(int(m.group(1)))
-            if _WORLD_VAR_RE.match(tok[1]):
-                return sx.WVar(tok[1])
-            return sx.Atom(tok[1])
-        raise ParseError(f"expected a formula, found {tok[1] or 'end of input'!r}", tok[2])
+    def name_ref(self) -> sx.HybridFormula:
+        tok = self.tokens[self.i]
+        self.i += 1
+        if tok[:1] not in _ID_START:
+            self.fail(f"expected a world variable or nominal, found {tok!r}", self.i - 1)
+        m = _NOMINAL_RE.match(tok)
+        if m:
+            return sx.Nom(int(m.group(1)))
+        if _WORLD_VAR_RE.match(tok):
+            return sx.WVar(tok)
+        self.fail(f"{tok!r} is neither a world variable nor a nominal", self.i - 1)
 
 
 def parse_hybrid(
@@ -198,120 +196,135 @@ def _term_of(name: str) -> sx.Term:
 
 def _guard_shape(guard: sx.FOFormula, var: str) -> bool:
     # Syntactic guard test; transition membership is checked by is_bounded.
-    if not isinstance(guard, sx.Rel) or len(guard.args) != 2:
+    if type(guard) is not sx.Rel or len(guard.args) != 2:
         return False
-    v = sx.Var(var)
-    return (guard.args[0] == v) != (guard.args[1] == v)
+    left, right = guard.args
+    return (type(left) is sx.Var and left.name == var) != (
+        type(right) is sx.Var and right.name == var
+    )
 
 
 class _FOParser(_Parser):
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.terms: dict[str, sx.Term] = {}  # token -> term, for this text
+
     def formula(self) -> sx.FOFormula:
-        f = self.impl_expr()
+        f = self.expr()
         self.done()
         return f
 
-    def impl_expr(self) -> sx.FOFormula:
-        f = self.or_expr()
-        if self.eat_op("->"):
-            return sx.Or(sx.Not(f), self.impl_expr())
-        return f
-
-    def or_expr(self) -> sx.FOFormula:
-        f = self.and_expr()
-        while self.eat_op("|"):
-            f = sx.Or(f, self.and_expr())
-        return f
-
-    def and_expr(self) -> sx.FOFormula:
+    def expr(self) -> sx.FOFormula:
+        """Operands joined by ``&`` and ``|``, ``&`` binding tighter, and
+        then optionally ``->`` and the rest, which it binds loosest."""
+        tokens = self.tokens
         f = self.unary()
-        while self.eat_op("&"):
-            f = sx.And(f, self.unary())
-        return f
+        while True:
+            op = tokens[self.i]
+            if op == "&":
+                self.i += 1
+                f = sx.And(f, self.unary())
+            elif op == "|":
+                self.i += 1
+                g = self.unary()
+                while tokens[self.i] == "&":
+                    self.i += 1
+                    g = sx.And(g, self.unary())
+                f = sx.Or(f, g)
+            elif op == "->":
+                self.i += 1
+                return sx.Or(sx.Not(f), self.expr())
+            else:
+                return f
 
     def unary(self) -> sx.FOFormula:
-        tok = self.peek()
-        if tok[0] == "op" and tok[1] == "!":
-            self.next()
+        tokens = self.tokens
+        tok = tokens[self.i]
+        self.i += 1
+        if tok == "!":
             return sx.Not(self.unary())
-        if tok[0] == "id" and tok[1] in ("forall", "exists"):
-            return self.quantifier()
-        return self.primary()
+        if tok == "(":
+            f = self.expr()
+            self.expect(")")
+            return f
+        if tok[:1] not in _ID_START:
+            self.fail(f"expected a formula, found {_found(tok)}", self.i - 1)
+        if tok == "forall" or tok == "exists":
+            return self.quantifier(tok)
+        if tok == "true":
+            return sx.TRUE
+        if tok == "false":
+            return sx.FALSE
+        if tok == "acc":
+            self.expect("(")
+            sources = [self.term()]
+            while tokens[self.i] == ",":
+                self.i += 1
+                sources.append(self.term())
+            self.expect(";")
+            var = self.variable()
+            self.expect(")")
+            return sx.Acc(tuple(sources), var)
+        if tokens[self.i] == "(":
+            self.i += 1
+            args = [self.term()]
+            while tokens[self.i] == ",":
+                self.i += 1
+                args.append(self.term())
+            self.expect(")")
+            return sx.Rel(tok, tuple(args))
+        left = _term_of(tok)
+        self.expect("=")
+        return sx.Eq(left, self.term())
 
-    def quantifier(self) -> sx.FOFormula:
-        kw = self.next()
+    def variable(self) -> str:
+        tok = self.tokens[self.i]
+        self.i += 1
+        if tok[:1] not in _ID_START or _NOMINAL_RE.match(tok):
+            self.fail(f"expected a variable, found {tok!r}", self.i - 1)
+        return tok
+
+    def quantifier(self, kw: str) -> sx.FOFormula:
         count = None
-        if kw[1] == "exists" and self.eat_op(">="):
-            num = self.next()
-            if num[0] != "num":
-                raise ParseError(f"expected a count after '>=', found {num[1]!r}", num[2])
-            count = int(num[1])
+        if kw == "exists" and self.tokens[self.i] == ">=":
+            num = self.tokens[self.i + 1]
+            self.i += 2
+            if not num[:1].isdigit():
+                self.fail(f"expected a count after '>=', found {num!r}", self.i - 1)
+            count = int(num)
             if count < 1:
-                raise ParseError("counting threshold must be at least 1", num[2])
-        var_tok = self.next()
-        if var_tok[0] != "id" or _NOMINAL_RE.match(var_tok[1]):
-            raise ParseError(f"expected a variable, found {var_tok[1]!r}", var_tok[2])
-        var = var_tok[1]
+                self.fail("counting threshold must be at least 1", self.i - 1)
+        var = self.variable()
+        at = self.i - 1
         body = self.unary()
+        guarded = type(body) is sx.And and _guard_shape(body.left, var)
         if count is not None:
-            if isinstance(body, sx.And) and _guard_shape(body.left, var):
+            if guarded:
                 return sx.CountExists(count, var, body.left, body.right)
-            raise ParseError(
-                "counting quantifier requires a guarded body of the form (E(t,y) & f)",
-                var_tok[2],
+            self.fail(
+                "counting quantifier requires a guarded body of the form (E(t,y) & f)", at
             )
-        if kw[1] == "exists":
-            if isinstance(body, sx.And) and _guard_shape(body.left, var):
+        if kw == "exists":
+            if guarded:
                 return sx.BoundedExists(var, body.left, body.right)
             return sx.Exists(var, body)
         if (
-            isinstance(body, sx.Or)
-            and isinstance(body.left, sx.Not)
+            type(body) is sx.Or
+            and type(body.left) is sx.Not
             and _guard_shape(body.left.sub, var)
         ):
             return sx.BoundedForall(var, body.left.sub, body.right)
         return sx.Forall(var, body)
 
-    def primary(self) -> sx.FOFormula:
-        tok = self.next()
-        if tok[0] == "op" and tok[1] == "(":
-            f = self.impl_expr()
-            self.expect("op", ")")
-            return f
-        if tok[0] == "id" and tok[1] == "true":
-            return sx.TRUE
-        if tok[0] == "id" and tok[1] == "false":
-            return sx.FALSE
-        if tok[0] == "id" and tok[1] == "acc":
-            self.expect("op", "(")
-            sources = [self.term()]
-            while self.eat_op(","):
-                sources.append(self.term())
-            self.expect("op", ";")
-            var_tok = self.next()
-            if var_tok[0] != "id" or _NOMINAL_RE.match(var_tok[1]):
-                raise ParseError(f"expected a variable, found {var_tok[1]!r}", var_tok[2])
-            self.expect("op", ")")
-            return sx.Acc(tuple(sources), var_tok[1])
-        if tok[0] == "id":
-            if tok[1] in _FO_KEYWORDS:
-                raise ParseError(f"unexpected keyword {tok[1]!r}", tok[2])
-            if self.at_op("("):
-                self.next()
-                args = [self.term()]
-                while self.eat_op(","):
-                    args.append(self.term())
-                self.expect("op", ")")
-                return sx.Rel(tok[1], tuple(args))
-            left = _term_of(tok[1])
-            self.expect("op", "=")
-            return sx.Eq(left, self.term())
-        raise ParseError(f"expected a formula, found {tok[1] or 'end of input'!r}", tok[2])
-
     def term(self) -> sx.Term:
-        tok = self.next()
-        if tok[0] != "id" or tok[1] in _FO_KEYWORDS:
-            raise ParseError(f"expected a term, found {tok[1] or 'end of input'!r}", tok[2])
-        return _term_of(tok[1])
+        tok = self.tokens[self.i]
+        self.i += 1
+        t = self.terms.get(tok)
+        if t is None:
+            if tok[:1] not in _ID_START or tok in _FO_KEYWORDS:
+                self.fail(f"expected a term, found {_found(tok)}", self.i - 1)
+            t = self.terms[tok] = _term_of(tok)
+        return t
 
 
 def parse_fo(text: str) -> sx.FOFormula:

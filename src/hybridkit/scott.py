@@ -101,17 +101,6 @@ def characteristic_formula(s: Structure, k: int, temporal: bool = False) -> FOFo
     if m < 1:
         raise ValueError("characteristic formulas need at least one basepoint")
     memo: dict[tuple[tuple[str, ...], int], FOFormula] = {}
-    # per transition, the successors and predecessors of each element, in
-    # universe order
-    steps: dict[str, tuple[dict[str, list[str]], dict[str, list[str]]]] = {}
-    for name in s.signature.transitions:
-        succ: dict[str, list[str]] = {e: [] for e in s.universe}
-        pred: dict[str, list[str]] = {e: [] for e in s.universe}
-        edges = s.relations[name]
-        for u, v in sorted(edges, key=lambda t: (s.position(t[0]), s.position(t[1]))):
-            succ[u].append(v)
-            pred[v].append(u)
-        steps[name] = (succ, pred)
 
     def chi(tup: tuple[str, ...], rank: int) -> FOFormula:
         key = (tup, rank)
@@ -123,17 +112,15 @@ def characteristic_formula(s: Structure, k: int, temporal: bool = False) -> FOFo
             y = f"y{len(tup) - m + 1}"
             directions = [True, False] if temporal else [True]
             for name in sorted(s.signature.transitions):
-                succ, pred = steps[name]
                 for i in range(len(tup)):
                     for forward in directions:
+                        partners = s.partners(name, backward=not forward)[tup[i]]
                         if forward:
-                            succs = succ[tup[i]]
                             guard = Rel(name, (_position_term(i, m), Var(y)))
                         else:
-                            succs = pred[tup[i]]
                             guard = Rel(name, (Var(y), _position_term(i, m)))
                         child_fms = list(
-                            dict.fromkeys(chi(tup + (b,), rank - 1) for b in succs)
+                            dict.fromkeys(chi(tup + (b,), rank - 1) for b in partners)
                         )
                         for cf in child_fms:
                             parts.append(BoundedExists(y, guard, cf))

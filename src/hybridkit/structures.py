@@ -28,6 +28,12 @@ INF = float("inf")
 RESERVED_IDENTITY = "I"
 
 
+def _is_natural(value: object) -> bool:
+    """A non-negative int that is not a bool: JSON ``true`` loads as ``True``,
+    which ``isinstance(True, int)`` would accept as 1."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 class Signature:
     """Relation symbols with arities, a transition sub-vocabulary, and a basepoint count.
 
@@ -48,7 +54,7 @@ class Signature:
     ):
         rels = dict(relations)
         for name, arity in rels.items():
-            if not isinstance(arity, int) or arity < 1:
+            if not _is_natural(arity) or arity < 1:
                 raise InvalidStructureError(
                     f"signature.relations.{name}: arity must be a positive integer, got {arity!r}"
                 )
@@ -66,7 +72,7 @@ class Signature:
                 raise InvalidStructureError(
                     f"signature.transitions: {name!r} has arity {rels[name]}, transitions must be binary"
                 )
-        if not isinstance(num_basepoints, int) or num_basepoints < 0:
+        if not _is_natural(num_basepoints):
             raise InvalidStructureError(
                 f"signature.num_basepoints: must be a natural number, got {num_basepoints!r}"
             )
@@ -114,11 +120,13 @@ class Structure:
 
     Immutable after construction; all operations in this package are pure.
     Its index is built piece by piece on first use and cached: the relation
-    frozensets behind ``has_tuple``, the tuples through each element
-    (``tuples_at``), successors and predecessors (``accessible``), the
-    transition edges, and the atom-code table (``atom_codes``): one small int
-    per element and per ordered pair of elements for the atoms on exactly
-    those elements, as tuples of ints indexed by universe position.
+    frozensets behind ``has_tuple`` (``tuple_set``), the tuples through each
+    element (``tuples_at``), successors and predecessors over all transitions
+    (``accessible``), the partners of each element in one binary relation
+    (``partners``), the transition edges, and the atom-code table
+    (``atom_codes``): one small int per element and per ordered pair of
+    elements for the atoms on exactly those elements, as tuples of ints
+    indexed by universe position.
     """
 
     __slots__ = (
@@ -129,6 +137,7 @@ class Structure:
         "_pos",
         "_tuple_sets",
         "_steps",
+        "_partners",
         "_tuples_at",
         "_atoms",
         "_edges",
@@ -191,6 +200,8 @@ class Structure:
         self._tuple_sets: dict[str, frozenset[tuple[str, ...]]] = {}
         # successors and predecessors over every transition relation
         self._steps: tuple[dict[str, tuple[str, ...]], ...] | None = None
+        # (relation, backward) -> element -> its partners in universe order
+        self._partners: dict[tuple[str, bool], dict[str, tuple[str, ...]]] = {}
         self._tuples_at: dict[str, tuple[tuple[str, tuple[str, ...]], ...]] | None = (
             None
         )
@@ -233,12 +244,15 @@ class Structure:
         return self._pos[element]
 
     def has_tuple(self, relation: str, tup: Sequence[str]) -> bool:
-        """Membership in a relation, against a frozenset of its tuples built
-        on first use."""
+        """Membership in a relation, against ``tuple_set(relation)``."""
+        return tuple(tup) in self.tuple_set(relation)
+
+    def tuple_set(self, relation: str) -> frozenset[tuple[str, ...]]:
+        """The tuples of a relation as a frozenset, built on first use."""
         tuples = self._tuple_sets.get(relation)
         if tuples is None:
             tuples = self._tuple_sets[relation] = frozenset(self.relations[relation])
-        return tuple(tup) in tuples
+        return tuples
 
     def tuples_at(self, element: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
         """The ``(relation, tuple)`` pairs whose tuple contains ``element``,
@@ -309,6 +323,30 @@ class Structure:
             if backward:
                 seen.update(pred[e])
         return tuple(filter(seen.__contains__, self.universe))
+
+    def partners(
+        self, relation: str, backward: bool = False
+    ) -> Mapping[str, tuple[str, ...]]:
+        """For a binary relation R, each element's successors ``{v : R(u, v)}``
+        in universe order, or with ``backward`` its predecessors
+        ``{u : R(u, v)}``.  Both directions are built on the first use of the
+        relation, from one sort of its pairs by universe position.  The map
+        returned is the cache itself, so callers must not change it."""
+        got = self._partners.get((relation, backward))
+        if got is None:
+            if self.signature.relations.get(relation) != 2:
+                raise ValueError(f"partners: {relation!r} is not a binary relation")
+            pos = self._pos
+            succ: dict[str, list[str]] = {e: [] for e in self.universe}
+            pred: dict[str, list[str]] = {e: [] for e in self.universe}
+            pairs = sorted(self.relations[relation], key=lambda t: (pos[t[0]], pos[t[1]]))
+            for u, v in pairs:
+                succ[u].append(v)
+                pred[v].append(u)
+            for direction, found in ((False, succ), (True, pred)):
+                self._partners[relation, direction] = {e: tuple(v) for e, v in found.items()}
+            got = self._partners[relation, backward]
+        return got
 
     def transition_edges(self) -> frozenset[tuple[str, str]]:
         """All directed (u, v) pairs related by some transition relation, as

@@ -1,15 +1,20 @@
 """Reference implementations the tests compare the production checks with.
 
 Each one is the from-scratch form of something the package now computes
-incrementally: the atomic type of a whole tuple, the coKleisli morphism
-search over the materialized I-carrier, the back-and-forth relation that
-compares every atom of every extension tuple, and the per-reply check of the
-games' winning condition that the arena's atom-code filter replaced.
+incrementally or more cheaply: the atomic type of a whole tuple, the
+coKleisli morphism search over the materialized I-carrier, the
+back-and-forth relation that compares every atom of every extension tuple,
+the per-reply check of the games' winning condition that the arena's
+atom-code filter replaced, the first-order evaluator that tests every guard
+on every element and memoizes every node, and the parsers over a tokenizer
+that matches one token at a time.
 """
 from __future__ import annotations
 
+import re
 from collections import Counter
 from itertools import product
+from typing import Mapping
 
 from hybridkit.comonads import (
     DEFAULT_MAX_PLAYS,
@@ -18,7 +23,28 @@ from hybridkit.comonads import (
     play_join,
     play_parts,
 )
+from hybridkit import syntax as sx
+from hybridkit.errors import ParseError, ScopeError
 from hybridkit.structures import Structure, with_identity_I
+from hybridkit.syntax import (
+    Acc,
+    And,
+    Bottom,
+    BoundedExists,
+    BoundedForall,
+    Const,
+    CountExists,
+    Eq,
+    Exists,
+    FOFormula,
+    Forall,
+    Not,
+    Or,
+    Rel,
+    Term,
+    Top,
+    Var,
+)
 
 
 def atomic_type_key(s: Structure, tup: tuple[str, ...]):
@@ -258,3 +284,382 @@ def _maps_into(tuples, h, target: Structure) -> bool:
         ):
             return False
     return True
+
+
+# -- first-order evaluation -----------------------------------------------------
+
+
+class Evaluator:
+    """Single-call evaluator that caches every node on (node, values of its
+    free variables) and tests each quantifier's guard on every element."""
+
+    def __init__(self, s: Structure):
+        self.s = s
+        self._cache: dict[tuple[FOFormula, tuple], bool] = {}
+
+    def term(self, t: Term, env: Mapping[str, str]) -> str:
+        if isinstance(t, Var):
+            try:
+                return env[t.name]
+            except KeyError:
+                raise ScopeError(f"unbound variable {t.name!r}") from None
+        if isinstance(t, Const):
+            if not 1 <= t.index <= len(self.s.basepoints):
+                raise ScopeError(
+                    f"constant c{t.index} out of range: structure has "
+                    f"{len(self.s.basepoints)} basepoints"
+                )
+            return self.s.basepoints[t.index - 1]
+        raise TypeError(f"not a term: {t!r}")
+
+    def eval(self, f: FOFormula, env: Mapping[str, str]) -> bool:
+        key = (f, tuple([env.get(v) for v in f.free]))
+        got = self._cache.get(key)
+        if got is None:
+            got = self._eval(f, env)
+            self._cache[key] = got
+        return got
+
+    def _eval(self, f: FOFormula, env: Mapping[str, str]) -> bool:
+        s = self.s
+        if isinstance(f, Rel):
+            if f.name not in s.signature.relations:
+                raise ScopeError(f"unknown relation symbol {f.name!r}")
+            tup = tuple(self.term(t, env) for t in f.args)
+            return s.has_tuple(f.name, tup)
+        if isinstance(f, Eq):
+            return self.term(f.left, env) == self.term(f.right, env)
+        if isinstance(f, Top):
+            return True
+        if isinstance(f, Bottom):
+            return False
+        if isinstance(f, Acc):
+            target = env.get(f.var)
+            if target is None:
+                raise ScopeError(f"unbound variable {f.var!r}")
+            sources = [self.term(t, env) for t in f.sources]
+            return any(
+                s.has_tuple(name, (src, target))
+                for name in s.signature.transitions
+                for src in sources
+            )
+        if isinstance(f, Not):
+            return not self.eval(f.sub, env)
+        if isinstance(f, And):
+            return self.eval(f.left, env) and self.eval(f.right, env)
+        if isinstance(f, Or):
+            return self.eval(f.left, env) or self.eval(f.right, env)
+        if isinstance(f, Forall):
+            return all(
+                self.eval(f.body, {**env, f.var: e}) for e in s.universe
+            )
+        if isinstance(f, Exists):
+            return any(
+                self.eval(f.body, {**env, f.var: e}) for e in s.universe
+            )
+        if isinstance(f, BoundedForall):
+            return all(
+                self.eval(f.body, {**env, f.var: e})
+                for e in s.universe
+                if self.eval(f.guard, {**env, f.var: e})
+            )
+        if isinstance(f, BoundedExists):
+            return any(
+                self.eval(f.guard, {**env, f.var: e})
+                and self.eval(f.body, {**env, f.var: e})
+                for e in s.universe
+            )
+        if isinstance(f, CountExists):
+            hits = 0
+            for e in s.universe:
+                inner = {**env, f.var: e}
+                if self.eval(f.guard, inner) and self.eval(f.body, inner):
+                    hits += 1
+                    if hits >= f.count:
+                        return True
+            return False
+        raise TypeError(f"not a first-order formula: {f!r}")
+
+
+def eval_fo(f: FOFormula, s: Structure, env: Mapping[str, str] | None = None) -> bool:
+    """``semantics.eval_fo`` through the reference evaluator."""
+    return Evaluator(s).eval(f, dict(env or {}))
+
+
+# -- parsing ----------------------------------------------------------------------
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<id>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>[0-9]+)"
+    r"|(?P<op>->|>=|[().,;=&|!@]))"
+)
+
+_HYBRID_KEYWORDS = {"box", "dia", "boxinv", "diainv", "down"}
+_FO_KEYWORDS = {"forall", "exists", "true", "false", "acc"}
+
+_WORLD_VAR_RE = re.compile(r"^[xyzuvw][0-9]*$")
+_NOMINAL_RE = re.compile(r"^c([0-9]+)$")
+
+
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, position)`` triples, one regex match per token, ending
+    with an ``end`` token.  An unexpected character is reported where it
+    stands, after any whitespace before it."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            stripped = text[pos:].lstrip()
+            if stripped:
+                bad = len(text) - len(stripped)
+                raise ParseError(f"unexpected character {text[bad]!r}", bad)
+            break
+        if m.group("id"):
+            tokens.append(("id", m.group("id"), m.start("id")))
+        elif m.group("num"):
+            tokens.append(("num", m.group("num"), m.start("num")))
+        else:
+            tokens.append(("op", m.group("op"), m.start("op")))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str, value: str | None = None):
+        tok = self.next()
+        if tok[0] != kind or (value is not None and tok[1] != value):
+            want = value if value is not None else kind
+            raise ParseError(f"expected {want!r}, found {tok[1] or 'end of input'!r}", tok[2])
+
+    def at_op(self, op: str) -> bool:
+        tok = self.peek()
+        return tok[0] == "op" and tok[1] == op
+
+    def eat_op(self, op: str) -> bool:
+        if self.at_op(op):
+            self.i += 1
+            return True
+        return False
+
+    def done(self):
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+
+
+class _HybridParser(_Parser):
+    def formula(self) -> sx.HybridFormula:
+        f = self.or_expr()
+        self.done()
+        return f
+
+    def or_expr(self) -> sx.HybridFormula:
+        f = self.and_expr()
+        while self.eat_op("|"):
+            f = sx.Disj(f, self.and_expr())
+        return f
+
+    def and_expr(self) -> sx.HybridFormula:
+        f = self.unary()
+        while self.eat_op("&"):
+            f = sx.Conj(f, self.unary())
+        return f
+
+    def unary(self) -> sx.HybridFormula:
+        tok = self.peek()
+        if tok[0] == "op" and tok[1] == "!":
+            self.next()
+            return sx.Neg(self.unary())
+        if tok[0] == "op" and tok[1] == "@":
+            self.next()
+            anchor = self.name_ref()
+            return sx.At(anchor, self.unary())
+        if tok[0] == "id" and tok[1] in ("box", "dia", "boxinv", "diainv"):
+            self.next()
+            ctor = {"box": sx.Box, "dia": sx.Dia, "boxinv": sx.BoxInv, "diainv": sx.DiaInv}[tok[1]]
+            return ctor(self.unary())
+        if tok[0] == "id" and tok[1] == "down":
+            self.next()
+            var_tok = self.next()
+            if var_tok[0] != "id" or not _WORLD_VAR_RE.match(var_tok[1]):
+                raise ParseError(f"expected a world variable after 'down', found {var_tok[1]!r}", var_tok[2])
+            self.expect("op", ".")
+            return sx.Bind(var_tok[1], self.or_expr())
+        return self.primary()
+
+    def name_ref(self) -> sx.HybridFormula:
+        tok = self.next()
+        if tok[0] != "id":
+            raise ParseError(f"expected a world variable or nominal, found {tok[1]!r}", tok[2])
+        m = _NOMINAL_RE.match(tok[1])
+        if m:
+            return sx.Nom(int(m.group(1)))
+        if _WORLD_VAR_RE.match(tok[1]):
+            return sx.WVar(tok[1])
+        raise ParseError(f"{tok[1]!r} is neither a world variable nor a nominal", tok[2])
+
+    def primary(self) -> sx.HybridFormula:
+        tok = self.next()
+        if tok[0] == "op" and tok[1] == "(":
+            f = self.or_expr()
+            self.expect("op", ")")
+            return f
+        if tok[0] == "id":
+            if tok[1] in _HYBRID_KEYWORDS:
+                raise ParseError(f"unexpected keyword {tok[1]!r}", tok[2])
+            m = _NOMINAL_RE.match(tok[1])
+            if m:
+                return sx.Nom(int(m.group(1)))
+            if _WORLD_VAR_RE.match(tok[1]):
+                return sx.WVar(tok[1])
+            return sx.Atom(tok[1])
+        raise ParseError(f"expected a formula, found {tok[1] or 'end of input'!r}", tok[2])
+
+
+def parse_hybrid(text: str) -> sx.HybridFormula:
+    """The hybrid formula of ``text``, with no scope checks: compare with
+    ``parser.parse_hybrid(text, closed=False)``."""
+    return _HybridParser(text).formula()
+
+
+def _term_of(name: str) -> sx.Term:
+    m = _NOMINAL_RE.match(name)
+    if m:
+        return sx.Const(int(m.group(1)))
+    return sx.Var(name)
+
+
+def _guard_shape(guard: sx.FOFormula, var: str) -> bool:
+    if not isinstance(guard, sx.Rel) or len(guard.args) != 2:
+        return False
+    v = sx.Var(var)
+    return (guard.args[0] == v) != (guard.args[1] == v)
+
+
+class _FOParser(_Parser):
+    def formula(self) -> sx.FOFormula:
+        f = self.impl_expr()
+        self.done()
+        return f
+
+    def impl_expr(self) -> sx.FOFormula:
+        f = self.or_expr()
+        if self.eat_op("->"):
+            return sx.Or(sx.Not(f), self.impl_expr())
+        return f
+
+    def or_expr(self) -> sx.FOFormula:
+        f = self.and_expr()
+        while self.eat_op("|"):
+            f = sx.Or(f, self.and_expr())
+        return f
+
+    def and_expr(self) -> sx.FOFormula:
+        f = self.unary()
+        while self.eat_op("&"):
+            f = sx.And(f, self.unary())
+        return f
+
+    def unary(self) -> sx.FOFormula:
+        tok = self.peek()
+        if tok[0] == "op" and tok[1] == "!":
+            self.next()
+            return sx.Not(self.unary())
+        if tok[0] == "id" and tok[1] in ("forall", "exists"):
+            return self.quantifier()
+        return self.primary()
+
+    def quantifier(self) -> sx.FOFormula:
+        kw = self.next()
+        count = None
+        if kw[1] == "exists" and self.eat_op(">="):
+            num = self.next()
+            if num[0] != "num":
+                raise ParseError(f"expected a count after '>=', found {num[1]!r}", num[2])
+            count = int(num[1])
+            if count < 1:
+                raise ParseError("counting threshold must be at least 1", num[2])
+        var_tok = self.next()
+        if var_tok[0] != "id" or _NOMINAL_RE.match(var_tok[1]):
+            raise ParseError(f"expected a variable, found {var_tok[1]!r}", var_tok[2])
+        var = var_tok[1]
+        body = self.unary()
+        if count is not None:
+            if isinstance(body, sx.And) and _guard_shape(body.left, var):
+                return sx.CountExists(count, var, body.left, body.right)
+            raise ParseError(
+                "counting quantifier requires a guarded body of the form (E(t,y) & f)",
+                var_tok[2],
+            )
+        if kw[1] == "exists":
+            if isinstance(body, sx.And) and _guard_shape(body.left, var):
+                return sx.BoundedExists(var, body.left, body.right)
+            return sx.Exists(var, body)
+        if (
+            isinstance(body, sx.Or)
+            and isinstance(body.left, sx.Not)
+            and _guard_shape(body.left.sub, var)
+        ):
+            return sx.BoundedForall(var, body.left.sub, body.right)
+        return sx.Forall(var, body)
+
+    def primary(self) -> sx.FOFormula:
+        tok = self.next()
+        if tok[0] == "op" and tok[1] == "(":
+            f = self.impl_expr()
+            self.expect("op", ")")
+            return f
+        if tok[0] == "id" and tok[1] == "true":
+            return sx.TRUE
+        if tok[0] == "id" and tok[1] == "false":
+            return sx.FALSE
+        if tok[0] == "id" and tok[1] == "acc":
+            self.expect("op", "(")
+            sources = [self.term()]
+            while self.eat_op(","):
+                sources.append(self.term())
+            self.expect("op", ";")
+            var_tok = self.next()
+            if var_tok[0] != "id" or _NOMINAL_RE.match(var_tok[1]):
+                raise ParseError(f"expected a variable, found {var_tok[1]!r}", var_tok[2])
+            self.expect("op", ")")
+            return sx.Acc(tuple(sources), var_tok[1])
+        if tok[0] == "id":
+            if tok[1] in _FO_KEYWORDS:
+                raise ParseError(f"unexpected keyword {tok[1]!r}", tok[2])
+            if self.at_op("("):
+                self.next()
+                args = [self.term()]
+                while self.eat_op(","):
+                    args.append(self.term())
+                self.expect("op", ")")
+                return sx.Rel(tok[1], tuple(args))
+            left = _term_of(tok[1])
+            self.expect("op", "=")
+            return sx.Eq(left, self.term())
+        raise ParseError(f"expected a formula, found {tok[1] or 'end of input'!r}", tok[2])
+
+    def term(self) -> sx.Term:
+        tok = self.next()
+        if tok[0] != "id" or tok[1] in _FO_KEYWORDS:
+            raise ParseError(f"expected a term, found {tok[1] or 'end of input'!r}", tok[2])
+        return _term_of(tok[1])
+
+
+def parse_fo(text: str) -> sx.FOFormula:
+    """``parser.parse_fo`` through the reference parser."""
+    return _FOParser(text).formula()

@@ -128,6 +128,14 @@ GOOD = {
             "signature.transitions[0]: relation names",
         ),
         ({"basepoints": [["a"]]}, "basepoints[0]: element ids"),
+        (
+            {"signature": {"relations": {"E": 2, "P": True}, "transitions": ["E"]}},
+            "signature.relations.P: arity must be a positive integer, got True",
+        ),
+        (
+            {"signature": {"relations": {"E": 2, "P": False}, "transitions": ["E"]}},
+            "signature.relations.P: arity must be a positive integer, got False",
+        ),
     ],
     ids=[
         "relation_not_a_list",
@@ -136,6 +144,8 @@ GOOD = {
         "entry_not_a_string",
         "transition_not_a_string",
         "basepoint_not_a_string",
+        "arity_true",
+        "arity_false",
     ],
 )
 def test_malformed_document_is_an_input_error(tmp_path, capsys, patch, where):

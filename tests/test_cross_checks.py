@@ -2,24 +2,32 @@
 
 ``scott_type``, ``find_cokleisli_morphism`` and ``back_and_forth_rank``
 build atomic information incrementally along each extension tuple or play,
-and the game arena filters Duplicator's replies through per-structure atom
-codes; ``oracles`` keeps the from-scratch forms they replaced.  Random
-structures of up to 6 elements come in four shapes: unimodal, bimodal with
-two basepoints, with a ternary relation, and with a repeated basepoint; the
-games draw theirs with a ternary relation in every shape.
+the game arena filters Duplicator's replies through per-structure atom
+codes, the first-order evaluator walks guarded quantifiers over the
+partner index and memoizes only compound operands, and the parsers read a
+token list made by one ``findall``; ``oracles`` keeps the forms they
+replaced.  Random structures of up to 6 elements come in four shapes:
+unimodal, bimodal with two basepoints, with a ternary relation, and with a
+repeated basepoint; the games draw theirs with a ternary relation in every
+shape.
 """
+import contextlib
 import hashlib
+import signal
+import time
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hybridkit import games
+from hybridkit import games, syntax as sx
 from hybridkit.comonads import ComonadKind, find_cokleisli_morphism
-from hybridkit.errors import ResourceLimitError
+from hybridkit.errors import ParseError, ResourceLimitError, ScopeError
 from hybridkit.games import DUPLICATOR, GameVariant, back_and_forth_rank, solve
 from hybridkit import scott
 from hybridkit.scott import scott_type
+from hybridkit.parser import parse_fo, parse_hybrid, print_fo, print_hybrid
+from hybridkit.semantics import eval_fo
 from hybridkit.structures import Signature, Structure
 
 import oracles
@@ -234,4 +242,232 @@ class TestPinnedSolverOutputs:
             digest.update(line.encode() + b"\n")
         assert digest.hexdigest() == (
             "36936de618d6f13afa806eb1f8b4351a7ed3ae5c7828a0d0043ba41b9beab0cb"
+        )
+
+
+# -- formulas --------------------------------------------------------------------------
+
+#: two transitions, a non-transition binary relation and a ternary one
+EVAL_RELATIONS = {"P": 1, "E": 2, "F": 2, "N": 2, "R": 3}
+
+
+@st.composite
+def eval_structures(draw) -> Structure:
+    """Up to 6 elements over ``EVAL_RELATIONS`` with 1 or 2 basepoints, where
+    about one element in three carries an ``E`` loop."""
+    m = draw(st.integers(1, 2))
+    size = draw(st.integers(1, 6))
+    universe = [f"v{i}" for i in range(size)]
+    element = st.sampled_from(universe)
+    rels = {}
+    for name, arity in sorted(EVAL_RELATIONS.items()):
+        # one draw per tuple: its number in base ``size``
+        codes = draw(st.lists(st.integers(0, size**arity - 1), max_size=2 * size))
+        rels[name] = [
+            tuple(universe[code // size**i % size] for i in range(arity)) for code in codes
+        ]
+    rels["E"] += [(e, e) for e in draw(st.lists(element, max_size=size // 3 + 1))]
+    basepoints = draw(st.lists(element, min_size=m, max_size=m))
+    signature = Signature(EVAL_RELATIONS, ["E", "F"], m)
+    return Structure(signature, universe, rels, basepoints)
+
+
+@st.composite
+def eval_formulas(draw, scope: tuple[str, ...] = ("x",), depth: int = 3, top: bool = False):
+    """A first-order formula over ``EVAL_RELATIONS`` whose terms are mostly
+    the variables in ``scope`` and the constants c1, c2, now and then an
+    unbound variable, the constant c3 or the unknown relation ``Z``; with
+    ``top``, a quantified one."""
+    names = list(scope) * 12 + ["w"]
+    term = st.sampled_from(
+        [sx.Var(v) for v in names] + [sx.Const(1)] * 8 + [sx.Const(2)] * 3 + [sx.Const(3)]
+    )
+    kinds = ["rel", "rel", "eq", "acc", "truth", "not", "and", "or"]
+    if depth:
+        kinds = ([] if top else kinds) + ["quantifier"] * 8
+    kind = draw(st.sampled_from(kinds))
+    if kind == "rel":
+        name = draw(st.sampled_from(sorted(EVAL_RELATIONS) * 3 + ["Z"]))
+        arity = EVAL_RELATIONS.get(name, 2)
+        return sx.Rel(name, tuple(draw(term) for _ in range(arity)))
+    if kind == "eq":
+        return sx.Eq(draw(term), draw(term))
+    if kind == "acc":
+        sources = tuple(draw(st.lists(term, min_size=1, max_size=2)))
+        return sx.Acc(sources, draw(st.sampled_from(names)))
+    if kind == "truth":
+        return draw(st.sampled_from([sx.TRUE, sx.FALSE]))
+    if kind == "not":
+        return sx.Not(draw(eval_formulas(scope, depth)))
+    if kind in ("and", "or"):
+        join = sx.conj_all if kind == "and" else sx.disj_all
+        return join(draw(st.lists(eval_formulas(scope, depth), min_size=2, max_size=3)))
+    var = draw(st.sampled_from(["y", "z"]))
+    inner = tuple(dict.fromkeys(scope + (var,)))
+    body = draw(eval_formulas(inner, depth - 1))
+    quantifier = draw(
+        st.sampled_from(["forall", "exists"] + ["bforall", "bexists", "count"] * 2)
+    )
+    if quantifier == "forall":
+        return sx.Forall(var, body)
+    if quantifier == "exists":
+        return sx.Exists(var, body)
+    guard = draw(guards(var, term))
+    if quantifier == "bforall":
+        return sx.BoundedForall(var, guard, body)
+    if quantifier == "bexists":
+        return sx.BoundedExists(var, guard, body)
+    return sx.CountExists(draw(st.integers(1, 3)), var, guard, body)
+
+
+@st.composite
+def guards(draw, var: str, term):
+    """A forward or backward atom over a transition, ``N``, the unary ``P``
+    or the unknown ``Z``; a self-guard; an ``Acc``; or any atom."""
+    y = sx.Var(var)
+    shape = draw(st.sampled_from(["forward"] * 3 + ["backward"] * 2 + ["self", "acc", "other"]))
+    name = draw(st.sampled_from(["E"] * 4 + ["F"] * 2 + ["N", "P", "Z"]))
+    if shape == "forward":
+        return sx.Rel(name, (draw(term), y))
+    if shape == "backward":
+        return sx.Rel(name, (y, draw(term)))
+    if shape == "self":
+        return sx.Rel(name, (y, y))
+    if shape == "acc":
+        return sx.Acc(tuple(draw(st.lists(term, min_size=1, max_size=2))), var)
+    return draw(eval_formulas((var,), 0))
+
+
+def _outcome(fn, *args):
+    """The value of ``fn``, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (ScopeError, ParseError) as exc:
+        return type(exc), str(exc)
+
+
+@contextlib.contextmanager
+def _interrupted_after(seconds: float):
+    """Raise ``TimeoutError`` in the block once ``seconds`` have passed,
+    where the platform has interval timers."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestEvaluatorAgainstOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(eval_structures(), eval_formulas(top=True), st.data())
+    def test_values_and_errors_match(self, s, f, data):
+        bound = data.draw(st.sampled_from([True] * 5 + [False]))
+        env = {"x": data.draw(st.sampled_from(s.universe))} if bound else {}
+        assert _outcome(eval_fo, f, s, env) == _outcome(oracles.eval_fo, f, s, env)
+
+    def test_empty_universe_raises_no_guard_error(self):
+        empty = Structure(Signature({"E": 2}, ["E"], 0), [], {})
+        y = sx.Var("y")
+        for guard in (sx.Rel("Z", (sx.Var("w"), y)), sx.Rel("E", (sx.Const(4), y))):
+            f = sx.CountExists(1, "y", guard, sx.TRUE)
+            assert not eval_fo(f, empty)
+            assert eval_fo(sx.BoundedForall("y", guard, sx.FALSE), empty)
+            one = Structure(Signature({"E": 2}, ["E"], 0), ["a"], {})
+            assert _outcome(eval_fo, f, one) == _outcome(oracles.eval_fo, f, one)
+            assert isinstance(_outcome(eval_fo, f, one), tuple)
+
+    @pytest.mark.parametrize("ctor, base", [(sx.And, True), (sx.Or, False)])
+    def test_shared_operands_stay_polynomial(self, ctor, base):
+        # f_{i+1} = ctor(f_i, f_i) is 40 nodes but 2^40 tree leaves; both
+        # operands are evaluated at every level on a loop
+        loop = Structure(Signature({"E": 2}, ["E"], 1), ["a"], {"E": [("a", "a")]}, ["a"])
+        y = sx.Var("y")
+        f = sx.Rel("E", (y, y)) if base else sx.Not(sx.Rel("E", (y, y)))
+        for _ in range(40):
+            f = ctor(f, f)
+        sentence = sx.BoundedExists("y", sx.Rel("E", (sx.Const(1), y)), f)
+        start = time.perf_counter()
+        with _interrupted_after(5):  # an exponential walk would never end
+            assert eval_fo(sentence, loop) == base
+        assert time.perf_counter() - start < 1
+
+
+VOCABULARY = [
+    "(", ")", ",", ";", ".", "=", "&", "|", "!", "@", "->", ">=",
+    "exists", "forall", "true", "false", "acc", "box", "dia", "down",
+    "E", "P", "x", "y", "c1", "c0", "p", "2", "0", "$", "-", ">",
+]
+
+
+@st.composite
+def mutated(draw, text: str) -> str:
+    """``text``, or it with one token dropped, inserted or replaced."""
+    spans = [(start, start + len(tok)) for _, tok, start in oracles.tokenize(text)[:-1]]
+    how = draw(st.sampled_from(["same", "drop", "insert", "replace"]))
+    if how == "same":
+        return text
+    if how == "insert" or not spans:
+        at = draw(st.sampled_from([start for start, _ in spans] + [len(text)]))
+        return f"{text[:at]}{draw(st.sampled_from(VOCABULARY))} {text[at:]}"
+    start, end = draw(st.sampled_from(spans))
+    new = "" if how == "drop" else draw(st.sampled_from(VOCABULARY))
+    return text[:start] + new + text[end:]
+
+
+class TestParsersAgainstOracle:
+    @staticmethod
+    def check(text: str) -> None:
+        assert _outcome(parse_fo, text) == _outcome(oracles.parse_fo, text)
+        assert _outcome(parse_hybrid, text, False) == _outcome(oracles.parse_hybrid, text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(eval_formulas(depth=2), st.data())
+    def test_printed_first_order_formulas(self, f, data):
+        self.check(data.draw(mutated(print_fo(f))))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.data())
+    def test_printed_hybrid_formulas(self, rng, data):
+        from randgen import random_hybrid_formula
+
+        self.check(data.draw(mutated(print_hybrid(random_hybrid_formula(rng, depth=3)))))
+
+
+def _formula_outputs(structure_pairs):
+    """The printed characteristic formulas and Scott sentence of each left
+    structure, and on each pair the values of those, the temporal
+    characteristic formula and the counting normal form."""
+    built = {}
+    for a, b in structure_pairs:
+        for k in (1, 2):
+            if (a, k) not in built:
+                chi = scott.characteristic_formula(a, k)
+                chi_t = scott.characteristic_formula(a, k, temporal=True)
+                sentence = scott.scott_formula(a, k)
+                normal = scott.normalize_counting(sentence, a.signature)
+                built[a, k] = (chi, chi_t, sentence, normal)
+                yield f"chi {k} {print_fo(chi)}"
+                yield f"chi-t {k} {print_fo(chi_t)}"
+                yield f"scott {k} {print_fo(sentence)}"
+            values = " ".join(f"{eval_fo(f, b):d}" for f in built[a, k])
+            yield f"eval {k} {values}"
+
+
+class TestPinnedFormulaOutputs:
+    def test_formulas_and_values_are_unchanged(self):
+        # computed before guarded quantifiers walked the partner index
+        digest = hashlib.sha256()
+        for line in _formula_outputs(pairs(FIXTURES30[:8])):
+            digest.update(line.encode() + b"\n")
+        assert digest.hexdigest() == (
+            "3500eee4f9593c3a0ff8e3117c53a85c4685d738aaecd21b6b64426a2d4272bf"
         )

@@ -93,6 +93,46 @@ class TestFOParsing:
         with pytest.raises(ParseError):
             parse_fo("P(x) P(y)")
 
+    @pytest.mark.parametrize(
+        "text, char, position",
+        [
+            ("P(x)  $", "$", 6),
+            ("P(x)  - Q(x)", "-", 6),
+            ("P(x)\t> Q(x)", ">", 5),
+            ("exists>=2 y (E(c1,y) &  ->> P(y))", ">", 26),
+            ("$", "$", 0),
+        ],
+    )
+    def test_unexpected_character_is_named_where_it_stands(self, text, char, position):
+        with pytest.raises(ParseError) as err:
+            parse_fo(text)
+        assert err.value.position == position
+        assert str(err.value) == f"at position {position}: unexpected character {char!r}"
+
+    def test_hybrid_parser_shares_the_tokenizer(self):
+        with pytest.raises(ParseError) as err:
+            parse_hybrid("p &  $q")
+        assert str(err.value) == "at position 5: unexpected character '$'"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("P(x) &", "at position 6: expected a formula, found 'end of input'"),
+            ("exists>=0 y (E(c1,y) & P(y))", "at position 8: counting threshold must be at least 1"),
+            ("exists>= y (P(y))", "at position 9: expected a count after '>=', found 'y'"),
+            ("exists>=2 y (P(y))", "at position 10: counting quantifier requires a guarded body of the form (E(t,y) & f)"),
+            ("acc(c1 y)", "at position 7: expected ';', found 'y'"),
+            ("forall c1 (P(c1))", "at position 7: expected a variable, found 'c1'"),
+            ("P(true)", "at position 2: expected a term, found 'true'"),
+            ("(P(x)", "at position 5: expected ')', found 'end of input'"),
+            ("P(x)) ", "at position 4: unexpected trailing input ')'"),
+        ],
+    )
+    def test_error_messages_and_positions(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_fo(text)
+        assert str(err.value) == message
+
 
 HYBRID_CASES = [
     "down x. dia x",

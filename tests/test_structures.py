@@ -208,6 +208,22 @@ class TestIndex:
                 assert s.accessible(iter(elems), backward=True) == tuple(both)
 
 
+    @pytest.mark.parametrize("s", FIXTURES30 + BOUNDED_FIXTURES, ids=range(40))
+    def test_partners_match_edge_scan(self, s):
+        for name, arity in s.signature.relations.items():
+            if arity != 2:
+                with pytest.raises(ValueError):
+                    s.partners(name)
+                continue
+            edges = s.relations[name]
+            succ, pred = s.partners(name), s.partners(name, backward=True)
+            assert succ is s.partners(name) and pred is s.partners(name, True)
+            assert list(succ) == list(pred) == list(s.universe)
+            for x in s.universe:
+                assert succ[x] == tuple(v for v in s.universe if (x, v) in edges)
+                assert pred[x] == tuple(u for u in s.universe if (u, x) in edges)
+
+
 class TestMorphismPredicates:
     def test_constant_map_to_loop(self):
         h = {e: "a" for e in PATH3.universe}
@@ -308,6 +324,18 @@ class TestJson:
         with pytest.raises(InvalidStructureError) as err:
             structure_from_data(data)
         assert path in str(err.value)
+
+    @pytest.mark.parametrize("arity", [True, False, 1.0, "2"])
+    def test_arity_must_be_a_positive_int(self, arity):
+        with pytest.raises(InvalidStructureError) as err:
+            Signature({"E": arity}, [], 1)
+        assert str(err.value).startswith("signature.relations.E: arity must be")
+
+    @pytest.mark.parametrize("count", [True, False, -1, 1.0])
+    def test_num_basepoints_must_be_a_natural_int(self, count):
+        with pytest.raises(InvalidStructureError) as err:
+            Signature({"E": 2}, ["E"], count)
+        assert str(err.value).startswith("signature.num_basepoints: must be")
 
     def test_reserved_identity_rejected(self):
         with pytest.raises(InvalidStructureError):
