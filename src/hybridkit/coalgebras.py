@@ -31,13 +31,7 @@ from .structures import (
     is_homomorphism,
     is_partial_isomorphism,
 )
-from .comonads import (
-    ComonadKind,
-    ComonadStructure,
-    build_comonad,
-    play_join,
-    play_parts,
-)
+from .comonads import ComonadKind, ComonadStructure, build_comonad
 
 
 class TreeCover:
@@ -172,11 +166,11 @@ def cover_to_coalgebra(
     base = t.base
     kind = kind or default_kind(base)
     target = build_comonad(base, kind, k, with_I=False)
-    plays = set(target.plays)
+    play_of = {parts: play for play, parts in target.parts.items()}
     alpha = {}
     for e in base.universe:
-        play = play_join(t.branch(e))
-        if play not in plays:
+        play = play_of.get(t.branch(e))
+        if play is None:
             raise ValueError(f"branch of {e!r} is not a play of the carrier")
         alpha[e] = play
     return Coalgebra(target, alpha)
@@ -188,11 +182,10 @@ def coalgebra_to_cover(c: Coalgebra) -> TreeCover:
     report = check_coalgebra_laws(c)
     if not report.all_pass:
         raise ValueError(f"coalgebra laws fail: {report.failures[0]}")
-    parent = {}
-    for e, play in c.alpha.items():
-        parts = play_parts(play)
-        if len(parts) > 1:
-            parent[e] = parts[-2]
+    parts = c.target.parts
+    parent = {
+        e: parts[play][-2] for e, play in c.alpha.items() if len(parts[play]) > 1
+    }
     return TreeCover(c.base, parent)
 
 
@@ -217,8 +210,8 @@ class CoalgebraLawReport:
 def check_coalgebra_laws(c: Coalgebra) -> CoalgebraLawReport:
     base = c.base
     carrier = c.target.carrier
+    parts, prefixes = c.target.parts, c.target.prefixes
     failures: list[str] = []
-    plays = set(carrier.universe)
 
     membership = True
     for e in base.universe:
@@ -226,7 +219,7 @@ def check_coalgebra_laws(c: Coalgebra) -> CoalgebraLawReport:
             failures.append(f"no play assigned to {e!r}")
             membership = False
             break
-        if c.alpha[e] not in plays:
+        if c.alpha[e] not in parts:
             failures.append(f"branch of {e!r} is not a play of the carrier")
             membership = False
             break
@@ -234,7 +227,7 @@ def check_coalgebra_laws(c: Coalgebra) -> CoalgebraLawReport:
     counit_law = membership
     if membership:
         for e in base.universe:
-            if play_parts(c.alpha[e])[-1] != e:
+            if parts[c.alpha[e]][-1] != e:
                 failures.append(f"counit law fails at {e!r}")
                 counit_law = False
                 break
@@ -242,9 +235,9 @@ def check_coalgebra_laws(c: Coalgebra) -> CoalgebraLawReport:
     comult_law = membership
     if membership:
         for e in base.universe:
-            parts = play_parts(c.alpha[e])
-            for i, entry in enumerate(parts, start=1):
-                if c.alpha.get(entry) != play_join(parts[:i]):
+            play = c.alpha[e]
+            for entry, prefix in zip(parts[play], prefixes[play]):
+                if c.alpha.get(entry) != prefix:
                     failures.append(
                         f"comultiplication law fails at {e!r} (entry {entry!r})"
                     )
@@ -381,15 +374,13 @@ def enumerate_coalgebras(
     Independent of the cover enumeration."""
     kind = kind or default_kind(s)
     target = build_comonad(s, kind, k, with_I=False)
+    parts, prefixes = target.parts, target.prefixes
     ends_with: dict[str, list[str]] = {e: [] for e in s.universe}
     for play in target.plays:
-        ends_with[play_parts(play)[-1]].append(play)
+        ends_with[parts[play][-1]].append(play)
 
     order = list(s.universe)
-    seed = {
-        s.basepoints[i]: play_join(s.basepoints[: i + 1])
-        for i in range(s.signature.num_basepoints)
-    }
+    seed = dict(zip(s.basepoints, target.carrier.basepoints))
 
     def assign(i: int, alpha: dict[str, str]) -> Iterator[dict[str, str]]:
         if i == len(order):
@@ -401,10 +392,8 @@ def enumerate_coalgebras(
             return
         for play in ends_with[e]:
             added = []
-            parts = play_parts(play)
             ok = True
-            for j, entry in enumerate(parts, start=1):
-                want = play_join(parts[:j])
+            for entry, want in zip(parts[play], prefixes[play]):
                 if entry in alpha:
                     if alpha[entry] != want:
                         ok = False

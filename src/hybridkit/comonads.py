@@ -1,10 +1,18 @@
 """Explicit construction of the play comonads over pointed structures.
 
-A carrier is an ordinary :class:`Structure` whose elements encode plays
-(nonempty sequences of base elements joined with ``.``), so every structure
-operation and morphism predicate applies to carriers unchanged.  Plays start
-with the basepoint tuple and are capped at length k+m; each comonad kind
-restricts how a play may grow:
+A carrier is an ordinary :class:`Structure` whose elements name plays
+(nonempty sequences of base elements), so every structure operation and
+morphism predicate applies to carriers unchanged.  A
+:class:`ComonadStructure` keeps, next to its carrier, the maps built in the
+same walk of the play tree: each play's element tuple, whose last element
+is the counit ε, and its prefix plays, which are the comultiplication δ.
+Other modules read these maps.  How a name encodes its play (the elements
+joined with ``.``) is private to this module; ``play_parts`` and
+``play_join`` state it for the tests, for coextension values that need not
+be plays of any carrier, and for the image plays this module renders.
+
+Plays start with the basepoint tuple and are capped at length k+m; each
+comonad kind restricts how a play may grow:
 
 * EF: no restriction (any element may be played);
 * Modal: each element is seen by its immediate predecessor;
@@ -21,10 +29,10 @@ elements.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from itertools import product
-from typing import Mapping
+from itertools import islice, product
+from typing import Mapping, Sequence
 
 from .errors import InvalidStructureError, ResourceLimitError
 from .structures import (
@@ -61,11 +69,21 @@ _UNIMODAL_KINDS = (ComonadKind.MODAL, ComonadKind.HYBRID, ComonadKind.HYBRID_TEM
 
 @dataclass(frozen=True)
 class ComonadStructure:
+    """A carrier over its base structure, with the comonad's structure maps.
+
+    ``parts`` gives each play's element sequence, whose last element is the
+    counit ε; ``prefixes`` gives each play's prefix plays, shortest first,
+    which is the comultiplication δ.  Both maps and the children behind
+    ``children`` are built with the carrier and must not be changed."""
+
     kind: ComonadKind
     k: int
     base: Structure
     carrier: Structure
     with_I: bool
+    parts: Mapping[str, tuple[str, ...]] = field(compare=False, repr=False)
+    prefixes: Mapping[str, tuple[str, ...]] = field(compare=False, repr=False)
+    _children: Mapping[str, tuple[str, ...]] = field(compare=False, repr=False)
 
     @property
     def plays(self) -> tuple[str, ...]:
@@ -73,27 +91,17 @@ class ComonadStructure:
 
     def children(self, play: str) -> tuple[str, ...]:
         """Immediate extensions of a play inside the carrier."""
-        return self._children_map()[play]
-
-    def _children_map(self) -> dict[str, tuple[str, ...]]:
-        cached = getattr(self, "_children_cache", None)
-        if cached is None:
-            out: dict[str, list[str]] = {p: [] for p in self.plays}
-            for p in self.plays:
-                parts = play_parts(p)
-                if len(parts) > 1:
-                    out[play_join(parts[:-1])].append(p)
-            cached = {p: tuple(v) for p, v in out.items()}
-            object.__setattr__(self, "_children_cache", cached)
-        return cached
+        return self._children[play]
 
 
 def _plays(
     base: Structure, kind: ComonadKind, k: int, max_plays: int
-) -> list[tuple[str, ...]]:
-    """The plays of the carrier over a pointed structure, as element tuples,
-    ordered by length, then lexicographically by base universe positions.
-    Raises when the carrier cannot be built or would pass ``max_plays``."""
+) -> dict[tuple[str, ...], Sequence[tuple[str, ...]]]:
+    """The play tree of the carrier over a pointed structure: the empty
+    sequence, then each play as an element tuple, mapped to its immediate
+    extensions.  Plays are ordered by length, then lexicographically by base
+    universe positions.  Raises when the carrier cannot be built or would
+    pass ``max_plays``."""
     if k < 1:
         raise ValueError(f"comonad resource k must be at least 1, got {k}")
     sig = base.signature
@@ -121,29 +129,26 @@ def _plays(
             return base.accessible(played, backward=True)
         return base.accessible(played)
 
-    plays: list[tuple[str, ...]] = []
-    frontier: list[tuple[str, ...]] = []
-    for i in range(1, m + 1):
-        prefix = base.basepoints[:i]
-        plays.append(prefix)
-        frontier = [prefix]
-    if m == 0:
-        frontier = [()]
+    bps = base.basepoints
+    tree: dict[tuple[str, ...], Sequence[tuple[str, ...]]] = {
+        bps[:i]: [bps[: i + 1]] for i in range(m)
+    }
+    tree[bps] = ()
+    frontier = [bps]
     while frontier:
         nxt: list[tuple[str, ...]] = []
         for played in frontier:
-            if len(played) >= k + m:
-                continue
-            for candidate in extensions(played):
-                nxt.append(played + (candidate,))
-        plays.extend(nxt)
-        if len(plays) > max_plays:
+            if len(played) < k + m:
+                below = tree[played] = [played + (e,) for e in extensions(played)]
+                nxt.extend(below)
+        tree.update(dict.fromkeys(nxt, ()))
+        if len(tree) - 1 > max_plays:
             raise ResourceLimitError(
                 f"carrier would exceed {max_plays} plays; "
                 "raise max_plays to build it anyway"
             )
         frontier = nxt
-    return plays
+    return tree
 
 
 def build_comonad(
@@ -157,54 +162,53 @@ def build_comonad(
 
     The carrier universe is ordered by play length, then lexicographically by
     base universe positions, which fixes deterministic iteration for morphism
-    search and dump output.
+    search and dump output.  Each play is named once, from its parent's name,
+    while the play tree is walked; relations are lifted over each play's
+    prefixes, so every tuple is found once, from its longest play.
     """
-    plays = _plays(base, kind, k, max_plays)
+    tree = _plays(base, kind, k, max_plays)
     sig = base.signature
     m = sig.num_basepoints
-    encoded = [play_join(p) for p in plays]
+    parts: dict[str, tuple[str, ...]] = {}
+    prefixes: dict[str, tuple[str, ...]] = {}
+    children: dict[str, tuple[str, ...]] = {}
+    name_of = {(): ""}
+    for played, below in tree.items():
+        up = name_of[played]
+        above = prefixes[up] if played else ()
+        for play in below:
+            name = up + PLAY_SEP + play[-1] if played else play[-1]
+            name_of[play] = name
+            parts[name] = play
+            prefixes[name] = above + (name,)
+        if played:
+            children[up] = tuple(name_of[play] for play in below)
+    plays = list(parts)
     rels: dict[str, list[tuple[str, ...]]] = {name: [] for name in sig.relations}
     single_transition = next(iter(sig.transitions)) if sig.transitions else None
-    by_parts = {p: play_parts(p) for p in encoded}
-    prefix_sets = {
-        p: [play_join(by_parts[p][:i]) for i in range(1, len(by_parts[p]) + 1)]
-        for p in encoded
-    }
     for name, arity in sig.relations.items():
-        base_tuples = set(base.relations[name])
+        base_tuples = base.tuple_set(name)
         out = rels[name]
         if kind is ComonadKind.MODAL and name == single_transition:
-            for p in encoded:
-                parts = by_parts[p]
-                if len(parts) > 1 and (parts[-2], parts[-1]) in base_tuples:
-                    out.append((play_join(parts[:-1]), p))
+            for p in plays:
+                chain = prefixes[p]
+                if len(chain) > 1 and parts[p][-2:] in base_tuples:
+                    out.append((chain[-2], p))
             continue
         if arity == 1:
-            out.extend((p,) for p in encoded if (by_parts[p][-1],) in base_tuples)
+            out.extend((p,) for p in plays if parts[p][-1:] in base_tuples)
             continue
-        seen: set[tuple[str, ...]] = set()
-        for p in encoded:
-            chain = prefix_sets[p]
-            for tup in _tuples_over_chain(chain, p, arity):
-                if tup in seen:
-                    continue
-                seen.add(tup)
-                lasts = tuple(by_parts[q][-1] for q in tup)
-                if lasts in base_tuples:
+        for p in plays:
+            for tup in _tuples_over_chain(prefixes[p], p, arity):
+                if tuple(parts[q][-1] for q in tup) in base_tuples:
                     out.append(tup)
     if with_I:
-        identity: list[tuple[str, str]] = []
-        seen_i: set[tuple[str, str]] = set()
-        for p in encoded:
-            chain = prefix_sets[p]
-            last_p = by_parts[p][-1]
-            for q in chain:
-                for tup in ((p, q), (q, p)):
-                    if tup not in seen_i:
-                        seen_i.add(tup)
-                        if by_parts[tup[0]][-1] == by_parts[tup[1]][-1]:
-                            identity.append(tup)
-        rels[RESERVED_IDENTITY] = identity
+        rels[RESERVED_IDENTITY] = [
+            (p, q)
+            for top in plays
+            for p, q in _tuples_over_chain(prefixes[top], top, 2)
+            if parts[p][-1] == parts[q][-1]
+        ]
         carrier_rels = dict(sig.relations)
         carrier_rels[RESERVED_IDENTITY] = 2
         carrier_sig = Signature(
@@ -212,12 +216,11 @@ def build_comonad(
         )
     else:
         carrier_sig = Signature(sig.relations, sig.transitions, m, _allow_reserved=True)
-    carrier_bps = tuple(play_join(base.basepoints[: i + 1]) for i in range(m))
-    carrier = Structure(carrier_sig, encoded, rels, carrier_bps)
-    return ComonadStructure(kind, k, base, carrier, with_I)
+    carrier = Structure(carrier_sig, plays, rels, plays[:m])
+    return ComonadStructure(kind, k, base, carrier, with_I, parts, prefixes, children)
 
 
-def _tuples_over_chain(chain: list[str], top: str, arity: int):
+def _tuples_over_chain(chain: tuple[str, ...], top: str, arity: int):
     """All arity-tuples of plays from the chain that mention its top element.
 
     Comparable tuples lie on a single branch, so enumerating per branch with
@@ -243,9 +246,10 @@ def _tuples_over_chain(chain: list[str], top: str, arity: int):
 
 def counit(c: ComonadStructure, play: str) -> str:
     """Last element of a play: the current focus."""
-    if play not in c.carrier._pos:
+    parts = c.parts.get(play)
+    if parts is None:
         raise ValueError(f"play {play!r} is not in the carrier")
-    return play_parts(play)[-1]
+    return parts[-1]
 
 
 def cokleisli_extension(
@@ -256,26 +260,22 @@ def cokleisli_extension(
     B whenever the input is a coKleisli homomorphism."""
     if c_a.kind is not c_b.kind or c_a.k != c_b.k:
         raise ValueError("coKleisli extension needs matching kind and resource")
-    out: dict[str, str] = {}
-    for play in c_a.plays:
-        parts = play_parts(play)
-        images = []
-        for i in range(1, len(parts) + 1):
-            prefix = play_join(parts[:i])
-            if prefix not in h:
-                raise ValueError(f"map is not total: no image for play {prefix!r}")
-            images.append(h[prefix])
-        out[play] = play_join(images)
-    return out
+    missing = next((play for play in c_a.plays if play not in h), None)
+    if missing is not None:
+        raise ValueError(f"map is not total: no image for play {missing!r}")
+    return {
+        play: play_join(h[prefix] for prefix in c_a.prefixes[play])
+        for play in c_a.plays
+    }
 
 
 def comultiplication(c: ComonadStructure, play: str) -> tuple[str, ...]:
     """The play of plays listing all prefixes; this is the coextension of the
     identity map."""
-    if play not in c.carrier._pos:
+    prefixes = c.prefixes.get(play)
+    if prefixes is None:
         raise ValueError(f"play {play!r} is not in the carrier")
-    parts = play_parts(play)
-    return tuple(play_join(parts[:i]) for i in range(1, len(parts) + 1))
+    return prefixes
 
 
 @dataclass(frozen=True)
@@ -318,7 +318,7 @@ def check_comonad_laws(
             failures.append(f"counit law fails at {play!r}")
             break
 
-    eps = {play: play_parts(play)[-1] for play in c_a.plays}
+    eps = {play: c_a.parts[play][-1] for play in c_a.plays}
     eps_star = cokleisli_extension(eps, c_a, c_a)
     law2 = True
     for play in c_a.plays:
@@ -372,19 +372,13 @@ def find_cokleisli_morphism(
         raise ValueError("signature mismatch between the two structures")
     if a.signature.num_basepoints != b.signature.num_basepoints:
         raise ValueError("basepoint count mismatch between the two structures")
-    plays = _plays(a, kind, k, max_plays)
+    children = _plays(a, kind, k, max_plays)
     if RESERVED_IDENTITY in a.signature.relations:
         raise InvalidStructureError("structure already interprets 'I'")
     m = a.signature.num_basepoints
-    targets = {name: frozenset(tuples) for name, tuples in b.relations.items()}
     modal_edge = (
         next(iter(a.signature.transitions)) if kind is ComonadKind.MODAL else None
     )
-
-    children: dict[tuple[str, ...], list[tuple[str, ...]]] = {p: [] for p in plays}
-    for play in plays:
-        if len(play) > 1:
-            children[play[:-1]].append(play)
 
     constraints: dict[tuple[str, ...], tuple] = {}
 
@@ -404,12 +398,12 @@ def find_cokleisli_morphism(
             places = [where.get(e) for e in tup]
             if None in places:
                 continue
-            target = targets[name]
+            target = b.tuple_set(name)
             tuples.extend(
                 (target, depths) for depths in product(*places) if n in depths
             )
         if n and modal_edge is not None and a.has_tuple(modal_edge, play[n - 1 :]):
-            tuples.append((targets[modal_edge], (n - 1, n)))
+            tuples.append((b.tuple_set(modal_edge), (n - 1, n)))
         return (first if first < n else None), tuples
 
     def choices(play: tuple[str, ...], images: tuple[str, ...]):
@@ -443,7 +437,7 @@ def find_cokleisli_morphism(
 
     chosen: dict[tuple[str, ...], tuple[str, ...]] = {}
     witness: dict[str, str] = {}
-    for play in plays:
+    for play in islice(children, 1, None):  # after the empty sequence
         images = next(
             (
                 full

@@ -50,7 +50,7 @@ from typing import Callable, Mapping
 
 from .errors import ResourceLimitError
 from .structures import Structure, covers, is_partial_isomorphism, row_codes
-from .comonads import ComonadKind, build_comonad, play_parts
+from .comonads import ComonadKind, build_comonad
 
 DUPLICATOR = "Duplicator"
 SPOILER = "Spoiler"
@@ -166,7 +166,8 @@ class _Arena:
     def pairs(self, pos) -> tuple[tuple[str, str], ...]:
         return pos
 
-    def elements(self, moves):
+    def elements(self, i: int, moves):
+        """The elements that moves in structure A (``i`` 0) or B (1) play."""
         return moves
 
     def options(self, pos) -> list[tuple[str, str]]:
@@ -225,13 +226,13 @@ class _Arena:
         their_index, their_rows, their_wide = theirs.atom_codes()
         i = 0 if side == "A" else 1  # the mover's place in a pair
         pairs = self.pairs(pos)
-        (ex,) = self.elements((x,))
+        (ex,) = self.elements(i, (x,))
         e = index[ex]
         images = [p[1 - i] for p in pairs]
         want = row_codes([index[p[i]] for p in pairs])(rows[e])
         get = row_codes([their_index[v] for v in images])
         replies = self.replies(pos, side) if among is None else among
-        reached = self.elements(replies)
+        reached = self.elements(1 - i, replies)
         at = map(their_index.__getitem__, reached)
         got = map(get, map(their_rows.__getitem__, at))
         if not self.existential:
@@ -369,10 +370,12 @@ class _CarrierArena(_Arena):
         return pos
 
     def pairs(self, pos) -> tuple[tuple[str, str], ...]:
-        return tuple(zip(play_parts(pos[0]), play_parts(pos[1])))
+        a, b = self.carriers
+        return tuple(zip(a.parts[pos[0]], b.parts[pos[1]]))
 
-    def elements(self, moves):
-        return [play_parts(move)[-1] for move in moves]
+    def elements(self, i: int, moves):
+        parts = self.carriers[i].parts
+        return [parts[move][-1] for move in moves]
 
     def options(self, pos) -> list[tuple[str, str]]:
         a_moves, b_moves = (c.children(p) for c, p in zip(self.carriers, pos))
@@ -600,14 +603,14 @@ def back_and_forth_rank(a: Structure, b: Structure, k: int) -> bool:
     Full atomic agreement is checked once, at the basepoints; an extension
     pair agrees when the atoms and equalities through its new positions do,
     each side's computed once per tuple and compared after the memo lookup.
+    The one-step extensions are each component's partners in the
+    structure's index of each transition relation.
     """
     if not a.signature.same_vocabulary(b.signature):
         raise ValueError("signature mismatch between the two structures")
     if a.signature.num_basepoints != b.signature.num_basepoints:
         raise ValueError("basepoint count mismatch between the two structures")
     transitions = sorted(a.signature.transitions)
-    a_edges = {n: set(a.relations[n]) for n in transitions}
-    b_edges = {n: set(b.relations[n]) for n in transitions}
     memo: dict[tuple[tuple[str, ...], tuple[str, ...], int], bool] = {}
     seen_a: dict[tuple[str, ...], tuple] = {}
     seen_b: dict[tuple[str, ...], tuple] = {}
@@ -645,23 +648,14 @@ def back_and_forth_rank(a: Structure, b: Structure, k: int) -> bool:
         if rank == 0:
             return True
         for name in transitions:
-            ea, eb = a_edges[name], b_edges[name]
+            succ_a, succ_b = a.partners(name), b.partners(name)
             for i in range(len(ta)):
+                xs, ys = succ_a[ta[i]], succ_b[tb[i]]
                 forth = all(
-                    any(
-                        (tb[i], y) in eb and bf(ta + (x,), tb + (y,), rank - 1)
-                        for y in b.universe
-                    )
-                    for x in a.universe
-                    if (ta[i], x) in ea
+                    any(bf(ta + (x,), tb + (y,), rank - 1) for y in ys) for x in xs
                 )
                 back = forth and all(
-                    any(
-                        (ta[i], x) in ea and bf(ta + (x,), tb + (y,), rank - 1)
-                        for x in a.universe
-                    )
-                    for y in b.universe
-                    if (tb[i], y) in eb
+                    any(bf(ta + (x,), tb + (y,), rank - 1) for x in xs) for y in ys
                 )
                 if not (forth and back):
                     return False

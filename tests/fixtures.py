@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from hybridkit.comonads import ComonadKind
 from hybridkit.structures import Signature, Structure
 from randgen import random_structure
 
@@ -71,6 +72,13 @@ FIXTURES30 = _HANDMADE + _random_fill(30 - len(_HANDMADE), seed=2024, signature=
 
 #: m=2 bounded fixtures with two transition relations.
 BOUNDED_FIXTURES = _random_fill(10, seed=77, signature=BOUNDED2)
+
+
+def fitting_kinds(s: Structure) -> list[ComonadKind]:
+    """The comonad kinds whose carrier exists over the structure's signature."""
+    unimodal_kinds = (ComonadKind.MODAL, ComonadKind.HYBRID, ComonadKind.HYBRID_TEMPORAL)
+    unimodal = s.signature.is_unimodal()
+    return [kind for kind in ComonadKind if unimodal or kind not in unimodal_kinds]
 
 
 def pairs(fixtures):

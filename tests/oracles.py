@@ -2,6 +2,7 @@
 
 Each one is the from-scratch form of something the package now computes
 incrementally or more cheaply: the atomic type of a whole tuple, the
+children of each carrier play found by splitting the play strings, the
 coKleisli morphism search over the materialized I-carrier, the
 back-and-forth relation that compares every atom of every extension tuple,
 the per-reply check of the games' winning condition that the arena's
@@ -19,6 +20,7 @@ from typing import Mapping
 from hybridkit.comonads import (
     DEFAULT_MAX_PLAYS,
     ComonadKind,
+    ComonadStructure,
     build_comonad,
     play_join,
     play_parts,
@@ -92,6 +94,17 @@ def scott_type(s: Structure, k: int):
         return out
 
     return ty(s.basepoints, k)
+
+
+def carrier_children(c: ComonadStructure) -> dict[str, tuple[str, ...]]:
+    """Each play's immediate extensions, in carrier order, found by
+    splitting every play and re-joining all but its last element."""
+    out: dict[str, list[str]] = {p: [] for p in c.plays}
+    for p in c.plays:
+        parts = play_parts(p)
+        if len(parts) > 1:
+            out[play_join(parts[:-1])].append(p)
+    return {p: tuple(v) for p, v in out.items()}
 
 
 def carrier_cokleisli_morphism(
@@ -258,7 +271,8 @@ def extends(arena, pos, side: str, x, y) -> bool:
     ``x`` on ``side`` is answered by ``y``, given that it holds at ``pos``:
     every tuple through the new pair is mapped through the pairs, one reply
     at a time."""
-    x, y = arena.elements((x, y))
+    i = 0 if side == "A" else 1
+    (x,), (y,) = arena.elements(i, (x,)), arena.elements(1 - i, (y,))
     if side == "B":
         x, y = y, x
     pairs = arena.pairs(pos)

@@ -22,6 +22,7 @@ from hybridkit.comonads import (
     build_comonad,
     check_comonad_laws,
     find_cokleisli_morphism,
+    is_cokleisli_homomorphism,
 )
 from hybridkit.games import (
     DUPLICATOR,
@@ -97,21 +98,29 @@ def test_criterion_1_comonad_laws():
 
 def test_criterion_2_existential_theorem():
     checked = 0
+    i_carriers = {}
+
+    def check(a, b, kind, variant, k):
+        game = solve(a, b, variant, k).winner
+        morphism = find_cokleisli_morphism(a, b, kind, k)
+        assert (game == DUPLICATOR) == (morphism is not None), (a, b, k, kind)
+        if morphism is not None:
+            key = (a, kind, k)
+            if key not in i_carriers:
+                i_carriers[key] = build_comonad(a, kind, k, with_I=True)
+            assert is_cokleisli_homomorphism(morphism, i_carriers[key], b), (a, b, k)
+
     for a, b in pairs(FIXTURES30):
         for k in (1, 2, 3):
             for kind, variant in (
                 (ComonadKind.HYBRID, GameVariant.EXISTENTIAL_HYBRID),
                 (ComonadKind.BOUNDED, GameVariant.EXISTENTIAL_BOUNDED),
             ):
-                game = solve(a, b, variant, k).winner
-                morphism = find_cokleisli_morphism(a, b, kind, k)
-                assert (game == DUPLICATOR) == (morphism is not None), (a, b, k, kind)
+                check(a, b, kind, variant, k)
                 checked += 1
     for a, b in pairs(BOUNDED_FIXTURES):
         for k in (1, 2, 3):
-            game = solve(a, b, GameVariant.EXISTENTIAL_BOUNDED, k).winner
-            morphism = find_cokleisli_morphism(a, b, ComonadKind.BOUNDED, k)
-            assert (game == DUPLICATOR) == (morphism is not None), (a, b, k)
+            check(a, b, ComonadKind.BOUNDED, GameVariant.EXISTENTIAL_BOUNDED, k)
             checked += 1
     report(2, f"{checked} game/coKleisli comparisons, zero disagreements")
 

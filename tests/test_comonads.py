@@ -1,6 +1,11 @@
+import ast
+import hashlib
+import pathlib
 import random
 
 import pytest
+
+import hybridkit
 
 from hybridkit.errors import InvalidStructureError, ResourceLimitError
 from hybridkit.comonads import (
@@ -30,6 +35,7 @@ from fixtures import (
     PATH3,
     SINGLE,
     UNIMODAL,
+    fitting_kinds,
 )
 
 
@@ -387,3 +393,52 @@ class TestDump:
             "a.b.c",
         ]
         assert dump_carrier(c) == text
+
+
+class TestPinnedCarriers:
+    def test_dumps_are_unchanged(self):
+        # computed while the carrier was built by splitting its play strings
+        digest = hashlib.sha256()
+        for s in FIXTURES30[:8] + BOUNDED_FIXTURES:
+            for kind in fitting_kinds(s):
+                for k in (1, 2, 3):
+                    for with_I in (False, True):
+                        c = build_comonad(s, kind, k, with_I=with_I)
+                        digest.update(dump_carrier(c).encode())
+                        bps = " ".join(c.carrier.basepoints)
+                        digest.update(f"basepoints: {bps}\n".encode())
+        assert digest.hexdigest() == (
+            "010539a121e2a8538db829f43b2056dfe0c3627f19ad6b7c8b8a46f1405faefe"
+        )
+
+
+PACKAGE = pathlib.Path(hybridkit.__file__).parent
+
+
+def _names(path: pathlib.Path) -> set[str]:
+    """Every name, attribute and imported name in a module's source."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+class TestPlayEncodingStaysPrivate:
+    # other modules read a carrier's maps, never the separator-joined strings
+    ENCODING_NAMES = {"play_parts", "play_join", "PLAY_SEP"}
+
+    @pytest.mark.parametrize(
+        "path",
+        [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "comonads.py"],
+        ids=lambda path: path.name,
+    )
+    def test_other_modules_do_not_name_the_encoding(self, path):
+        assert not _names(path) & self.ENCODING_NAMES
+
+    def test_the_walk_finds_the_encoding_in_comonads(self):
+        assert self.ENCODING_NAMES <= _names(PACKAGE / "comonads.py")

@@ -2,14 +2,16 @@
 
 ``scott_type``, ``find_cokleisli_morphism`` and ``back_and_forth_rank``
 build atomic information incrementally along each extension tuple or play,
-the game arena filters Duplicator's replies through per-structure atom
-codes, the first-order evaluator walks guarded quantifiers over the
-partner index and memoizes only compound operands, and the parsers read a
-token list made by one ``findall``; ``oracles`` keeps the forms they
-replaced.  Random structures of up to 6 elements come in four shapes:
-unimodal, bimodal with two basepoints, with a ternary relation, and with a
-repeated basepoint; the games draw theirs with a ternary relation in every
-shape.
+a carrier keeps its element tuples, prefixes and children from one walk of
+its play tree, the game arena filters Duplicator's replies through
+per-structure atom codes, the first-order evaluator walks guarded
+quantifiers over the partner index and memoizes only compound operands, and
+the parsers read a token list made by one ``findall``; ``oracles`` keeps
+the forms they replaced.  On random unimodal pairs, the games are also
+checked against the independent procedures that characterize them.
+Random structures of up to 6 elements come in four shapes: unimodal,
+bimodal with two basepoints, with a ternary relation, and with a repeated
+basepoint; the games draw theirs with a ternary relation in every shape.
 """
 import contextlib
 import hashlib
@@ -21,9 +23,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridkit import games, syntax as sx
-from hybridkit.comonads import ComonadKind, find_cokleisli_morphism
+from hybridkit.comonads import (
+    ComonadKind,
+    build_comonad,
+    comultiplication,
+    counit,
+    find_cokleisli_morphism,
+    play_join,
+    play_parts,
+)
 from hybridkit.errors import ParseError, ResourceLimitError, ScopeError
-from hybridkit.games import DUPLICATOR, GameVariant, back_and_forth_rank, solve
+from hybridkit.games import (
+    DUPLICATOR,
+    GameVariant,
+    back_and_forth_rank,
+    solve,
+    solve_Gk,
+)
 from hybridkit import scott
 from hybridkit.scott import scott_type
 from hybridkit.parser import parse_fo, parse_hybrid, print_fo, print_hybrid
@@ -31,9 +47,7 @@ from hybridkit.semantics import eval_fo
 from hybridkit.structures import Signature, Structure
 
 import oracles
-from fixtures import BOUNDED_FIXTURES, FIXTURES30, pairs
-
-UNIMODAL_KINDS = (ComonadKind.MODAL, ComonadKind.HYBRID, ComonadKind.HYBRID_TEMPORAL)
+from fixtures import BOUNDED_FIXTURES, FIXTURES30, fitting_kinds, pairs
 
 BIMODAL = Signature({"P": 1, "E": 2, "F": 2}, ["E", "F"], 2)
 SHAPES = {
@@ -42,12 +56,6 @@ SHAPES = {
     "ternary": (Signature({"P": 1, "E": 2, "R": 3}, ["E"], 1), False),
     "repeated": (BIMODAL, True),
 }
-
-
-def fitting_kinds(s: Structure):
-    """The comonad kinds whose carrier exists over the structure's signature."""
-    unimodal = s.signature.is_unimodal()
-    return [kind for kind in ComonadKind if unimodal or kind not in UNIMODAL_KINDS]
 
 
 @st.composite
@@ -145,6 +153,40 @@ class TestPinnedOutputs:
         assert digest.hexdigest() == (
             "11b18ef01e514b482d3d8ab2f461d11a6ae0f73d45ab4565aea10998924c9c65"
         )
+
+
+class TestCarrierMapsAgainstDecoding:
+    # the maps a carrier keeps are what decoding its play strings gives
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(SHAPES)), st.integers(1, 2), st.booleans(), st.data())
+    def test_maps_match_the_decoded_plays(self, shape, k, with_I, data):
+        s = data.draw(structures(*SHAPES[shape]))
+        kind = data.draw(st.sampled_from(fitting_kinds(s)))
+        c = build_comonad(s, kind, k, with_I=with_I)
+        assert list(c.parts) == list(c.prefixes) == list(c.plays)
+        children = oracles.carrier_children(c)
+        for play in c.plays:
+            parts = play_parts(play)
+            prefixes = tuple(play_join(parts[:i]) for i in range(1, len(parts) + 1))
+            assert c.parts[play] == parts
+            assert c.prefixes[play] == prefixes == comultiplication(c, play)
+            assert counit(c, play) == parts[-1]
+            assert c.children(play) == children[play]
+
+
+class TestThreeWayCrosswalk:
+    # the back-and-forth game, the comonadic game and the rank relation, and
+    # the existential game and the coKleisli search, on random unimodal pairs
+    @settings(max_examples=300, deadline=None)
+    @given(structure_pairs({"unimodal": SHAPES["unimodal"]}), st.integers(1, 2))
+    def test_games_agree_with_the_independent_checks(self, pair, k):
+        a, b = pair
+        game = solve(a, b, GameVariant.BACK_FORTH_HYBRID, k).winner == DUPLICATOR
+        assert (solve_Gk(a, b, k).winner == DUPLICATOR) == game
+        assert back_and_forth_rank(a, b, k) == game
+        existential = solve(a, b, GameVariant.EXISTENTIAL_HYBRID, k).winner
+        morphism = find_cokleisli_morphism(a, b, ComonadKind.HYBRID, k)
+        assert (existential == DUPLICATOR) == (morphism is not None)
 
 
 def _oracle_fits(arena, pos, side, x, among):
