@@ -55,6 +55,7 @@ from .coalgebras import (
 from .characterization import (
     build_workspace,
     check_invariance,
+    ef_types_agree,
     synthesize_bounded_equivalent,
     verify_workspace,
 )

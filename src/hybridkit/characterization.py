@@ -9,12 +9,21 @@ ball: copy it), Case II (near an earlier matched element: apply the recorded
 summand isomorphism), or Case III (far from everything: open a fresh summand
 of the same type).  Radii halve each round, which keeps the matched blocks
 separated enough for their union to stay a partial isomorphism.
+
+``verify_workspace`` confirms the construction three ways: the replay of
+the machine against every move sequence keeps the state invariants and the
+partial-isomorphism condition, the strategy it records verifies as an EF
+strategy, and the two padded structures have the same rank-q EF type,
+computed in each structure separately.  The replay visits each distinct
+machine state once, and checks a state's invariants through its newest
+index only, given that its parent kept them all.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
+from .errors import ResourceLimitError
 from .structures import (
     DistanceMatrix,
     Structure,
@@ -28,9 +37,14 @@ from .structures import (
 from . import syntax as sx
 from .semantics import eval_fo
 from .scott import characteristic_formula
-from .games import DUPLICATOR, GameResult, GameVariant, solve, verify_strategy
+from .games import DUPLICATOR, GameResult, GameVariant, verify_strategy
 
 REAL_TAG = "A"
+
+#: The largest workspace replay that ``verify_workspace`` starts: move
+#: sequences of at most q moves over the elements of both padded structures,
+#: counted before the replay begins.
+MAX_REPLAY_SEQUENCES = 200_000
 
 
 def _summand_tag(element: str) -> str:
@@ -39,18 +53,23 @@ def _summand_tag(element: str) -> str:
 
 @dataclass(frozen=True)
 class MetricSpaceView:
-    """A disjoint-sum structure seen as a metric space with summand tags."""
+    """A disjoint-sum structure seen as a metric space with summand tags, and
+    each element's distance to the nearest basepoint."""
 
     structure: Structure
     dist: DistanceMatrix
     tags: dict[str, str]
+    base: dict[str, float]
 
     @classmethod
     def of(cls, structure: Structure) -> "MetricSpaceView":
+        dist = gaifman_distance(structure)
+        bps = structure.basepoints
         return cls(
             structure,
-            gaifman_distance(structure),
+            dist,
             {e: _summand_tag(e) for e in structure.universe},
+            {e: dist.set_distance((e,), bps) for e in structure.universe},
         )
 
 
@@ -97,12 +116,22 @@ class WorkspaceStrategyState:
 
 
 class WorkspaceStrategy:
-    """The online strategy between (A + C) and (N + C)."""
+    """The online strategy between (A + C) and (N + C).
+
+    Raises :class:`ResourceLimitError` when replaying it against every move
+    sequence would pass ``MAX_REPLAY_SEQUENCES`` sequences."""
 
     def __init__(self, a: Structure, q: int):
         self.q = q
         self.ell = 2**q
         workspace, left, right = build_workspace(a, q)
+        # refuse before the all-pairs distance tables are built
+        width = len(left) + len(right)
+        if _replay_size(width, q) > MAX_REPLAY_SEQUENCES:
+            raise ResourceLimitError(
+                f"the workspace replay of {q} rounds over {width} elements "
+                f"exceeds {MAX_REPLAY_SEQUENCES} move sequences"
+            )
         self.workspace = workspace
         self.left = MetricSpaceView.of(left)
         self.right = MetricSpaceView.of(right)
@@ -160,8 +189,9 @@ class WorkspaceStrategy:
 
         case = "III"
         witness = None
+        row = view.dist.row(element)
         for i, prior in enumerate(play):
-            if view.dist.distance(prior, element) <= half:
+            if row[prior] <= half:
                 if prior in near0:
                     case = "I"
                     witness = i
@@ -245,19 +275,8 @@ class WorkspaceStrategy:
             out.append("right separation violated")
 
         for i in range(m, n):
-            x, y = state.left_play[i], state.right_play[i]
-            if x in state.c1 and y in state.d1:
-                entry = state.rho[i]
-                if entry is None:
-                    out.append(f"far index {i} lacks a summand isomorphism")
-                    continue
-                lt, rt = entry
-                if _summand_tag(x) != lt or _summand_tag(y) != rt:
-                    out.append(f"far index {i} not matched by its isomorphism tags")
-                if self._summand_type(lt, True) != self._summand_type(rt, False):
-                    out.append(f"far index {i} pairs summands of different types")
-                if x.split(":", 1)[1] != y.split(":", 1)[1]:
-                    out.append(f"far index {i} not related by the canonical map")
+            if state.left_play[i] in state.c1 and state.right_play[i] in state.d1:
+                out.extend(self._far_index_violations(state, i))
 
         for i in range(m, n):
             for j in range(m, n):
@@ -272,29 +291,170 @@ class WorkspaceStrategy:
                         out.append(f"nearby far indices {i},{j} use different isomorphisms")
         return out
 
+    def child_violations(
+        self, parent: WorkspaceStrategyState, child: WorkspaceStrategyState
+    ) -> list[str]:
+        """``invariant_violations(child)`` for a child of a ``parent`` that
+        keeps every invariant.
 
-def workspace_game_result(a: Structure, q: int, check_invariants: bool = True):
-    """Exhaustively replay the strategy against every move sequence of length
-    q, recording responses as a game strategy.
+        When the child extends the parent by exactly one index (plays,
+        ``rho`` and the round extend the parent's, and each of ``c0``,
+        ``c1``, ``d0`` and ``d1`` is the parent's set, or that set plus the
+        new element of its side), only the clauses through the new index,
+        or through an earlier index holding one of the new elements, are
+        checked.  Each clause that held at the parent still holds: the
+        sets only grow by the new elements, and as the radius halves the
+        reach grows and the separation and closeness tests get weaker.
+        Any other child is checked literally."""
+        if not _extends(parent, child):
+            return self.invariant_violations(child)
+        p = len(parent.left_play)
+        x, y = child.left_play[p], child.right_play[p]
+        c0, c1, d0, d1 = child.c0, child.c1, child.d0, child.d1
+        out: list[str] = []
+        m = len(self.left.structure.basepoints)
+        left, right, rho = child.left_play, child.right_play, child.rho
+        radius = child.radius
+        reach = self.ell - radius
+        # the indices whose clauses may have changed: the new one, and any
+        # earlier one that played one of the new elements
+        touched = [i for i in range(p + 1) if left[i] == x or right[i] == y]
 
-    Returns (result, violations): an EF-shaped :class:`GameResult` for the
-    game between left and right, plus any invariant or winning-condition
-    violations found during the replay (empty for a correct build).
-    """
-    machine = WorkspaceStrategy(a, q)
+        if (x in c0) == (x in c1):
+            out.append("left bipartition does not split the played elements")
+        if (y in d0) == (y in d1):
+            out.append("right bipartition does not split the played elements")
+        if x in c0 and self.left.base[x] > reach:
+            out.append(f"near element {x!r} outside the {reach}-ball (left)")
+        if y in d0 and self.right.base[y] > reach:
+            out.append(f"near element {y!r} outside the {reach}-ball (right)")
+        for i in touched:
+            if (left[i] in c0) != (right[i] in d0):
+                out.append(f"index {i} is near on one side only")
+        if len(touched) > 1:
+            near_differ = [e for e in left if e in c0] != [e for e in right if e in d0]
+        else:
+            near_differ = (x in c0) != (y in d0) or (x in c0 and x != y)
+        if near_differ:
+            out.append("matched near subsequences differ")
+
+        for near, away, e, view, side in (
+            (c0, c1, x, self.left, "left"),
+            (d0, d1, y, self.right, "right"),
+        ):
+            row = view.dist.row(e)
+            if (e in near and any(row[f] <= radius for f in away)) or (
+                e in away and any(row[f] <= radius for f in near)
+            ):
+                out.append(f"{side} separation violated")
+
+        far = [left[i] in c1 and right[i] in d1 for i in range(p + 1)]
+        for i in touched:
+            if i >= m and far[i]:
+                out.extend(self._far_index_violations(child, i))
+        touched_set = set(touched)
+        for i in range(m, p + 1):
+            for j in range(m, p + 1):
+                if (
+                    (i in touched_set or j in touched_set)
+                    and far[i]
+                    and far[j]
+                    and rho[i] != rho[j]
+                    and (
+                        self.left.dist.distance(left[i], left[j]) <= radius
+                        or self.right.dist.distance(right[i], right[j]) <= radius
+                    )
+                ):
+                    out.append(f"nearby far indices {i},{j} use different isomorphisms")
+        return out
+
+    def _far_index_violations(self, state: WorkspaceStrategyState, i: int) -> list[str]:
+        """The clauses on a far index ``i``: its summand isomorphism exists,
+        names the summands of its pair, pairs summands of one type, and
+        relates the pair by the canonical map."""
+        x, y = state.left_play[i], state.right_play[i]
+        entry = state.rho[i]
+        if entry is None:
+            return [f"far index {i} lacks a summand isomorphism"]
+        out = []
+        lt, rt = entry
+        if _summand_tag(x) != lt or _summand_tag(y) != rt:
+            out.append(f"far index {i} not matched by its isomorphism tags")
+        if self._summand_type(lt, True) != self._summand_type(rt, False):
+            out.append(f"far index {i} pairs summands of different types")
+        if x.split(":", 1)[1] != y.split(":", 1)[1]:
+            out.append(f"far index {i} not related by the canonical map")
+        return out
+
+
+def _extends(parent: WorkspaceStrategyState, child: WorkspaceStrategyState) -> bool:
+    """Whether ``child`` extends ``parent`` by exactly one index: plays,
+    ``rho`` and the round extend the parent's, and each of ``c0``/``c1``
+    (``d0``/``d1``) is the parent's set, or that set plus the new element of
+    the left (right) play."""
+    p = len(parent.left_play)
+    if not len(child.left_play) == len(child.right_play) == len(child.rho) == p + 1:
+        return False
+    x, y = child.left_play[p], child.right_play[p]
+    return (
+        child.left_play[:p] == parent.left_play
+        and child.right_play[:p] == parent.right_play
+        and child.rho[:p] == parent.rho
+        and child.round == parent.round + 1
+        and child.q == parent.q
+        and _grows(parent.c0, child.c0, x)
+        and _grows(parent.c1, child.c1, x)
+        and _grows(parent.d0, child.d0, y)
+        and _grows(parent.d1, child.d1, y)
+    )
+
+
+def _grows(old: frozenset, new: frozenset, element) -> bool:
+    """Whether ``new`` is ``old``, or ``old`` plus ``element``."""
+    return new == old or new == old | {element}
+
+
+def _replay_size(width: int, q: int) -> int:
+    """The move sequences of at most ``q`` moves over ``width`` elements, or
+    the first partial sum past ``MAX_REPLAY_SEQUENCES``."""
+    total, level = 0, 1
+    for _ in range(q + 1):
+        total += level
+        if total > MAX_REPLAY_SEQUENCES:
+            break
+        level *= width
+    return total
+
+
+def _replay(machine: WorkspaceStrategy, check_invariants: bool = True):
+    """Replay the machine against every move sequence; see
+    :func:`workspace_game_result`."""
+    q = machine.q
     left = machine.left.structure
     right = machine.right.structure
     strategy: dict = {}
     violations: list[str] = []
     # the partial-isomorphism check depends on the pair set alone; the
-    # invariants depend on the order of play and are checked at every state
+    # invariants depend on the order of play and are checked once per state
     iso: dict[frozenset, bool] = {}
+    # each state replayed, with the slice of ``violations`` its subtree added
+    seen: dict[WorkspaceStrategyState, tuple[int, int]] = {}
 
-    def record(state: WorkspaceStrategyState):
+    def record(state: WorkspaceStrategyState, parent: WorkspaceStrategyState | None):
+        done = seen.get(state)
+        if done is not None:
+            violations.extend(violations[done[0] : done[1]])
+            return
+        start = len(violations)
         pairs = tuple(zip(state.left_play, state.right_play))
         broken = False
         if check_invariants:
-            for issue in machine.invariant_violations(state):
+            issues = (
+                machine.invariant_violations(state)
+                if parent is None
+                else machine.child_violations(parent, state)
+            )
+            for issue in issues:
                 violations.append(f"at {pairs!r}: {issue}")
                 broken = True
         pair_set = frozenset(pairs)
@@ -303,37 +463,127 @@ def workspace_game_result(a: Structure, q: int, check_invariants: bool = True):
         if not iso[pair_set]:
             violations.append(f"at {pairs!r}: not a partial isomorphism")
             broken = True
-        if broken or state.round >= q:
-            return
-        for side, structure in (("left", left), ("right", right)):
-            game_side = "A" if side == "left" else "B"
-            for element in structure.universe:
-                nxt = machine.step(state, side, element)
-                response = (
-                    nxt.right_play[-1] if side == "left" else nxt.left_play[-1]
-                )
-                strategy[(pairs, game_side, element)] = response
-                record(nxt)
+        if not broken and state.round < q:
+            for side, structure in (("left", left), ("right", right)):
+                game_side = "A" if side == "left" else "B"
+                for element in structure.universe:
+                    nxt = machine.step(state, side, element)
+                    response = (
+                        nxt.right_play[-1] if side == "left" else nxt.left_play[-1]
+                    )
+                    strategy[(pairs, game_side, element)] = response
+                    record(nxt, state)
+        seen[state] = (start, len(violations))
 
-    record(machine.initial_state())
+    record(machine.initial_state(), None)
+    seen.clear()
+    iso.clear()
     result = GameResult(DUPLICATOR, GameVariant.EF, q, lambda: strategy)
     result._strategy = strategy
     return result, violations
 
 
+def workspace_game_result(a: Structure, q: int, check_invariants: bool = True):
+    """Exhaustively replay the strategy against every move sequence of length
+    q, recording responses as a game strategy.
+
+    Returns (result, violations): an EF-shaped :class:`GameResult` for the
+    game between left and right, plus any invariant or winning-condition
+    violations found during the replay (empty for a correct build).
+
+    The machine is a pure function of its state, so a state reached again
+    along another move sequence writes the same strategy entries: the
+    replay expands each distinct state once and, on a later visit, adds
+    again the violations its first visit found.  The strategy and the
+    violation list, order included, are those of replaying every sequence.
+    Raises :class:`ResourceLimitError` when the move sequences outnumber
+    ``MAX_REPLAY_SEQUENCES``.
+    """
+    return _replay(WorkspaceStrategy(a, q), check_invariants)
+
+
 def verify_workspace(a: Structure, q: int) -> bool:
-    """Exhaustive validation of the workspace construction: every strategy
-    replay keeps the partial-isomorphism condition and the state invariants,
-    the recorded strategy verifies as an EF strategy, and the independent
-    game solver confirms the two padded structures are q-round equivalent."""
-    result, violations = workspace_game_result(a, q)
+    """Exhaustive validation of the workspace construction, three ways:
+
+    * the replay of the copy-cat machine against every move sequence (each
+      distinct machine state visited once) keeps the partial-isomorphism
+      condition and the state invariants;
+    * the strategy it records verifies as an EF strategy (``verify_strategy``);
+    * the two padded structures have the same rank-q EF type
+      (:func:`ef_types_agree`), so they are q-round equivalent by a
+      procedure that shares no code with the game solver.
+
+    The workspace is built once, by the machine.  Raises
+    :class:`ResourceLimitError` when the replay would pass
+    ``MAX_REPLAY_SEQUENCES`` move sequences."""
+    machine = WorkspaceStrategy(a, q)
+    result, violations = _replay(machine)
     if violations:
         return False
-    _, left, right = build_workspace(a, q)
+    left, right = machine.left.structure, machine.right.structure
     if not verify_strategy(result, left, right, GameVariant.EF, q):
         return False
-    solved = solve(left, right, GameVariant.EF, q)
-    return solved.winner == DUPLICATOR
+    return ef_types_agree(left, right, q)
+
+
+# -- EF types -------------------------------------------------------------------------
+
+
+def ef_types_agree(a: Structure, b: Structure, k: int) -> bool:
+    """Whether the basepoint tuples of ``a`` and ``b`` have the same rank-k
+    EF type, which by the Ehrenfeucht–Fraïssé theorem holds exactly when
+    Duplicator wins the k-round EF game from the basepoint pairs.
+
+    A tuple's rank-0 type is its atomic type; its rank-r type is its atomic
+    type with the set of rank-(r-1) types of its one-element extensions
+    (Hintikka types; Libkin, *Elements of Finite Model Theory*, ch. 3).  Each
+    structure's types are computed on its own, interned in one table both
+    share.  Independent of the game engine."""
+    if k < 0:
+        raise ValueError(f"round count must be non-negative, got {k}")
+    if not a.signature.same_vocabulary(b.signature):
+        raise ValueError("signature mismatch between the two structures")
+    if a.signature.num_basepoints != b.signature.num_basepoints:
+        raise ValueError("basepoint count mismatch between the two structures")
+    table: dict = {}
+    return _ef_type(a, k, table) == _ef_type(b, k, table)
+
+
+def _ef_type(s: Structure, k: int, table: dict) -> int:
+    """The interned rank-k type of ``s``'s basepoint tuple.
+
+    A tuple is carried as its distinct elements numbered in order of first
+    occurrence.  Its atomic type is interned from its prefix's: an element
+    repeating an earlier one adds that element's number, and a new element
+    adds its atoms with the earlier ones, as relation names over numbers."""
+
+    def intern(key) -> int:
+        return table.setdefault(key, len(table))
+
+    def extend(first: dict, atomic: int, e: str) -> tuple[dict, int]:
+        j = first.get(e)
+        if j is not None:
+            return first, intern((atomic, j))
+        first = {**first, e: len(first)}
+        atoms = frozenset(
+            (name, tuple(map(first.__getitem__, tup)))
+            for name, tup in s.tuples_at(e)
+            if all(map(first.__contains__, tup))
+        )
+        return first, intern((atomic, atoms))
+
+    def ef_type(first: dict, atomic: int, rank: int) -> int:
+        if rank == 0:
+            return atomic
+        below = frozenset(
+            ef_type(*extend(first, atomic, e), rank - 1) for e in s.universe
+        )
+        return intern((rank, atomic, below))
+
+    first, atomic = {}, intern(())
+    for e in s.basepoints:
+        first, atomic = extend(first, atomic, e)
+    return ef_type(first, atomic, k)
 
 
 # -- invariance ---------------------------------------------------------------------

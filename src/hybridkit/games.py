@@ -32,8 +32,8 @@ extraction; ``value``, ``extract`` and ``replay`` are written once:
 
 Outside the arena stay the independent checks of the games, which share no
 arena code and read no atom codes: ``back_and_forth_rank`` here,
-``comonads.find_cokleisli_morphism``, ``scott.scott_type`` and
-``coalgebras.coalgebra_number``.  Each builds its own atomic information
+``comonads.find_cokleisli_morphism``, ``scott.scott_type``,
+``coalgebras.coalgebra_number`` and ``characterization.ef_types_agree``.  Each builds its own atomic information
 incrementally along its extension tuples or plays.
 
 All iteration follows universe (or carrier) order, which makes winners,

@@ -464,31 +464,36 @@ def gaifman_graph(s: Structure) -> Mapping[str, tuple[str, ...]]:
 
 
 class DistanceMatrix:
-    """All-pairs Gaifman path distance; unreachable pairs are ``INF``."""
+    """All-pairs Gaifman path distance; unreachable pairs are ``INF``.  The
+    distances from each element are kept as one row, read by ``row``."""
 
-    __slots__ = ("order", "_d")
+    __slots__ = ("order", "_rows")
 
-    def __init__(self, order: Sequence[str], dist: Mapping[tuple[str, str], float]):
+    def __init__(self, order: Sequence[str], rows: Mapping[str, Mapping[str, float]]):
         self.order = tuple(order)
-        self._d = dict(dist)
+        self._rows = dict(rows)
 
     def distance(self, x: str, y: str) -> float:
-        return self._d[(x, y)]
+        return self._rows[x][y]
+
+    def row(self, x: str) -> Mapping[str, float]:
+        """The distances from ``x`` to every element; the row itself, so
+        callers must not change it."""
+        return self._rows[x]
 
     def ball(self, centers: Iterable[str], radius: float) -> tuple[str, ...]:
         """Elements within `radius` of some center, in universe order."""
-        cs = list(centers)
-        return tuple(
-            e for e in self.order if any(self._d[(c, e)] <= radius for c in cs)
-        )
+        rows = [self._rows[c] for c in centers]
+        return tuple(e for e in self.order if any(r[e] <= radius for r in rows))
 
     def set_distance(self, xs: Iterable[str], ys: Iterable[str]) -> float:
         """inf over pairs; INF when either side is empty."""
         best = INF
         ys = list(ys)
         for x in xs:
+            row = self._rows[x]
             for y in ys:
-                d = self._d[(x, y)]
+                d = row[y]
                 if d < best:
                     best = d
         return best
@@ -497,7 +502,7 @@ class DistanceMatrix:
 def gaifman_distance(s: Structure) -> DistanceMatrix:
     """BFS from every element over the Gaifman graph."""
     adj = gaifman_graph(s)
-    dist: dict[tuple[str, str], float] = {}
+    rows: dict[str, dict[str, float]] = {}
     for src in s.universe:
         seen = {src: 0}
         frontier = [src]
@@ -511,9 +516,8 @@ def gaifman_distance(s: Structure) -> DistanceMatrix:
                         seen[v] = d
                         nxt.append(v)
             frontier = nxt
-        for e in s.universe:
-            dist[(src, e)] = seen.get(e, INF)
-    return DistanceMatrix(s.universe, dist)
+        rows[src] = {e: seen.get(e, INF) for e in s.universe}
+    return DistanceMatrix(s.universe, rows)
 
 
 # -- sums ---------------------------------------------------------------------
@@ -617,21 +621,28 @@ def is_partial_isomorphism(
 ) -> bool:
     """True iff the pair set is a well-defined injective partial map whose
     graph preserves and reflects every relation (and equality) on its
-    domain/range."""
+    domain/range.
+
+    Computed from scratch: each relation tuple over the domain (the range)
+    is checked once, at its first element, against the other structure's
+    tuple set, looked up once per relation."""
     fwd: dict[str, str] = {}
     bwd: dict[str, str] = {}
     for x, y in pairs:
         if x not in a._pos or y not in b._pos:
             return False
-        if fwd.get(x, y) != y or bwd.get(y, x) != x:
+        if fwd.setdefault(x, y) != y or bwd.setdefault(y, x) != x:
             return False
-        fwd[x] = y
-        bwd[y] = x
     for h, source, target in ((fwd, a, b), (bwd, b, a)):
+        inside, image = h.__contains__, h.__getitem__
+        sets: dict[str, frozenset] = {}
         for x in h:
             for name, tup in source.tuples_at(x):
-                if all(map(h.__contains__, tup)):
-                    if not target.has_tuple(name, tuple(map(h.__getitem__, tup))):
+                if tup[0] == x and all(map(inside, tup)):
+                    got = sets.get(name)
+                    if got is None:
+                        got = sets[name] = target.tuple_set(name)
+                    if tuple(map(image, tup)) not in got:
                         return False
     return True
 

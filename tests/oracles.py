@@ -6,9 +6,12 @@ children of each carrier play found by splitting the play strings, the
 coKleisli morphism search over the materialized I-carrier, the
 back-and-forth relation that compares every atom of every extension tuple,
 the per-reply check of the games' winning condition that the arena's
-atom-code filter replaced, the first-order evaluator that tests every guard
-on every element and memoizes every node, and the parsers over a tokenizer
-that matches one token at a time.
+atom-code filter replaced, the partial-isomorphism test that checks a tuple
+once per element of the domain it holds, the workspace replay that steps
+through every move sequence and checks every state's invariants literally,
+the first-order evaluator that tests every guard on every element and
+memoizes every node, and the parsers over a tokenizer that matches one
+token at a time.
 """
 from __future__ import annotations
 
@@ -298,6 +301,69 @@ def _maps_into(tuples, h, target: Structure) -> bool:
         ):
             return False
     return True
+
+
+def is_partial_isomorphism(pairs, a: Structure, b: Structure) -> bool:
+    """``structures.is_partial_isomorphism`` checking every relation tuple
+    through each element of the domain (the range), once per element it
+    holds, and looking each tuple set up per tuple."""
+    fwd: dict[str, str] = {}
+    bwd: dict[str, str] = {}
+    for x, y in pairs:
+        if x not in a._pos or y not in b._pos:
+            return False
+        if fwd.get(x, y) != y or bwd.get(y, x) != x:
+            return False
+        fwd[x] = y
+        bwd[y] = x
+    for h, source, target in ((fwd, a, b), (bwd, b, a)):
+        for x in h:
+            for name, tup in source.tuples_at(x):
+                if all(map(h.__contains__, tup)):
+                    if not target.has_tuple(name, tuple(map(h.__getitem__, tup))):
+                        return False
+    return True
+
+
+# -- the workspace replay -------------------------------------------------------
+
+
+def workspace_replay(machine, check_invariants: bool = True):
+    """The copy-cat replay of ``characterization.workspace_game_result`` that
+    steps through every move sequence, checking each state's invariants
+    literally: returns the strategy dict and the violation list."""
+    q = machine.q
+    left = machine.left.structure
+    right = machine.right.structure
+    strategy: dict = {}
+    violations: list[str] = []
+    iso: dict[frozenset, bool] = {}
+
+    def record(state):
+        pairs = tuple(zip(state.left_play, state.right_play))
+        broken = False
+        if check_invariants:
+            for issue in machine.invariant_violations(state):
+                violations.append(f"at {pairs!r}: {issue}")
+                broken = True
+        pair_set = frozenset(pairs)
+        if pair_set not in iso:
+            iso[pair_set] = is_partial_isomorphism(pair_set, left, right)
+        if not iso[pair_set]:
+            violations.append(f"at {pairs!r}: not a partial isomorphism")
+            broken = True
+        if broken or state.round >= q:
+            return
+        for side, structure in (("left", left), ("right", right)):
+            game_side = "A" if side == "left" else "B"
+            for element in structure.universe:
+                nxt = machine.step(state, side, element)
+                response = nxt.right_play[-1] if side == "left" else nxt.left_play[-1]
+                strategy[(pairs, game_side, element)] = response
+                record(nxt)
+
+    record(machine.initial_state())
+    return strategy, violations
 
 
 # -- first-order evaluation -----------------------------------------------------

@@ -1,10 +1,13 @@
 import dataclasses
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridkit import syntax as sx
 from hybridkit.characterization import (
+    MAX_REPLAY_SEQUENCES,
     WorkspaceStrategy,
     build_workspace,
     check_invariance,
@@ -12,17 +15,22 @@ from hybridkit.characterization import (
     verify_workspace,
     workspace_game_result,
 )
+from hybridkit.errors import ResourceLimitError
 from hybridkit.games import DUPLICATOR, GameVariant, solve, verify_strategy
 from hybridkit.parser import parse_fo
 from randgen import random_bounded_sentence, random_structure
 from hybridkit.scott import characteristic_formula
 from hybridkit.semantics import eval_fo
 from hybridkit.structures import (
+    Signature,
+    Structure,
     ball_part,
     gaifman_distance,
     is_partial_isomorphism,
     reachable_part,
 )
+
+import oracles
 
 from fixtures import (
     C2,
@@ -188,6 +196,164 @@ class TestWorkspaceQuotient:
         )
         assert len(set(failed)) == len(failed) < len(violations)
         assert not verify_strategy(result, left, right, GameVariant.EF, 2)
+
+
+@st.composite
+def pointed_structures(draw) -> Structure:
+    """A structure of up to 5 elements, unimodal or with two transitions and
+    two basepoints, which may coincide."""
+    signature = draw(st.sampled_from([UNIMODAL, TWO_POINTED]))
+    size = draw(st.integers(1, 5))
+    universe = [f"v{i}" for i in range(size)]
+    element = st.sampled_from(universe)
+    rels = {
+        name: draw(st.lists(st.tuples(*[element] * arity), max_size=2 * size))
+        for name, arity in sorted(signature.relations.items())
+    }
+    m = signature.num_basepoints
+    basepoints = draw(st.lists(element, min_size=m, max_size=m))
+    return Structure(signature, universe, rels, basepoints)
+
+
+TWO_POINTED = Signature({"P": 1, "E": 2, "F": 2}, ["E", "F"], 2)
+
+
+def sabotaged_step(last_move: str, answer: str):
+    """``WorkspaceStrategy.step`` answering a last-round left move on
+    ``last_move`` with ``answer``: still a function of the state alone."""
+    honest = WorkspaceStrategy.step
+
+    def step(self, state, side, element):
+        nxt = honest(self, state, side, element)
+        if state.round == self.q - 1 and side == "left" and element == last_move:
+            nxt = dataclasses.replace(nxt, right_play=nxt.right_play[:-1] + (answer,))
+        return nxt
+
+    return step
+
+
+def replays_agree(a: Structure, q: int, check_invariants: bool = True) -> None:
+    result, violations = workspace_game_result(a, q, check_invariants)
+    strategy, expected = oracles.workspace_replay(
+        WorkspaceStrategy(a, q), check_invariants
+    )
+    assert list(result.strategy.items()) == list(strategy.items())
+    assert violations == expected
+
+
+class TestReplayAgainstOracle:
+    # the replay expands each distinct state once; the oracle steps through
+    # every move sequence and checks every state literally
+    @settings(max_examples=30, deadline=None)
+    @given(pointed_structures(), st.sampled_from([1, 2]))
+    def test_strategy_and_violations_match(self, a, q):
+        replays_agree(a, q)
+
+    @settings(max_examples=30, deadline=None)
+    @given(pointed_structures(), st.sampled_from([1, 2]), st.booleans())
+    def test_sabotaged_replays_match(self, a, q, check_invariants):
+        _, left, right = build_workspace(a, q)
+        step = sabotaged_step(left.universe[-1], right.basepoints[0])
+        with mock.patch.object(WorkspaceStrategy, "step", step):
+            replays_agree(a, q, check_invariants)
+
+    @pytest.mark.parametrize("check_invariants", [True, False])
+    def test_quotient_sabotage_matches(self, check_invariants):
+        with mock.patch.object(WorkspaceStrategy, "step", sabotaged_step("A:b", "A:a")):
+            replays_agree(PATH3, 2, check_invariants)
+            assert not verify_workspace(PATH3, 2)
+
+
+def reached_children(machine: WorkspaceStrategy):
+    """Each distinct (parent, child) step of the replay from a parent that
+    keeps every invariant."""
+    todo = [machine.initial_state()]
+    seen = set(todo)
+    while todo:
+        state = todo.pop()
+        if state.round >= machine.q or machine.invariant_violations(state):
+            continue
+        for side, structure in (("left", machine.left), ("right", machine.right)):
+            for element in structure.structure.universe:
+                child = machine.step(state, side, element)
+                yield state, child
+                if child not in seen:
+                    seen.add(child)
+                    todo.append(child)
+
+
+def mutants(parent, child, rng: random.Random, universe):
+    """The child with an element dropped from ``c0``, with the tags of a
+    ``rho`` entry swapped, with an earlier left play rewritten, with its new
+    right play replaced by an earlier one, and with its new pair moved to
+    the other part of both bipartitions (a child that still extends its
+    parent)."""
+    if child.c0:
+        dropped = rng.choice(sorted(child.c0))
+        yield dataclasses.replace(child, c0=child.c0 - {dropped})
+    entries = [i for i, entry in enumerate(child.rho) if entry is not None]
+    if entries:
+        i = rng.choice(entries)
+        swapped = child.rho[i][::-1]
+        yield dataclasses.replace(child, rho=child.rho[:i] + (swapped,) + child.rho[i + 1 :])
+    i = rng.randrange(len(child.left_play) - 1) if len(child.left_play) > 1 else 0
+    rewritten = child.left_play[:i] + (rng.choice(universe),) + child.left_play[i + 1 :]
+    yield dataclasses.replace(child, left_play=rewritten)
+    answer = rng.choice(child.right_play)
+    yield dataclasses.replace(child, right_play=child.right_play[:-1] + (answer,))
+    x, y = child.left_play[-1], child.right_play[-1]
+    if x in child.c0:
+        yield dataclasses.replace(
+            child, c0=parent.c0, c1=parent.c1 | {x}, d0=parent.d0, d1=parent.d1 | {y}
+        )
+    else:
+        yield dataclasses.replace(
+            child, c0=parent.c0 | {x}, c1=parent.c1, d0=parent.d0 | {y}, d1=parent.d1
+        )
+
+
+class TestIncrementalInvariants:
+    @settings(max_examples=20, deadline=None)
+    @given(pointed_structures(), st.sampled_from([1, 2]), st.randoms(use_true_random=False))
+    def test_children_match_the_literal_check(self, a, q, rng):
+        machine = WorkspaceStrategy(a, q)
+        universe = machine.left.structure.universe
+        checked = 0
+        for parent, child in reached_children(machine):
+            for state in (child, *mutants(parent, child, rng, universe)):
+                got = machine.child_violations(parent, state)
+                assert got == machine.invariant_violations(state), (parent, state)
+                checked += 1
+        assert checked > 0
+
+    def test_mutants_take_the_incremental_path(self):
+        # dropping the new element from c0 leaves a child that still extends
+        # its parent, so the clauses through the new index must catch it
+        machine = WorkspaceStrategy(PATH6, 2)
+        parent = machine.initial_state()
+        child = machine.step(parent, "left", "A:x1")
+        bad = dataclasses.replace(child, c0=parent.c0)
+        expected = machine.invariant_violations(bad)
+        assert "left bipartition does not split the played elements" in expected
+        assert machine.child_violations(parent, bad) == expected
+        far = machine.step(parent, "left", "A:x5")
+        flipped = dataclasses.replace(far, rho=far.rho[:-1] + (far.rho[-1][::-1],))
+        expected = machine.invariant_violations(flipped)
+        assert expected and machine.child_violations(parent, flipped) == expected
+
+
+class TestReplayGuard:
+    TWO = Structure(
+        Signature({"E": 2}, ["E"], 1), ["x:1", "b"], {"E": [("x:1", "b")]}, ["x:1"]
+    )
+
+    def test_large_replay_raises_before_starting(self):
+        # 36 elements over both sides at q = 4: about 1.7 M move sequences
+        with pytest.raises(ResourceLimitError, match=str(MAX_REPLAY_SEQUENCES)):
+            verify_workspace(self.TWO, 4)
+
+    def test_smaller_replay_still_verifies(self):
+        assert verify_workspace(self.TWO, 3)
 
 
 class TestUnionLemma:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -72,6 +73,26 @@ def test_resource_guard_exit_code(tmp_path):
     )
     assert code == 3
     assert "resource limit" in sink.getvalue()
+
+
+@pytest.mark.parametrize("q", ["4", "2000"])
+def test_large_workspace_replay_is_a_resource_exit(tmp_path, q):
+    # 18 elements a side at q = 4 make about 1.7 M move sequences to replay;
+    # at q = 2000 the guard must trip before any distance table is built
+    doc = {
+        "signature": {"relations": {"E": 2}, "transitions": ["E"]},
+        "universe": ["x:1", "b"],
+        "relations": {"E": [["x:1", "b"]]},
+        "basepoints": ["x:1"],
+    }
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(doc))
+    sink = io.StringIO()
+    started = time.monotonic()
+    code = run(["workspace", "--structure", str(path), "--q", q, "--verify"], out=sink)
+    assert time.monotonic() - started < 1.0
+    assert code == 3
+    assert sink.getvalue().splitlines()[-1].startswith("resource limit: ")
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridkit import games, syntax as sx
+from hybridkit.characterization import ef_types_agree
 from hybridkit.comonads import (
     ComonadKind,
     build_comonad,
@@ -44,7 +45,7 @@ from hybridkit import scott
 from hybridkit.scott import scott_type
 from hybridkit.parser import parse_fo, parse_hybrid, print_fo, print_hybrid
 from hybridkit.semantics import eval_fo
-from hybridkit.structures import Signature, Structure
+from hybridkit.structures import Signature, Structure, is_partial_isomorphism
 
 import oracles
 from fixtures import BOUNDED_FIXTURES, FIXTURES30, fitting_kinds, pairs
@@ -187,6 +188,52 @@ class TestThreeWayCrosswalk:
         existential = solve(a, b, GameVariant.EXISTENTIAL_HYBRID, k).winner
         morphism = find_cokleisli_morphism(a, b, ComonadKind.HYBRID, k)
         assert (existential == DUPLICATOR) == (morphism is not None)
+
+
+class TestEFTypes:
+    # rank-k EF types computed in each structure against the EF game, on
+    # pairs with one or two basepoints
+    @settings(max_examples=200, deadline=None)
+    @given(structure_pairs(), st.integers(0, 2))
+    def test_types_agree_with_the_game(self, pair, k):
+        a, b = pair
+        game = solve(a, b, GameVariant.EF, k).winner == DUPLICATOR
+        assert ef_types_agree(a, b, k) == game
+
+    def test_fixture_pairs_reach_both_winners(self):
+        winners = set()
+        for fixtures in (FIXTURES30[:8], BOUNDED_FIXTURES[:6]):
+            for a, b in pairs(fixtures):
+                for k in (0, 1, 2):
+                    game = solve(a, b, GameVariant.EF, k).winner == DUPLICATOR
+                    assert ef_types_agree(a, b, k) == game, (a, b, k)
+                    winners.add(game)
+        assert winners == {True, False}
+
+
+class TestPartialIsomorphismAgainstOracle:
+    # pair sets over both universes and an unknown element, so that some
+    # are not functions, some not injective and some leave the universe
+    @settings(max_examples=150, deadline=None)
+    @given(structure_pairs(), st.data())
+    def test_matches_the_oracle(self, pair, data):
+        a, b = pair
+        left = st.sampled_from(a.universe + ("zz",))
+        right = st.sampled_from(b.universe + ("zz",))
+        pair_set = data.draw(st.lists(st.tuples(left, right), max_size=5))
+        expected = oracles.is_partial_isomorphism(pair_set, a, b)
+        assert is_partial_isomorphism(pair_set, a, b) == expected
+
+    def test_identity_pairs_of_fixtures(self):
+        for s in FIXTURES30[:10] + BOUNDED_FIXTURES[:5]:
+            for size in (1, 2, 3):
+                for chosen in permutations(s.universe, size):
+                    same = [(e, e) for e in chosen]
+                    assert is_partial_isomorphism(same, s, s)
+                    shifted = list(zip(chosen, chosen[1:] + chosen[:1]))
+                    assert is_partial_isomorphism(
+                        shifted, s, s
+                    ) == oracles.is_partial_isomorphism(shifted, s, s)
 
 
 def _oracle_fits(arena, pos, side, x, among):

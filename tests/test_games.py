@@ -3,7 +3,7 @@ import types
 
 import pytest
 
-from hybridkit import games, scott
+from hybridkit import characterization, games, scott
 from hybridkit.coalgebras import coalgebra_number, enumerate_coalgebras
 from hybridkit.comonads import ComonadKind, find_cokleisli_morphism
 from hybridkit.errors import ResourceLimitError
@@ -472,6 +472,7 @@ class TestCrossChecksStayApart:
             scott.scott_type,
             coalgebra_number,
             enumerate_coalgebras,
+            characterization.ef_types_agree,
         ],
         ids=lambda fn: fn.__name__,
     )
@@ -481,5 +482,6 @@ class TestCrossChecksStayApart:
 
     def test_walk_reaches_helpers_and_the_arena(self):
         assert scott._types in _reached(scott.scott_type)[1]
+        assert characterization._ef_type in _reached(characterization.ef_types_agree)[1]
         for entry in (solve, solve_bijection, solve_Gk, verify_strategy):
             assert "_arena" in _reached(entry)[0]
