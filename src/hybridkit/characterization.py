@@ -37,7 +37,7 @@ from .structures import (
 from . import syntax as sx
 from .semantics import eval_fo
 from .scott import characteristic_formula
-from .games import DUPLICATOR, GameResult, GameVariant, verify_strategy
+from .games import DUPLICATOR, GameResult, GameVariant, sequence_key, verify_strategy
 
 REAL_TAG = "A"
 
@@ -53,12 +53,11 @@ def _summand_tag(element: str) -> str:
 
 @dataclass(frozen=True)
 class MetricSpaceView:
-    """A disjoint-sum structure seen as a metric space with summand tags, and
-    each element's distance to the nearest basepoint."""
+    """A disjoint-sum structure seen as a metric space, with each element's
+    distance to the nearest basepoint."""
 
     structure: Structure
     dist: DistanceMatrix
-    tags: dict[str, str]
     base: dict[str, float]
 
     @classmethod
@@ -68,7 +67,6 @@ class MetricSpaceView:
         return cls(
             structure,
             dist,
-            {e: _summand_tag(e) for e in structure.universe},
             {e: dist.set_distance((e,), bps) for e in structure.universe},
         )
 
@@ -447,6 +445,7 @@ def _replay(machine: WorkspaceStrategy, check_invariants: bool = True):
             return
         start = len(violations)
         pairs = tuple(zip(state.left_play, state.right_play))
+        key = sequence_key(pairs)
         broken = False
         if check_invariants:
             issues = (
@@ -457,7 +456,7 @@ def _replay(machine: WorkspaceStrategy, check_invariants: bool = True):
             for issue in issues:
                 violations.append(f"at {pairs!r}: {issue}")
                 broken = True
-        pair_set = frozenset(pairs)
+        pair_set = key[0]
         if pair_set not in iso:
             iso[pair_set] = is_partial_isomorphism(pair_set, left, right)
         if not iso[pair_set]:
@@ -471,7 +470,7 @@ def _replay(machine: WorkspaceStrategy, check_invariants: bool = True):
                     response = (
                         nxt.right_play[-1] if side == "left" else nxt.left_play[-1]
                     )
-                    strategy[(pairs, game_side, element)] = response
+                    strategy.setdefault((key, game_side, element), response)
                     record(nxt, state)
         seen[state] = (start, len(violations))
 
@@ -491,11 +490,14 @@ def workspace_game_result(a: Structure, q: int, check_invariants: bool = True):
     game between left and right, plus any invariant or winning-condition
     violations found during the replay (empty for a correct build).
 
-    The machine is a pure function of its state, so a state reached again
-    along another move sequence writes the same strategy entries: the
-    replay expands each distinct state once and, on a later visit, adds
-    again the violations its first visit found.  The strategy and the
-    violation list, order included, are those of replaying every sequence.
+    The machine is a pure function of its state, so the replay expands each
+    distinct state once and, on a later visit, adds again the violations its
+    first visit found; the violation list, order included, is that of
+    replaying every sequence.  The strategy is keyed like the games' (see
+    :func:`games.sequence_key`): each key keeps the answers of the first
+    sequence that reaches it.  As every child of every state visited is
+    expanded, each recorded answer leads to a recorded key, or to a pair set
+    the replay reports.
     Raises :class:`ResourceLimitError` when the move sequences outnumber
     ``MAX_REPLAY_SEQUENCES``.
     """

@@ -14,21 +14,27 @@ wider tuples per reply.  ``holds`` computes the condition from scratch, once
 per pair set, for the initial position, the traces and ``replay``, which
 trusts no recorded move.  ``win`` memoizes ``value``, and ``answer``
 Duplicator's least winning reply per memo key, shared by solving and
-extraction; ``value``, ``extract`` and ``replay`` are written once:
+extraction.  Strategies are recorded per memo key too (``key``), since the
+condition and the legal moves depend on nothing else: ``extract`` and
+``replay`` walk each key reached once, with ``record`` and ``follow`` for
+one key's move.  ``value``, ``extract`` and ``replay`` are written once:
 
 * :class:`_Arena` plays the sequence games.  A position is the aligned
   sequence of pairs from the basepoints on.  Spoiler plays any element (EF
   variants) or one a transition step from an element played on that side
   (either way in the temporal game); Duplicator answers with any element.
-  Positions are memoized on the pair set and the rounds played, on which
-  the condition and the legal moves alone depend.
+  Positions are memoized on the pair set and the rounds played
+  (``sequence_key``).
 * :class:`_CarrierArena` plays the comonadic game ``G_k``.  A position is a
   pair of plays in the two hybrid comonad carriers (its pairs are the plays
   zipped), and a move steps to an immediate extension.
 * :class:`_BijectionArena` plays the bounded bijection game on the positions
   of the sequence games, but a round opens with Duplicator matching the two
-  accessible sets, and Spoiler picks a pair of the matching.  It overrides
-  ``value``, ``extract`` and ``replay``.
+  accessible sets, and Spoiler picks a pair of the matching.  Spoiler's
+  strategy is a Hall pair per key: a set S of A's accessible elements with
+  fewer good partners N, so that every matching sends some element of S
+  outside N (P. Hall, "On representatives of subsets", 1935).  It overrides
+  ``value``, ``record`` and ``follow``.
 
 Outside the arena stay the independent checks of the games, which share no
 arena code and read no atom codes: ``back_and_forth_rank`` here,
@@ -45,17 +51,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress, permutations, product, repeat
+from itertools import compress, product, repeat
 from typing import Callable, Mapping
 
-from .errors import ResourceLimitError
 from .structures import Structure, covers, is_partial_isomorphism, row_codes
 from .comonads import ComonadKind, build_comonad
 
 DUPLICATOR = "Duplicator"
 SPOILER = "Spoiler"
-
-DEFAULT_MAX_ACCESSIBLE = 8
 
 
 class GameVariant(Enum):
@@ -100,10 +103,11 @@ class GameResult:
 
     @property
     def strategy(self) -> dict:
-        """Deterministic strategy for the winner, keyed by the position
-        reached (the aligned pair sequence, or the pair of plays in
-        ``comonadic-gk``) plus the opponent's move where one is needed.
-        Extracted lazily and cached."""
+        """Deterministic strategy for the winner, one move per memo key
+        reached (``sequence_key``, or the pair of plays in ``comonadic-gk``):
+        Duplicator's reply keyed ``(key, side, x)`` and Spoiler's move keyed
+        ``key``; in the bijection game, Duplicator's matching or Spoiler's
+        Hall pair ``(S, N)`` keyed ``key``.  Extracted lazily and cached."""
         if self._strategy is None:
             self._strategy = self._strategy_fn()
         return self._strategy
@@ -142,6 +146,19 @@ def _maps_into(tuples, h: Mapping[str, str], target: Structure) -> bool:
     return True
 
 
+def sequence_key(pos) -> tuple[frozenset, int]:
+    """Memo and strategy key of a sequence-game position (or of any aligned
+    pair sequence): the pair set and the number of rounds played."""
+    return frozenset(pos), len(pos)
+
+
+def _recorded(strategy: dict, key):
+    """The move recorded under ``key``; raises when there is none."""
+    if key not in strategy:
+        raise ValueError(f"strategy is not total: nothing recorded at {key!r}")
+    return strategy[key]
+
+
 class _Arena:
     """The sequence games: a position is the aligned tuple of pairs played so
     far, starting with the basepoint pairs."""
@@ -159,9 +176,7 @@ class _Arena:
 
     # -- positions and moves ----------------------------------------------------------
 
-    def key(self, pos):
-        """Memo key: the pair set and the number of rounds played."""
-        return frozenset(pos), len(pos)
+    key = staticmethod(sequence_key)
 
     def pairs(self, pos) -> tuple[tuple[str, str], ...]:
         return pos
@@ -287,69 +302,75 @@ class _Arena:
         return GameResult(winner, self.variant, self.k, lambda: self.extract(winner))
 
     def extract(self, winner: str) -> dict:
-        """The winner's strategy on every position reachable against it:
-        Duplicator's least winning reply keyed ``(pos, side, x)``, or
-        Spoiler's first refuting move keyed ``pos``."""
+        """The winner's strategy on every memo key reachable against it, each
+        recorded from the first position that reaches it."""
         strategy: dict = {}
+        done: set = set()
 
         def visit(pos):
-            if winner == DUPLICATOR:
-                for side, x in self.options(pos):
-                    if (pos, side, x) in strategy:
-                        continue
-                    y = self.answer(pos, side, x)
-                    if y is not None:
-                        strategy[pos, side, x] = y
-                        visit(self.step(pos, side, x, y))
-            elif pos not in strategy:
-                for side, x in self.options(pos):
-                    if self.answer(pos, side, x) is None:
-                        strategy[pos] = (side, x)
-                        for y in self.fits(pos, side, x):
-                            visit(self.step(pos, side, x, y))
-                        return
+            key = self.key(pos)
+            if key not in done:
+                done.add(key)
+                for child in self.record(strategy, winner, key, pos):
+                    visit(child)
 
         if self.holds(self.start):
             visit(self.start)
         return strategy
 
+    def record(self, strategy: dict, winner: str, key, pos):
+        """Record the winner's move at ``pos`` under ``key``, and yield the
+        positions the opponent reaches against it where the condition holds:
+        Duplicator's least winning reply to each move keyed ``(key, side,
+        x)``, or Spoiler's first refuting move keyed ``key``."""
+        if winner == DUPLICATOR:
+            for side, x in self.options(pos):
+                y = strategy[key, side, x] = self.answer(pos, side, x)
+                yield self.step(pos, side, x, y)
+            return
+        side, x = strategy[key] = next(
+            move for move in self.options(pos) if self.answer(pos, *move) is None
+        )
+        for y in self.fits(pos, side, x):
+            yield self.step(pos, side, x, y)
+
     def replay(self, strategy: dict, winner: str) -> bool:
         """Play the recorded strategy against every opponent move, checking
-        the winning condition from scratch at each position reached.  A
-        recorded move the arena does not offer fails the replay; a missing
-        one raises."""
+        the winning condition from scratch at each position reached, and
+        each memo key once.  A recorded move the arena does not offer fails
+        the replay; a missing one raises."""
+        done: set = set()
 
-        def duplicator(pos) -> bool:
+        def play(pos) -> bool:
             if not self.holds(pos):
+                return winner == SPOILER
+            key = self.key(pos)
+            if key in done:
+                return True
+            children = self.follow(strategy, winner, key, pos)
+            if not all(child is not None and play(child) for child in children):
                 return False
-            for side, x in self.options(pos):
-                if (pos, side, x) not in strategy:
-                    raise ValueError(
-                        f"strategy is not total: no response at {(pos, side, x)!r}"
-                    )
-                y = strategy[pos, side, x]
-                if y not in self.replies(pos, side) or not duplicator(
-                    self.step(pos, side, x, y)
-                ):
-                    return False
+            done.add(key)
             return True
 
-        def spoiler(pos) -> bool:
-            if not self.holds(pos):
-                return True
-            options = self.options(pos)
-            if not options:
-                return False
-            if pos not in strategy:
-                raise ValueError(f"strategy is not total: no move at {pos!r}")
-            if strategy[pos] not in options:
-                return False
-            side, x = strategy[pos]
-            return all(
-                spoiler(self.step(pos, side, x, y)) for y in self.replies(pos, side)
-            )
+        return play(self.start)
 
-        return (duplicator if winner == DUPLICATOR else spoiler)(self.start)
+    def follow(self, strategy: dict, winner: str, key, pos):
+        """Yield each position the opponent reaches against the move recorded
+        under ``key``, or ``None`` for a move the arena does not offer."""
+        options = self.options(pos)
+        if winner == DUPLICATOR:
+            for side, x in options:
+                y = _recorded(strategy, (key, side, x))
+                yield self.step(pos, side, x, y) if y in self.replies(pos, side) else None
+            return
+        move = _recorded(strategy, key) if options else None
+        if move not in options:
+            yield None
+            return
+        side, x = move
+        for y in self.replies(pos, side):
+            yield self.step(pos, side, x, y)
 
 
 class _CarrierArena(_Arena):
@@ -394,12 +415,6 @@ class _BijectionArena(_Arena):
     each round Duplicator commits to a matching of the two accessible sets
     and Spoiler picks one of its pairs."""
 
-    def __init__(
-        self, a: Structure, b: Structure, k: int, max_accessible=DEFAULT_MAX_ACCESSIBLE
-    ):
-        super().__init__(a, b, GameVariant.BIJECTION, k)
-        self.max_accessible = max_accessible
-
     def round(self, pos):
         """The winner when the game is over at ``pos`` (no round left or
         nothing to pick, or a cardinality clash), else the one-step-accessible
@@ -427,86 +442,62 @@ class _BijectionArena(_Arena):
         if isinstance(state, str):
             return state
         acc_a, acc_b = state
-        if len(acc_a) > self.max_accessible:
-            raise ResourceLimitError(
-                f"bijection round over {len(acc_a)} accessible elements exceeds "
-                f"the cap of {self.max_accessible}"
-            )
         good = self.good(pos, acc_a, acc_b)
-        return DUPLICATOR if _has_perfect_matching(acc_a, acc_b, good) else SPOILER
+        return SPOILER if _hall_violator(acc_a, acc_b, good) else DUPLICATOR
 
-    def extract(self, winner: str) -> dict:
-        """Duplicator's least winning matching keyed ``pos``, or Spoiler's
-        first pick off the good pairs keyed ``(pos, matching)`` for every
-        matching of the accessible sets."""
-        strategy: dict = {}
+    def record(self, strategy: dict, winner: str, key, pos):
+        """Duplicator's least winning matching, or Spoiler's Hall pair ``(S,
+        N)`` over the good pairs, keyed ``key``.  Spoiler's branches are each
+        a in S sent outside N, one of which every matching contains."""
+        state = self.round(pos)
+        if isinstance(state, str):
+            return
+        acc_a, acc_b = state
+        good = self.good(pos, acc_a, acc_b)
+        if winner == DUPLICATOR:
+            strategy[key] = branches = _least_matching(acc_a, acc_b, good)
+        else:
+            strategy[key] = s, n = _hall_violator(acc_a, acc_b, good)
+            outside = [y for y in acc_b if y not in n]
+            branches = [(x, y) for x in s for y in self.fits(pos, "A", x, outside)]
+        for x, y in branches:
+            yield self.step(pos, "A", x, y)
 
-        def visit(pos):
-            state = self.round(pos)
-            if isinstance(state, str):
-                return
-            acc_a, acc_b = state
-            good = self.good(pos, acc_a, acc_b)
-            if winner == DUPLICATOR:
-                strategy[pos] = matching = _least_matching(acc_a, acc_b, good)
-                for x, y in matching:
-                    visit(self.step(pos, "A", x, y))
-                return
-            for perm in permutations(acc_b):
-                matching = tuple(zip(acc_a, perm))
-                if (pos, matching) in strategy:  # reached again by another matching
-                    return
-                x, y = next(pair for pair in matching if pair not in good)
-                strategy[pos, matching] = x
-                if y in self.fits(pos, "A", x, (y,)):
-                    visit(self.step(pos, "A", x, y))
-
-        if self.holds(self.start):
-            visit(self.start)
-        return strategy
-
-    def replay(self, strategy: dict, winner: str) -> bool:
-        """Play the recorded strategy against every opponent choice, checking
-        the winning condition from scratch at each position reached.  A
-        matching that is not a bijection of the accessible sets, or a pick
-        outside them, fails the replay; a missing one raises."""
-
-        def play(pos) -> bool:
-            if not self.holds(pos):
-                return winner == SPOILER
-            state = self.round(pos)
-            if isinstance(state, str):
-                return state == winner
-            acc_a, acc_b = state
-            if winner == DUPLICATOR:
-                if pos not in strategy:
-                    raise ValueError(f"strategy is not total: no bijection at {pos!r}")
-                matching = strategy[pos]
-                if (
-                    matching is None
-                    or len(matching) != len(acc_a)
-                    or {x for x, _ in matching} != set(acc_a)
-                    or {y for _, y in matching} != set(acc_b)
-                ):
-                    return False
-                return all(play(self.step(pos, "A", x, y)) for x, y in matching)
-            for perm in permutations(acc_b):
-                key = pos, tuple(zip(acc_a, perm))
-                if key not in strategy:
-                    raise ValueError(f"strategy is not total: no pick at {key!r}")
-                pick = strategy[key]
-                if pick not in acc_a or not play(
-                    self.step(pos, "A", pick, perm[acc_a.index(pick)])
-                ):
-                    return False
-            return True
-
-        return play(self.start)
+    def follow(self, strategy: dict, winner: str, key, pos):
+        """A matching that is not a bijection of the accessible sets fails,
+        as does a Hall pair outside them or whose N is not smaller than its
+        S.  Every branch outside N is played, so N is not trusted to hold
+        all the good partners of S."""
+        state = self.round(pos)
+        if isinstance(state, str):
+            if state != winner:
+                yield None
+            return
+        acc_a, acc_b = state
+        entry = _recorded(strategy, key)
+        if winner == DUPLICATOR:
+            xs, ys = {x for x, _ in entry}, {y for _, y in entry}
+            legal = len(entry) == len(acc_a) and xs == set(acc_a) and ys == set(acc_b)
+            branches = entry
+        else:
+            s, n = entry
+            legal = set(s) <= set(acc_a) and set(n) <= set(acc_b)
+            legal = legal and len(set(n)) < len(set(s))
+            branches = [(x, y) for x in s for y in acc_b if y not in n]
+        if not legal:
+            yield None
+            return
+        for x, y in branches:
+            yield self.step(pos, "A", x, y)
 
 
-def _has_perfect_matching(
+def _hall_violator(
     rows: tuple[str, ...], cols: tuple[str, ...], good: set[tuple[str, str]]
-) -> bool:
+) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
+    """``None`` when the good pairs hold a perfect matching of ``rows`` onto
+    as many ``cols``, else the rows and the columns that the first failed
+    augmenting search reached: the columns are every good partner of those
+    rows, and one fewer.  Both come in their given order."""
     match_of_col: dict[str, str] = {}
 
     def augment(r: str, visited: set[str]) -> bool:
@@ -519,9 +510,13 @@ def _has_perfect_matching(
         return False
 
     for r in rows:
-        if not augment(r, set()):
-            return False
-    return True
+        visited: set[str] = set()
+        if not augment(r, visited):
+            reached = {r} | {match_of_col[c] for c in visited}
+            return tuple(x for x in rows if x in reached), tuple(
+                c for c in cols if c in visited
+            )
+    return None
 
 
 def _least_matching(
@@ -537,9 +532,8 @@ def _least_matching(
             c
             for c in free
             if (r, c) in good
-            and _has_perfect_matching(
-                rows[i + 1 :], tuple(d for d in free if d != c), good
-            )
+            and _hall_violator(rows[i + 1 :], tuple(d for d in free if d != c), good)
+            is None
         )
         free.remove(c)
         matching.append((r, c))
@@ -548,10 +542,10 @@ def _least_matching(
 
 def _arena(a: Structure, b: Structure, variant: GameVariant, k: int, **cap) -> _Arena:
     """The arena of the k-round ``variant`` game, once the two structures are
-    checked to suit it; ``cap`` is the bijection or carrier arena's size cap."""
+    checked to suit it; ``cap`` is the carrier arena's size cap."""
     _check_variant(a, b, variant, k)
     if variant is GameVariant.BIJECTION:
-        return _BijectionArena(a, b, k, **cap)
+        return _BijectionArena(a, b, variant, k)
     if variant is GameVariant.COMONADIC_GK:
         return _CarrierArena(a, b, k, **cap)
     return _Arena(a, b, variant, k)
@@ -572,15 +566,14 @@ def solve_Gk(
     return _arena(a, b, GameVariant.COMONADIC_GK, k, max_plays=max_plays).solve()
 
 
-def solve_bijection(
-    a: Structure, b: Structure, k: int, max_accessible: int = DEFAULT_MAX_ACCESSIBLE
-) -> GameResult:
+def solve_bijection(a: Structure, b: Structure, k: int) -> GameResult:
     """Value of the m+k-round bounded bijection game: each round Duplicator
     commits to a bijection between the one-step-accessible sets (Spoiler wins
     on a cardinality clash), Spoiler picks an accessible element, and the
-    accumulated correspondence must stay a partial isomorphism."""
-    arena = _arena(a, b, GameVariant.BIJECTION, k, max_accessible=max_accessible)
-    return arena.solve()
+    accumulated correspondence must stay a partial isomorphism.  The
+    strategy holds one matching or Hall pair per memo key, so it grows with
+    the positions, not with the matchings."""
+    return _arena(a, b, GameVariant.BIJECTION, k).solve()
 
 
 def verify_strategy(
@@ -686,7 +679,7 @@ def trace_game(a: Structure, b: Structure, variant: GameVariant, k: int) -> str:
         if not ok:
             break
         if result.winner == SPOILER:
-            move = strategy.get(pos)
+            move = strategy.get(arena.key(pos))
             if move is None:
                 break
             side, x = move
@@ -707,7 +700,7 @@ def trace_game(a: Structure, b: Structure, variant: GameVariant, k: int) -> str:
                 lines.append(f"round {rnd}: spoiler has no legal move [ok]")
                 break
             side, x = options[0]
-            y = strategy[pos, side, x]
+            y = strategy[arena.key(pos), side, x]
         pos = arena.step(pos, side, x, y)
         ok = arena.holds(pos)
         lines.append(

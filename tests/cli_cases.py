@@ -12,6 +12,7 @@ CASES = [
     ("equiv_loop_c2_hybrid0", ["equiv", "--left", "{d}/loop.json", "--right", "{d}/c2.json", "--logic", "hybrid", "--depth", "0"]),
     ("equiv_path3_path3_bf3", ["equiv", "--left", "{d}/path3.json", "--right", "{d}/path3.json", "--logic", "bf", "--depth", "3"]),
     ("equiv_star_bijection1", ["equiv", "--left", "{d}/star2.json", "--right", "{d}/star3.json", "--logic", "bijection", "--depth", "1"]),
+    ("equiv_star9_bc1", ["equiv", "--left", "{d}/star9.json", "--right", "{d}/star9_p.json", "--logic", "bc", "--depth", "1"]),
     ("equiv_star_bf2", ["equiv", "--left", "{d}/star2.json", "--right", "{d}/star3.json", "--logic", "bf", "--depth", "2"]),
     ("equiv_star_bf3_trace", ["equiv", "--left", "{d}/star2.json", "--right", "{d}/star3.json", "--logic", "bf", "--depth", "3", "--trace"]),
     ("equiv_backedge_temporal1", ["equiv", "--left", "{d}/back_edge.json", "--right", "{d}/loop.json", "--logic", "hybrid-temporal", "--depth", "1"]),

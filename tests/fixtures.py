@@ -22,6 +22,13 @@ def unimodal(universe, edges, basepoint="a", pos=(), qos=()):
     )
 
 
+def star(leaves: int, pos=()):
+    """A basepoint ``a`` with successors ``b1`` to ``b<leaves>``, those in
+    ``pos`` marked ``P``."""
+    names = [f"b{i}" for i in range(1, leaves + 1)]
+    return unimodal(["a"] + names, [("a", b) for b in names], pos=pos)
+
+
 LOOP = unimodal(["a"], [("a", "a")])
 SINGLE = unimodal(["a"], [])
 PATH2 = unimodal(["a", "b"], [("a", "b")])

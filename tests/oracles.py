@@ -7,7 +7,9 @@ coKleisli morphism search over the materialized I-carrier, the
 back-and-forth relation that compares every atom of every extension tuple,
 the per-reply check of the games' winning condition that the arena's
 atom-code filter replaced, the partial-isomorphism test that checks a tuple
-once per element of the domain it holds, the workspace replay that steps
+once per element of the domain it holds, the games' strategies keyed by
+move sequence (the bijection game's Spoiler picking once per matching) with
+their extraction and replay, the workspace replay that steps
 through every move sequence and checks every state's invariants literally,
 the first-order evaluator that tests every guard on every element and
 memoizes every node, and the parsers over a tokenizer that matches one
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 from typing import Mapping
 
 from hybridkit.comonads import (
@@ -29,6 +31,7 @@ from hybridkit.comonads import (
     play_parts,
 )
 from hybridkit import syntax as sx
+from hybridkit.games import DUPLICATOR, SPOILER, _BijectionArena, _least_matching
 from hybridkit.errors import ParseError, ScopeError
 from hybridkit.structures import Structure, with_identity_I
 from hybridkit.syntax import (
@@ -323,6 +326,224 @@ def is_partial_isomorphism(pairs, a: Structure, b: Structure) -> bool:
                     if not target.has_tuple(name, tuple(map(h.__getitem__, tup))):
                         return False
     return True
+
+
+# -- strategies keyed by move sequence ------------------------------------------
+
+
+def sequence_extract(arena, winner: str) -> dict:
+    """The winner's strategy on every position reachable against it, keyed
+    by the position itself: Duplicator's least winning reply keyed ``(pos,
+    side, x)``, or Spoiler's first refuting move keyed ``pos``."""
+    strategy: dict = {}
+
+    def visit(pos):
+        if winner == DUPLICATOR:
+            for side, x in arena.options(pos):
+                if (pos, side, x) in strategy:
+                    continue
+                y = arena.answer(pos, side, x)
+                if y is not None:
+                    strategy[pos, side, x] = y
+                    visit(arena.step(pos, side, x, y))
+        elif pos not in strategy:
+            for side, x in arena.options(pos):
+                if arena.answer(pos, side, x) is None:
+                    strategy[pos] = (side, x)
+                    for y in arena.fits(pos, side, x):
+                        visit(arena.step(pos, side, x, y))
+                    return
+
+    if arena.holds(arena.start):
+        visit(arena.start)
+    return strategy
+
+
+def sequence_replay(arena, strategy: dict, winner: str) -> bool:
+    """Play a position-keyed strategy against every opponent move along
+    every move sequence, checking the winning condition at each position."""
+
+    def duplicator(pos) -> bool:
+        if not arena.holds(pos):
+            return False
+        for side, x in arena.options(pos):
+            if (pos, side, x) not in strategy:
+                raise ValueError(f"strategy is not total: no response at {(pos, side, x)!r}")
+            y = strategy[pos, side, x]
+            if y not in arena.replies(pos, side) or not duplicator(
+                arena.step(pos, side, x, y)
+            ):
+                return False
+        return True
+
+    def spoiler(pos) -> bool:
+        if not arena.holds(pos):
+            return True
+        options = arena.options(pos)
+        if not options:
+            return False
+        if pos not in strategy:
+            raise ValueError(f"strategy is not total: no move at {pos!r}")
+        if strategy[pos] not in options:
+            return False
+        side, x = strategy[pos]
+        return all(spoiler(arena.step(pos, side, x, y)) for y in arena.replies(pos, side))
+
+    return (duplicator if winner == DUPLICATOR else spoiler)(arena.start)
+
+
+def bijection_extract(arena, winner: str) -> dict:
+    """Duplicator's least winning matching keyed ``pos``, or Spoiler's first
+    pick off the good pairs keyed ``(pos, matching)`` for every matching of
+    the accessible sets."""
+    strategy: dict = {}
+
+    def visit(pos):
+        state = arena.round(pos)
+        if isinstance(state, str):
+            return
+        acc_a, acc_b = state
+        good = arena.good(pos, acc_a, acc_b)
+        if winner == DUPLICATOR:
+            strategy[pos] = matching = _least_matching(acc_a, acc_b, good)
+            for x, y in matching:
+                visit(arena.step(pos, "A", x, y))
+            return
+        for perm in permutations(acc_b):
+            matching = tuple(zip(acc_a, perm))
+            if (pos, matching) in strategy:  # reached again by another matching
+                return
+            x, y = next(pair for pair in matching if pair not in good)
+            strategy[pos, matching] = x
+            if y in arena.fits(pos, "A", x, (y,)):
+                visit(arena.step(pos, "A", x, y))
+
+    if arena.holds(arena.start):
+        visit(arena.start)
+    return strategy
+
+
+def bijection_replay(arena, strategy: dict, winner: str) -> bool:
+    """Play a bijection strategy keyed as ``bijection_extract`` keys it
+    against every opponent choice: every pick of every matching Duplicator
+    offers, or every matching of the accessible sets Spoiler faces."""
+
+    def play(pos) -> bool:
+        if not arena.holds(pos):
+            return winner == SPOILER
+        state = arena.round(pos)
+        if isinstance(state, str):
+            return state == winner
+        acc_a, acc_b = state
+        if winner == DUPLICATOR:
+            if pos not in strategy:
+                raise ValueError(f"strategy is not total: no bijection at {pos!r}")
+            matching = strategy[pos]
+            if (
+                len(matching) != len(acc_a)
+                or {x for x, _ in matching} != set(acc_a)
+                or {y for _, y in matching} != set(acc_b)
+            ):
+                return False
+            return all(play(arena.step(pos, "A", x, y)) for x, y in matching)
+        for perm in permutations(acc_b):
+            key = pos, tuple(zip(acc_a, perm))
+            if key not in strategy:
+                raise ValueError(f"strategy is not total: no pick at {key!r}")
+            pick = strategy[key]
+            if pick not in acc_a or not play(
+                arena.step(pos, "A", pick, perm[acc_a.index(pick)])
+            ):
+                return False
+        return True
+
+    return play(arena.start)
+
+
+def bijection_winner(arena) -> str:
+    """The bijection game's winner by trying every matching of every round,
+    each sequence position solved once."""
+    memo: dict = {}
+
+    def win(pos) -> str:
+        if pos not in memo:
+            if not arena.holds(pos):
+                memo[pos] = SPOILER
+            elif isinstance(state := arena.round(pos), str):
+                memo[pos] = state
+            else:
+                acc_a, acc_b = state
+                wins = any(
+                    all(
+                        win(arena.step(pos, "A", x, y)) == DUPLICATOR
+                        for x, y in zip(acc_a, perm)
+                    )
+                    for perm in permutations(acc_b)
+                )
+                memo[pos] = DUPLICATOR if wins else SPOILER
+        return memo[pos]
+
+    return win(arena.start)
+
+
+def first_per_key(arena, strategy: dict, winner: str) -> dict:
+    """A sequence-keyed strategy of the sequence games cut down to the first
+    entry per memo key, each position replaced by its key."""
+    out: dict = {}
+    for entry, move in strategy.items():
+        if winner == DUPLICATOR:
+            pos, side, x = entry
+            out.setdefault((arena.key(pos), side, x), move)
+        else:
+            out.setdefault(arena.key(entry), move)
+    return out
+
+
+def expand_certificate(arena, strategy: dict, winner: str) -> dict:
+    """A strategy keyed on the arena's memo keys, rewritten in the form and
+    order that ``sequence_extract`` or ``bijection_extract`` gives, by
+    walking the positions reachable against it from the start.  A Hall pair
+    ``(S, N)`` becomes one pick per matching: the first element of S that
+    the matching sends outside N."""
+    out: dict = {}
+
+    def visit(pos):
+        key = arena.key(pos)
+        if isinstance(arena, _BijectionArena):
+            state = arena.round(pos)
+            if isinstance(state, str):
+                return
+            acc_a, acc_b = state
+            if winner == DUPLICATOR:
+                out[pos] = strategy[key]
+                for x, y in strategy[key]:
+                    visit(arena.step(pos, "A", x, y))
+                return
+            s, n = strategy[key]
+            for perm in permutations(acc_b):
+                matching = tuple(zip(acc_a, perm))
+                if (pos, matching) in out:
+                    return
+                image = dict(matching)
+                x = out[pos, matching] = next(x for x in s if image[x] not in n)
+                child = arena.step(pos, "A", x, image[x])
+                if arena.holds(child):
+                    visit(child)
+        elif winner == DUPLICATOR:
+            for side, x in arena.options(pos):
+                if (pos, side, x) not in out:
+                    y = out[pos, side, x] = strategy[key, side, x]
+                    visit(arena.step(pos, side, x, y))
+        elif pos not in out:
+            side, x = out[pos] = strategy[key]
+            for y in arena.replies(pos, side):
+                child = arena.step(pos, side, x, y)
+                if arena.holds(child):
+                    visit(child)
+
+    if arena.holds(arena.start):
+        visit(arena.start)
+    return out
 
 
 # -- the workspace replay -------------------------------------------------------

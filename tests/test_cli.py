@@ -50,29 +50,38 @@ def test_unknown_command_exit_code():
     assert run(["frobnicate"], out=io.StringIO()) == 2
 
 
-def test_resource_guard_exit_code(tmp_path):
-    # a bijection round over more accessible elements than the solver cap
-    import json
-
+def _hub(tmp_path):
+    """A basepoint with nine successors, written to a file."""
     from hybridkit.structures import structure_to_data
-    from fixtures import UNIMODAL
-    from hybridkit.structures import Structure
+    from fixtures import star
 
-    hub = Structure(
-        UNIMODAL,
-        ["a"] + [f"b{i}" for i in range(9)],
-        {"E": [("a", f"b{i}") for i in range(9)]},
-        ["a"],
-    )
     path = tmp_path / "hub.json"
-    path.write_text(json.dumps(structure_to_data(hub)))
+    path.write_text(json.dumps(structure_to_data(star(9))))
+    return path
+
+
+def test_resource_guard_exit_code(tmp_path):
+    # the 6-round EF carrier of ten elements passes the 200,000-play cap
+    path = _hub(tmp_path)
+    sink = io.StringIO()
+    code = run(
+        ["comonad", "--structure", str(path), "--kind", "ef", "--k", "6"],
+        out=sink,
+    )
+    assert code == 3
+    assert "resource limit" in sink.getvalue()
+
+
+def test_wide_bijection_round_gets_a_verdict(tmp_path):
+    # nine accessible elements a side: no cap on the bijection game
+    path = _hub(tmp_path)
     sink = io.StringIO()
     code = run(
         ["equiv", "--left", str(path), "--right", str(path), "--logic", "bijection", "--depth", "1"],
         out=sink,
     )
-    assert code == 3
-    assert "resource limit" in sink.getvalue()
+    assert code == 0
+    assert "equivalent: yes" in sink.getvalue()
 
 
 @pytest.mark.parametrize("q", ["4", "2000"])

@@ -6,8 +6,9 @@ a carrier keeps its element tuples, prefixes and children from one walk of
 its play tree, the game arena filters Duplicator's replies through
 per-structure atom codes, the first-order evaluator walks guarded
 quantifiers over the partner index and memoizes only compound operands, and
-the parsers read a token list made by one ``findall``; ``oracles`` keeps
-the forms they replaced.  On random unimodal pairs, the games are also
+the parsers read a token list made by one ``findall``, and strategies are
+keyed on the solver's memo key, with Hall pairs for Spoiler in the
+bijection game; ``oracles`` keeps the forms they replaced.  On random unimodal pairs, the games are also
 checked against the independent procedures that characterize them.
 Random structures of up to 6 elements come in four shapes: unimodal,
 bimodal with two basepoints, with a ternary relation, and with a repeated
@@ -40,6 +41,7 @@ from hybridkit.games import (
     back_and_forth_rank,
     solve,
     solve_Gk,
+    verify_strategy,
 )
 from hybridkit import scott
 from hybridkit.scott import scott_type
@@ -48,7 +50,7 @@ from hybridkit.semantics import eval_fo
 from hybridkit.structures import Signature, Structure, is_partial_isomorphism
 
 import oracles
-from fixtures import BOUNDED_FIXTURES, FIXTURES30, fitting_kinds, pairs
+from fixtures import BOUNDED_FIXTURES, FIXTURES30, fitting_kinds, pairs, star
 
 BIMODAL = Signature({"P": 1, "E": 2, "F": 2}, ["E", "F"], 2)
 SHAPES = {
@@ -309,6 +311,9 @@ class TestReplyFilter:
 
 
 def _solver_outputs(structure_pairs):
+    """One line per game: its winner and its strategy expanded to one entry
+    per move sequence, in order; in the bijection game, Duplicator's
+    matchings and the replay verdict."""
     for a, b in structure_pairs:
         for variant in GameVariant:
             for k in (0, 1, 2, 3):
@@ -317,21 +322,115 @@ def _solver_outputs(structure_pairs):
                 except (ValueError, ResourceLimitError) as exc:
                     yield f"{variant.value} {k} {type(exc).__name__}"
                     continue
-                strategy = list(result.strategy.items())
-                yield f"{variant.value} {k} {result.winner} {strategy}"
+                arena = games._arena(a, b, variant, k)
+                if variant is GameVariant.BIJECTION:
+                    matchings = []
+                    if result.winner == DUPLICATOR:
+                        expanded = oracles.expand_certificate(arena, result.strategy, DUPLICATOR)
+                        matchings = list(expanded.items())
+                    verdict = verify_strategy(result, a, b, variant, k)
+                    yield f"{variant.value} {k} {result.winner} {matchings} {verdict}"
+                    continue
+                expanded = oracles.expand_certificate(arena, result.strategy, result.winner)
+                yield f"{variant.value} {k} {result.winner} {list(expanded.items())}"
 
 
 class TestPinnedSolverOutputs:
     def test_winners_and_strategies_are_unchanged(self):
-        # computed before the reply filter read the atom codes
+        # computed before the reply filter read the atom codes; the bijection
+        # lines were re-pinned when Spoiler's picks per matching gave way to
+        # Hall pairs
         digest = hashlib.sha256()
         for line in _solver_outputs(
             list(pairs(FIXTURES30[:8])) + list(pairs(BOUNDED_FIXTURES))
         ):
             digest.update(line.encode() + b"\n")
         assert digest.hexdigest() == (
-            "36936de618d6f13afa806eb1f8b4351a7ed3ae5c7828a0d0043ba41b9beab0cb"
+            "374bbc534b330186b3b28aa5244b3db3b7905557af71d0001bfe24b0bebfe302"
         )
+
+
+def _bijection_pair(data):
+    """A pair as ``_game_pair`` draws it, or half the time a structure and a
+    copy with the ``P`` mark of one element flipped, in either order:
+    accessible sets of one size whose good pairs often lack a perfect
+    matching."""
+    a, b = _game_pair(data, GameVariant.BIJECTION)
+    if data.draw(st.booleans()):
+        flip = {(data.draw(st.sampled_from(a.universe)),)}
+        rels = {name: list(tuples) for name, tuples in a.relations.items()}
+        rels["P"] = sorted(set(rels["P"]) ^ flip)
+        b = Structure(a.signature, a.universe, rels, a.basepoints)
+        if data.draw(st.booleans()):
+            a, b = b, a
+    return a, b
+
+
+class TestCertificatesAgainstOracle:
+    """Strategies keyed on the memo key against the sequence-keyed
+    extraction and replay they replaced, and Hall pairs against Spoiler
+    picking once per matching."""
+
+    @pytest.mark.parametrize(
+        "variant",
+        [v for v in GameVariant if v is not GameVariant.BIJECTION],
+        ids=lambda v: v.value,
+    )
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_expanded_certificate_is_the_oracle_strategy(self, variant, data):
+        a, b = _game_pair(data, variant)
+        top = 2 if variant is GameVariant.COMONADIC_GK else 3
+        k = data.draw(st.integers(1, top))
+        result = solve(a, b, variant, k)
+        arena = games._arena(a, b, variant, k)
+        expected = oracles.sequence_extract(games._arena(a, b, variant, k), result.winner)
+        expanded = oracles.expand_certificate(arena, result.strategy, result.winner)
+        assert list(expanded.items()) == list(expected.items())
+        # keyed in the order the oracle first reaches each key
+        first = oracles.first_per_key(arena, expected, result.winner)
+        assert list(result.strategy.items()) == list(first.items())
+        verdict = oracles.sequence_replay(arena, expected, result.winner)
+        assert verify_strategy(result, a, b, variant, k) == verdict
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_hall_certificates_pass_the_permutation_replay(self, data):
+        a, b = _bijection_pair(data)
+        _bijection_agrees_with_oracles(a, b, data.draw(st.integers(0, 3)))
+
+    @pytest.mark.parametrize("leaves", range(1, 7))
+    def test_marked_stars(self, leaves):
+        # one more marked leaf on the right: S is every unmarked leaf of the
+        # left, and N the right's fewer unmarked leaves; the oracles try
+        # every matching, so a second round is played on the smaller stars
+        widest = 0
+        for marked in range(leaves):
+            a = star(leaves, pos=[f"b{i}" for i in range(1, marked + 1)])
+            b = star(leaves, pos=[f"b{i}" for i in range(1, marked + 2)])
+            for k in (1, 2) if leaves <= 4 else (1,):
+                result = _bijection_agrees_with_oracles(a, b, k)
+                assert result.winner == games.SPOILER
+                widest = max(widest, *(len(s) for s, _ in result.strategy.values()))
+        assert widest == leaves
+
+
+def _bijection_agrees_with_oracles(a, b, k):
+    """The bijection game's winner against the permutation oracle; its Hall
+    certificate, expanded to one pick per matching, passes the permutation
+    replay, and Duplicator's matchings are the oracle extraction's."""
+    variant = GameVariant.BIJECTION
+    result = solve(a, b, variant, k)
+    arena = games._arena(a, b, variant, k)
+    assert result.winner == oracles.bijection_winner(arena)
+    expanded = oracles.expand_certificate(arena, result.strategy, result.winner)
+    assert oracles.bijection_replay(arena, expanded, result.winner)
+    assert verify_strategy(result, a, b, variant, k)
+    oracle = oracles.bijection_extract(arena, result.winner)
+    if result.winner == DUPLICATOR:
+        assert list(expanded.items()) == list(oracle.items())
+    assert oracles.bijection_replay(arena, oracle, result.winner)
+    return result
 
 
 # -- formulas --------------------------------------------------------------------------

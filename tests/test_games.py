@@ -1,4 +1,5 @@
 import hashlib
+import time
 import types
 
 import pytest
@@ -6,16 +7,17 @@ import pytest
 from hybridkit import characterization, games, scott
 from hybridkit.coalgebras import coalgebra_number, enumerate_coalgebras
 from hybridkit.comonads import ComonadKind, find_cokleisli_morphism
-from hybridkit.errors import ResourceLimitError
 from hybridkit.games import (
     DUPLICATOR,
     SPOILER,
     GameResult,
     GameVariant,
+    _hall_violator,
     _least_matching,
     back_and_forth_rank,
     solve,
     solve_Gk,
+    sequence_key,
     solve_bijection,
     trace_game,
     verify_strategy,
@@ -31,8 +33,10 @@ from fixtures import (
     STAR2,
     STAR3,
     pairs,
+    star,
     unimodal,
 )
+import oracles
 
 
 class TestSolve:
@@ -73,10 +77,24 @@ class TestBijection:
         assert solve(STAR2, STAR3, GameVariant.BACK_FORTH_BOUNDED, 2).winner == DUPLICATOR
         assert solve(STAR2, STAR3, GameVariant.BACK_FORTH_BOUNDED, 3).winner == SPOILER
 
-    def test_accessible_cap(self):
-        big = STAR3.relabel({e: e for e in STAR3.universe})
-        with pytest.raises(ResourceLimitError):
-            solve_bijection(STAR3, big, 1, max_accessible=2)
+    def test_twelve_leaves_solve_extract_and_replay(self):
+        # a Hall pair per key, not a pick per matching: 12! matchings would
+        # take hours to enumerate
+        a, b = star(12), star(12, pos=["b1"])
+        started = time.monotonic()
+        result = solve_bijection(a, b, 1)
+        assert result.winner == SPOILER
+        leaves = tuple(f"b{i}" for i in range(1, 13))
+        assert result.strategy == {sequence_key((("a", "a"),)): (leaves, leaves[1:])}
+        assert verify_strategy(result, a, b, GameVariant.BIJECTION, 1)
+        assert time.monotonic() - started < 1.0
+
+    def test_hall_violator_reaches_the_deficient_rows(self):
+        # r2 and r3 share the one good column c3; r1 is matched to c1
+        good = {("r1", "c1"), ("r1", "c2"), ("r2", "c3"), ("r3", "c3")}
+        rows, cols = ("r1", "r2", "r3"), ("c1", "c2", "c3")
+        assert _hall_violator(rows, cols, good) == (("r2", "r3"), ("c3",))
+        assert _hall_violator(rows, cols, good | {("r3", "c2")}) is None
 
     def test_least_matching_leaves_the_rest_matchable(self):
         # r1 gives up its least column c1, the only one r2 can take
@@ -234,8 +252,8 @@ class TestTrace:
 
 class TestPinnedBehaviour:
     def test_strategies_and_traces_are_unchanged(self):
-        # sha256 over every winner, strategy entry and trace line, so that a
-        # change to any of them fails here
+        # sha256 over every winner, strategy entry (expanded to one per move
+        # sequence) and trace line, so that a change to any of them fails here
         digest = hashlib.sha256()
         for a, b in pairs(FIXTURES30[:8]):
             for variant in GameVariant:
@@ -245,7 +263,10 @@ class TestPinnedBehaviour:
                     if variant is GameVariant.COMONADIC_GK and k == 0:
                         continue
                     result = solve(a, b, variant, k)
-                    entries = sorted(result.strategy.items())
+                    expanded = oracles.expand_certificate(
+                        games._arena(a, b, variant, k), result.strategy, result.winner
+                    )
+                    entries = sorted(expanded.items())
                     digest.update(repr((result.winner, entries)).encode())
                     digest.update(trace_game(a, b, variant, k).encode())
         assert digest.hexdigest() == (
@@ -253,23 +274,31 @@ class TestPinnedBehaviour:
         )
 
     def test_bijection_strategies_and_verdicts_are_unchanged(self):
-        # sha256 over every winner, strategy entry and replay verdict of the
-        # bijection game, one- and two-basepoint
+        # sha256 over every winner, Duplicator matching (expanded to one per
+        # move sequence) and replay verdict of the bijection game, one- and
+        # two-basepoint; Spoiler's picks per matching are not pinned
         cases = [(a, b, k) for a, b in pairs(FIXTURES30[:8]) for k in (0, 1, 2, 3)]
         cases += [(a, b, k) for a, b in pairs(BOUNDED_FIXTURES[:4]) for k in (0, 1, 2)]
         digest = hashlib.sha256()
         for a, b, k in cases:
             result = solve_bijection(a, b, k)
-            entries = sorted(result.strategy.items())
+            arena = games._arena(a, b, GameVariant.BIJECTION, k)
+            matchings = []
+            if result.winner == DUPLICATOR:
+                expanded = oracles.expand_certificate(arena, result.strategy, DUPLICATOR)
+                matchings = sorted(expanded.items())
             verdict = verify_strategy(result, a, b, GameVariant.BIJECTION, k)
-            digest.update(repr((result.winner, entries, verdict)).encode())
+            digest.update(repr((result.winner, matchings, verdict)).encode())
         assert digest.hexdigest() == (
-            "3a84aa496b2b1bb45f1af94593354f223476cfd96fb17bd9f2dc4200cbab8a02"
+            "1e24b47a2355aa11b5d718cb885f0b48de52e162cdb105db03fddf686bd2c3bd"
         )
 
 
 def _forged(winner, variant, k, strategy):
     return GameResult(winner, variant, k, lambda: strategy)
+
+
+START = sequence_key((("a", "a"),))
 
 
 class TestReplayRejectsIllegalMoves:
@@ -278,14 +307,15 @@ class TestReplayRejectsIllegalMoves:
         b = unimodal(["b0", "b1"], [], basepoint="b0")
         variant = GameVariant.EXISTENTIAL_EF
         assert solve(a, b, variant, 1).winner == DUPLICATOR
-        forged = _forged(SPOILER, variant, 1, {(("a", "b0"),): ("B", "b1")})
+        move = {sequence_key((("a", "b0"),)): ("B", "b1")}
+        forged = _forged(SPOILER, variant, 1, move)
         assert not verify_strategy(forged, a, b, variant, 1)
 
     def test_answer_outside_the_universe(self):
         a = unimodal(["a", "z"], [])
         variant = GameVariant.EXISTENTIAL_EF
         strategy = dict(solve(a, a, variant, 1).strategy)
-        strategy[(("a", "a"),), "A", "z"] = "ghost"
+        strategy[START, "A", "z"] = "ghost"
         forged = _forged(DUPLICATOR, variant, 1, strategy)
         assert not verify_strategy(forged, a, a, variant, 1)
 
@@ -299,7 +329,7 @@ class TestReplayRejectsIllegalMoves:
     def test_bijection_that_is_not_onto(self):
         variant = GameVariant.BIJECTION
         strategy = dict(solve_bijection(STAR2, STAR2, 1).strategy)
-        strategy[(("a", "a"),)] = (("b1", "b1"), ("b2", "b1"))
+        strategy[START] = (("b1", "b1"), ("b2", "b1"))
         forged = _forged(DUPLICATOR, variant, 1, strategy)
         assert not verify_strategy(forged, STAR2, STAR2, variant, 1)
 
@@ -308,9 +338,48 @@ class TestReplayRejectsIllegalMoves:
         variant = GameVariant.BIJECTION
         result = solve_bijection(a, STAR2, 2)
         assert result.winner == SPOILER
-        strategy = {key: "zzz" for key in result.strategy}
+        strategy = {key: (("zzz",), ()) for key in result.strategy}
         forged = _forged(SPOILER, variant, 2, strategy)
         assert not verify_strategy(forged, a, STAR2, variant, 2)
+
+    # a star against its copy with one leaf marked: no unmarked leaf of A may
+    # go to b1, so S is every leaf and N every leaf but b1
+    MARKED = star(4), star(4, pos=["b1"])
+
+    def test_hall_pair_whose_partners_are_not_fewer(self):
+        a, b = self.MARKED
+        result = solve_bijection(a, b, 1)
+        assert result.winner == SPOILER
+        (s, n) = result.strategy[START]
+        assert len(n) == len(s) - 1
+        assert verify_strategy(result, a, b, GameVariant.BIJECTION, 1)
+        # with b1 in N too, no branch is left to play
+        forged = _forged(SPOILER, GameVariant.BIJECTION, 1, {START: (s, n + ("b1",))})
+        assert not verify_strategy(forged, a, b, GameVariant.BIJECTION, 1)
+
+    def test_hall_pair_that_omits_a_good_partner(self):
+        a, b = self.MARKED
+        (s, n) = solve_bijection(a, b, 1).strategy[START]
+        # b1 -> b2 is a Duplicator win that the smaller N lets Spoiler face
+        forged = _forged(SPOILER, GameVariant.BIJECTION, 1, {START: (s, n[1:])})
+        assert not verify_strategy(forged, a, b, GameVariant.BIJECTION, 1)
+
+    @pytest.mark.parametrize(
+        "variant, a, b, k",
+        [
+            (GameVariant.EF, STAR2, STAR2, 2),
+            (GameVariant.EF, STAR2, STAR3, 3),
+            (GameVariant.BIJECTION, STAR2, STAR2, 2),
+            (GameVariant.BIJECTION, *MARKED, 1),
+        ],
+        ids=["ef-duplicator", "ef-spoiler", "bijection-duplicator", "bijection-spoiler"],
+    )
+    def test_missing_key_raises(self, variant, a, b, k):
+        result = solve(a, b, variant, k)
+        strategy = dict(result.strategy)
+        del strategy[next(iter(strategy))]
+        with pytest.raises(ValueError, match="not total"):
+            verify_strategy(_forged(result.winner, variant, k, strategy), a, b, variant, k)
 
 
 class TestPairSetQuotient:
@@ -320,13 +389,11 @@ class TestPairSetQuotient:
         variant = GameVariant.EF
         result = solve(PATH3, PATH3, variant, 3)
         assert result.winner == DUPLICATOR
-        strategy = result.strategy
-        start = (("a", "a"),)
-        positions = {start}
-        for (pos, side, x), y in strategy.items():
-            positions.add(pos)
-            positions.add(pos + ((x, y) if side == "A" else (y, x),))
-        pair_sets = {frozenset(pos) for pos in positions}
+        keys = {START}
+        for ((pair_set, rounds), side, x), y in result.strategy.items():
+            keys.add((pair_set, rounds))
+            keys.add((pair_set | {(x, y) if side == "A" else (y, x)}, rounds + 1))
+        pair_sets = {pair_set for pair_set, _ in keys}
 
         calls = []
         check = games.is_partial_isomorphism
@@ -339,24 +406,36 @@ class TestPairSetQuotient:
         assert verify_strategy(result, PATH3, PATH3, variant, 3)
         assert len(calls) == len(pair_sets) == len(set(calls))
         assert set(calls) == pair_sets
-        assert len(calls) < len(positions)
+        assert len(calls) < len(keys)
 
     def test_bad_answer_under_one_of_two_orders_fails(self):
         # (b,b) then (c,c) and (c,c) then (b,b) reach one pair set; a wrong
         # answer a round deeper under either order alone fails the replay
+        # of the strategy expanded to one answer per move sequence
         variant = GameVariant.EF
         result = solve(PATH3, PATH3, variant, 3)
         assert result.winner == DUPLICATOR
-        strategy = dict(result.strategy)
+        arena = games._arena(PATH3, PATH3, variant, 3)
+        strategy = oracles.expand_certificate(arena, result.strategy, DUPLICATOR)
+        assert oracles.sequence_replay(arena, strategy, DUPLICATOR)
         first = (("a", "a"), ("b", "b"), ("c", "c"))
         second = (("a", "a"), ("c", "c"), ("b", "b"))
         assert strategy[first, "A", "c"] == strategy[second, "A", "c"] == "c"
         strategy[second, "A", "c"] = "b"
-        forged = _forged(DUPLICATOR, variant, 3, strategy)
-        assert not verify_strategy(forged, PATH3, PATH3, variant, 3)
+        assert not oracles.sequence_replay(arena, strategy, DUPLICATOR)
         # the same answer under the first order alone fails as well
         strategy[second, "A", "c"] = "c"
         strategy[first, "A", "c"] = "b"
+        assert not oracles.sequence_replay(arena, strategy, DUPLICATOR)
+
+    def test_one_answer_per_key(self):
+        # both orders share one key, so a wrong answer there fails both
+        variant = GameVariant.EF
+        result = solve(PATH3, PATH3, variant, 3)
+        key = sequence_key((("a", "a"), ("b", "b"), ("c", "c")))
+        strategy = dict(result.strategy)
+        assert strategy[key, "A", "c"] == "c"
+        strategy[key, "A", "c"] = "b"
         forged = _forged(DUPLICATOR, variant, 3, strategy)
         assert not verify_strategy(forged, PATH3, PATH3, variant, 3)
 
@@ -365,13 +444,13 @@ class TestPairSetQuotient:
 
         result = solve_bijection(STAR2, STAR2, 3)
         assert result.winner == DUPLICATOR
-        positions = {(("a", "a"),)}
-        for pos, matching in result.strategy.items():
-            positions.add(pos)
-            positions.update(pos + (pair,) for pair in matching)
-        pair_sets = {frozenset(pos) for pos in positions}
+        keys = {START}
+        for (pair_set, rounds), matching in result.strategy.items():
+            keys.add((pair_set, rounds))
+            keys.update((pair_set | {pair}, rounds + 1) for pair in matching)
+        pair_sets = {pair_set for pair_set, _ in keys}
         # a repeated pick reaches one pair set after two different numbers of rounds
-        assert len({(frozenset(pos), len(pos)) for pos in positions}) > len(pair_sets)
+        assert len(keys) > len(pair_sets)
 
         calls = []
         check = games.is_partial_isomorphism
@@ -387,17 +466,19 @@ class TestPairSetQuotient:
 
     def test_bijection_replay_checks_every_order(self):
         # both orders of the two leaves reach one pair set; a bijection that
-        # is not onto under the second order alone must still fail
+        # is not onto under the second order alone must still fail the replay
+        # of the strategy expanded to one matching per move sequence
         variant = GameVariant.BIJECTION
         result = solve_bijection(STAR2, STAR2, 3)
         assert result.winner == DUPLICATOR
-        strategy = dict(result.strategy)
+        arena = games._arena(STAR2, STAR2, variant, 3)
+        strategy = oracles.expand_certificate(arena, result.strategy, DUPLICATOR)
+        assert oracles.bijection_replay(arena, strategy, DUPLICATOR)
         first = (("a", "a"), ("b1", "b1"), ("b2", "b2"))
         second = (("a", "a"), ("b2", "b2"), ("b1", "b1"))
         assert strategy[first] == strategy[second]
         strategy[second] = (("b1", "b1"), ("b2", "b1"))
-        forged = _forged(DUPLICATOR, variant, 3, strategy)
-        assert not verify_strategy(forged, STAR2, STAR2, variant, 3)
+        assert not oracles.bijection_replay(arena, strategy, DUPLICATOR)
 
 
 TERNARY = Signature({"E": 2, "R": 3}, ["E"], 1)
