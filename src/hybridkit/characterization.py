@@ -134,6 +134,16 @@ class WorkspaceStrategy:
         self.left = MetricSpaceView.of(left)
         self.right = MetricSpaceView.of(right)
 
+    def verify(self) -> bool:
+        """:func:`verify_workspace` on this machine's workspace."""
+        result, violations = _replay(self)
+        if violations:
+            return False
+        left, right = self.left.structure, self.right.structure
+        if not verify_strategy(result, left, right, GameVariant.EF, self.q):
+            return False
+        return ef_types_agree(left, right, self.q)
+
     def initial_state(self) -> WorkspaceStrategyState:
         bps = self.left.structure.basepoints
         return WorkspaceStrategyState(
@@ -477,9 +487,7 @@ def _replay(machine: WorkspaceStrategy, check_invariants: bool = True):
     record(machine.initial_state(), None)
     seen.clear()
     iso.clear()
-    result = GameResult(DUPLICATOR, GameVariant.EF, q, lambda: strategy)
-    result._strategy = strategy
-    return result, violations
+    return GameResult(DUPLICATOR, GameVariant.EF, q, lambda: strategy), violations
 
 
 def workspace_game_result(a: Structure, q: int, check_invariants: bool = True):
@@ -518,14 +526,7 @@ def verify_workspace(a: Structure, q: int) -> bool:
     The workspace is built once, by the machine.  Raises
     :class:`ResourceLimitError` when the replay would pass
     ``MAX_REPLAY_SEQUENCES`` move sequences."""
-    machine = WorkspaceStrategy(a, q)
-    result, violations = _replay(machine)
-    if violations:
-        return False
-    left, right = machine.left.structure, machine.right.structure
-    if not verify_strategy(result, left, right, GameVariant.EF, q):
-        return False
-    return ef_types_agree(left, right, q)
+    return WorkspaceStrategy(a, q).verify()
 
 
 # -- EF types -------------------------------------------------------------------------
@@ -633,8 +634,8 @@ def check_invariance(
     name, _, arg = notion.partition(":")
     entries: list[InvarianceEntry] = []
     if name in ("generated", "ball"):
-        if not arg:
-            raise ValueError(f"notion {name!r} needs a radius, e.g. {name}:2")
+        if not (arg.isascii() and arg.isdigit()):
+            raise ValueError(f"notion {notion!r}: the radius must be a natural number")
         k = int(arg)
         transform = reachable_part if name == "generated" else ball_part
         for i, s in enumerate(corpus):

@@ -30,7 +30,7 @@ from .coalgebras import (
     coalgebra_number,
     generated_tree_depth,
 )
-from .characterization import build_workspace, check_invariance, verify_workspace
+from .characterization import WorkspaceStrategy, build_workspace, check_invariance
 
 LOGIC_VARIANTS = {
     "hybrid": GameVariant.BACK_FORTH_HYBRID,
@@ -230,12 +230,17 @@ def _dispatch(args: argparse.Namespace, out: TextIO) -> int:
 
     if args.command == "workspace":
         s = load_structure(args.structure)
-        workspace, left, right = build_workspace(s, args.q)
+        if args.verify:  # the machine builds the workspace it verifies
+            machine = WorkspaceStrategy(s, args.q)
+            workspace = machine.workspace
+            left, right = machine.left.structure, machine.right.structure
+        else:
+            workspace, left, right = build_workspace(s, args.q)
         print(f"workspace size: {len(workspace)}", file=out)
         print(f"bound 2q|A|: {2 * args.q * len(s)}", file=out)
         print(f"left size: {len(left)} right size: {len(right)}", file=out)
         if args.verify:
-            ok = verify_workspace(s, args.q)
+            ok = machine.verify()
             print(f"verified: {'yes' if ok else 'no'}", file=out)
             return 0 if ok else 1
         return 0

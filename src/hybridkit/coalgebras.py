@@ -120,13 +120,9 @@ def is_generated_tree_cover(t: TreeCover, k_bound: int | None = None) -> bool:
         for y in adjacency[x]:
             if not t.comparable(x, y):
                 return False
-    edges = base.transition_edges()
     chain = set(bps)
     for e in base.universe:
-        if e in chain:
-            continue
-        branch = branches[e]
-        if not any((anc, e) in edges for anc in branch[:-1]):
+        if e not in chain and e not in base.accessible(branches[e][:-1]):
             return False
     if k_bound is not None and t.height() - m > k_bound:
         return False
@@ -269,9 +265,7 @@ def _cover_search(s: Structure) -> tuple[list[int], list[int], int, int] | None:
     pos = s._pos
     adjacency = gaifman_graph(s)
     near = [sum(1 << pos[y] for y in adjacency[x]) for x in s.universe]
-    succ = [0] * len(s.universe)
-    for u, v in s.transition_edges():
-        succ[pos[u]] |= 1 << pos[v]
+    succ = [sum(1 << pos[v] for v in s.accessible((u,))) for u in s.universe]
     chain = sum(1 << pos[b] for b in bps)
     rest = ((1 << len(s.universe)) - 1) & ~chain
     seen = 0

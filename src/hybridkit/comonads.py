@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice, product
+from itertools import islice
 from typing import Mapping, Sequence
 
 from .errors import InvalidStructureError, ResourceLimitError
@@ -163,8 +163,11 @@ def build_comonad(
     The carrier universe is ordered by play length, then lexicographically by
     base universe positions, which fixes deterministic iteration for morphism
     search and dump output.  Each play is named once, from its parent's name,
-    while the play tree is walked; relations are lifted over each play's
-    prefixes, so every tuple is found once, from its longest play.
+    while the play tree is walked.  Relations are lifted from each play's
+    atoms through its last position (``Structure.atoms_at_last``): an atom
+    at positions ``idx`` relates the prefix plays at those depths, so every
+    tuple is found once, from its longest play, and ``I`` relates the play
+    to each prefix ending in the same element.
     """
     tree = _plays(base, kind, k, max_plays)
     sig = base.signature
@@ -184,64 +187,25 @@ def build_comonad(
         if played:
             children[up] = tuple(name_of[play] for play in below)
     plays = list(parts)
-    rels: dict[str, list[tuple[str, ...]]] = {name: [] for name in sig.relations}
-    single_transition = next(iter(sig.transitions)) if sig.transitions else None
-    for name, arity in sig.relations.items():
-        base_tuples = base.tuple_set(name)
-        out = rels[name]
-        if kind is ComonadKind.MODAL and name == single_transition:
-            for p in plays:
-                chain = prefixes[p]
-                if len(chain) > 1 and parts[p][-2:] in base_tuples:
-                    out.append((chain[-2], p))
-            continue
-        if arity == 1:
-            out.extend((p,) for p in plays if parts[p][-1:] in base_tuples)
-            continue
-        for p in plays:
-            for tup in _tuples_over_chain(prefixes[p], p, arity):
-                if tuple(parts[q][-1] for q in tup) in base_tuples:
-                    out.append(tup)
+    carrier_rels = dict(sig.relations)
     if with_I:
-        rels[RESERVED_IDENTITY] = [
-            (p, q)
-            for top in plays
-            for p, q in _tuples_over_chain(prefixes[top], top, 2)
-            if parts[p][-1] == parts[q][-1]
-        ]
-        carrier_rels = dict(sig.relations)
         carrier_rels[RESERVED_IDENTITY] = 2
-        carrier_sig = Signature(
-            carrier_rels, sig.transitions, m, _allow_reserved=True
-        )
-    else:
-        carrier_sig = Signature(sig.relations, sig.transitions, m, _allow_reserved=True)
+    rels: dict[str, list[tuple[str, ...]]] = {name: [] for name in carrier_rels}
+    modal_edge = next(iter(sig.transitions)) if kind is ComonadKind.MODAL else None
+    for p in plays:
+        chain, played = prefixes[p], parts[p]
+        found, earlier = base.atoms_at_last(played)
+        for name, idx in found:
+            if name != modal_edge:
+                rels[name].append(tuple(map(chain.__getitem__, idx)))
+        if modal_edge is not None and base.has_tuple(modal_edge, played[-2:]):
+            rels[modal_edge].append(chain[-2:])
+        if with_I:  # (p, p) comes twice; the carrier keeps one
+            for q in (p, *map(chain.__getitem__, earlier)):
+                rels[RESERVED_IDENTITY] += ((q, p), (p, q))
+    carrier_sig = Signature(carrier_rels, sig.transitions, m, _allow_reserved=True)
     carrier = Structure(carrier_sig, plays, rels, plays[:m])
     return ComonadStructure(kind, k, base, carrier, with_I, parts, prefixes, children)
-
-
-def _tuples_over_chain(chain: tuple[str, ...], top: str, arity: int):
-    """All arity-tuples of plays from the chain that mention its top element.
-
-    Comparable tuples lie on a single branch, so enumerating per branch with
-    the longest play required avoids duplicates across branches.
-    """
-    if arity == 2:
-        for q in chain:
-            yield (top, q)
-            if q != top:
-                yield (q, top)
-        return
-
-    def rec(partial: tuple[str, ...]):
-        if len(partial) == arity:
-            if top in partial:
-                yield partial
-            return
-        for q in chain:
-            yield from rec(partial + (q,))
-
-    yield from rec(())
 
 
 def counit(c: ComonadStructure, play: str) -> str:
@@ -362,9 +326,10 @@ def find_cokleisli_morphism(
     from A and the play's prefix alone, and no carrier is built: every tuple
     of A through the play's last element whose elements all occur in the
     prefix must map into B's relation at each choice of prefix depths that
-    realizes it (for the Modal kind's transition relation, only the
-    parent-to-child edge counts), and a play whose last element occurs at
-    an earlier depth must repeat that depth's image (the I-relation).
+    realizes it (``Structure.atoms_at_last``; for the Modal kind's
+    transition relation, only the parent-to-child edge counts), and a play
+    whose last element occurs at an earlier depth must repeat that depth's
+    image (the I-relation).
     Subtree viability is memoized on (play, branch images), and witnesses
     are chosen least in universe order, keyed by play in carrier order.
     """
@@ -386,25 +351,13 @@ def find_cokleisli_morphism(
         """The earlier depth whose image the play's last depth must repeat
         (or None), and the (B relation, depths) pairs through that depth."""
         n = len(play) - 1
-        last = play[n]
-        where: dict[str, list[int]] = {}
-        for depth, e in enumerate(play):
-            where.setdefault(e, []).append(depth)
-        first = where[last][0]
-        tuples = []
-        for name, tup in a.tuples_at(last):
-            if name == modal_edge:
-                continue
-            places = [where.get(e) for e in tup]
-            if None in places:
-                continue
-            target = b.tuple_set(name)
-            tuples.extend(
-                (target, depths) for depths in product(*places) if n in depths
-            )
+        found, earlier = a.atoms_at_last(play)
+        tuples = [
+            (b.tuple_set(name), depths) for name, depths in found if name != modal_edge
+        ]
         if n and modal_edge is not None and a.has_tuple(modal_edge, play[n - 1 :]):
             tuples.append((b.tuple_set(modal_edge), (n - 1, n)))
-        return (first if first < n else None), tuples
+        return (earlier[0] if earlier else None), tuples
 
     def choices(play: tuple[str, ...], images: tuple[str, ...]):
         """The image tuples of the play that extend its prefix's ``images``

@@ -39,8 +39,9 @@ one key's move.  ``value``, ``extract`` and ``replay`` are written once:
 Outside the arena stay the independent checks of the games, which share no
 arena code and read no atom codes: ``back_and_forth_rank`` here,
 ``comonads.find_cokleisli_morphism``, ``scott.scott_type``,
-``coalgebras.coalgebra_number`` and ``characterization.ef_types_agree``.  Each builds its own atomic information
-incrementally along its extension tuples or plays.
+``coalgebras.coalgebra_number`` and ``characterization.ef_types_agree``.
+All but the last read the atoms along their tuples or plays from
+``Structure.atoms_at_last``, which the arena never calls.
 
 All iteration follows universe (or carrier) order, which makes winners,
 strategies and traces deterministic.  The exposed round count ``k`` is the
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress, product, repeat
+from itertools import compress, repeat
 from typing import Callable, Mapping
 
 from .structures import Structure, covers, is_partial_isomorphism, row_codes
@@ -270,18 +271,18 @@ class _Arena:
 
     # -- solving, extraction and replay ----------------------------------------------
 
-    def answer(self, pos, side: str, x):
+    def answer(self, key, pos, side: str, x):
         """Duplicator's least reply to ``x`` that keeps a won position, or
         ``None`` when the move refutes Duplicator; memoized per memo key."""
-        key = (self.key(pos), side, x)
-        if key not in self.answers:
+        move = (key, side, x)
+        if move not in self.answers:
             for y in self.fits(pos, side, x):
                 if self.win(self.step(pos, side, x, y)) == DUPLICATOR:
                     break
             else:
                 y = None
-            self.answers[key] = y
-        return self.answers[key]
+            self.answers[move] = y
+        return self.answers[move]
 
     def win(self, pos) -> str:
         """Game value at a position where the winning condition holds,
@@ -289,12 +290,12 @@ class _Arena:
         key = self.key(pos)
         value = self.memo.get(key)
         if value is None:
-            value = self.memo[key] = self.value(pos)
+            value = self.memo[key] = self.value(key, pos)
         return value
 
-    def value(self, pos) -> str:
+    def value(self, key, pos) -> str:
         """Spoiler wins when some move has no winning answer."""
-        refuted = any(self.answer(pos, *move) is None for move in self.options(pos))
+        refuted = any(self.answer(key, pos, *m) is None for m in self.options(pos))
         return SPOILER if refuted else DUPLICATOR
 
     def solve(self) -> GameResult:
@@ -325,11 +326,11 @@ class _Arena:
         x)``, or Spoiler's first refuting move keyed ``key``."""
         if winner == DUPLICATOR:
             for side, x in self.options(pos):
-                y = strategy[key, side, x] = self.answer(pos, side, x)
+                y = strategy[key, side, x] = self.answer(key, pos, side, x)
                 yield self.step(pos, side, x, y)
             return
         side, x = strategy[key] = next(
-            move for move in self.options(pos) if self.answer(pos, *move) is None
+            move for move in self.options(pos) if self.answer(key, pos, *move) is None
         )
         for y in self.fits(pos, side, x):
             yield self.step(pos, side, x, y)
@@ -436,7 +437,7 @@ class _BijectionArena(_Arena):
             if self.win(self.step(pos, "A", x, y)) == DUPLICATOR
         }
 
-    def value(self, pos) -> str:
+    def value(self, key, pos) -> str:
         """Duplicator wins when the good pairs hold a perfect matching."""
         state = self.round(pos)
         if isinstance(state, str):
@@ -594,8 +595,9 @@ def back_and_forth_rank(a: Structure, b: Structure, k: int) -> bool:
     extensions of every tuple component.  Independent of the game engine.
 
     Full atomic agreement is checked once, at the basepoints; an extension
-    pair agrees when the atoms and equalities through its new positions do,
-    each side's computed once per tuple and compared after the memo lookup.
+    pair agrees when the atoms and equalities through its new positions do
+    (``Structure.atoms_at_last``), each side's computed once per tuple and
+    compared after the memo lookup.
     The one-step extensions are each component's partners in the
     structure's index of each transition relation.
     """
@@ -608,25 +610,15 @@ def back_and_forth_rank(a: Structure, b: Structure, k: int) -> bool:
     seen_a: dict[tuple[str, ...], tuple] = {}
     seen_b: dict[tuple[str, ...], tuple] = {}
 
-    def atoms_at_last(s: Structure, seen: dict, tup: tuple[str, ...]):
-        """The atoms of ``tup`` through its last position, as (relation,
-        positions) pairs, and the earlier positions equal to it."""
+    def atoms(s: Structure, seen: dict, tup: tuple[str, ...]):
         got = seen.get(tup)
         if got is None:
-            n = len(tup) - 1
-            where: dict[str, list[int]] = {}
-            for i, e in enumerate(tup):
-                where.setdefault(e, []).append(i)
-            hits = []
-            for name, t in s.tuples_at(tup[n]):
-                places = [where.get(e) for e in t]
-                if None not in places:
-                    hits.extend((name, idx) for idx in product(*places) if n in idx)
-            got = seen[tup] = (frozenset(hits), tuple(where[tup[n]][:-1]))
+            found, earlier = s.atoms_at_last(tup)
+            got = seen[tup] = (frozenset(found), earlier)
         return got
 
     def agree(ta: tuple[str, ...], tb: tuple[str, ...]) -> bool:
-        return atoms_at_last(a, seen_a, ta) == atoms_at_last(b, seen_b, tb)
+        return atoms(a, seen_a, ta) == atoms(b, seen_b, tb)
 
     def bf(ta: tuple[str, ...], tb: tuple[str, ...], rank: int) -> bool:
         """Whether a pair whose atoms agree below its newest positions is

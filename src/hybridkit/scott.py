@@ -42,27 +42,20 @@ def _position_term(i: int, m: int) -> Term:
 
 def _extend_key(s: Structure, key, tup: tuple[str, ...]):
     """Canonical atomic type of ``tup`` (which relation atoms and equalities
-    hold between its components) from ``key``, that of ``tup[:-1]``: the
-    atoms through the last position are read from the tuples at its
-    element, and its equalities are the earlier positions of that element."""
+    hold between its components) from ``key``, that of ``tup[:-1]``, plus
+    the atoms and equalities through the last position
+    (``Structure.atoms_at_last``)."""
     n = len(tup) - 1
-    where: dict[str, list[int]] = {}
-    for i, e in enumerate(tup):
-        where.setdefault(e, []).append(i)
-    hits: dict[str, list[tuple[int, ...]]] = {}
-    for name, t in s.tuples_at(tup[n]):
-        places = [where.get(e) for e in t]
-        if None not in places:
-            hits.setdefault(name, []).extend(
-                idx for idx in product(*places) if n in idx
-            )
+    found, earlier = s.atoms_at_last(tup)
     atoms, eqs = key
-    if hits:
+    if found:
+        hits: dict[str, list[tuple[int, ...]]] = {}
+        for name, idx in found:
+            hits.setdefault(name, []).append(idx)
         atoms = tuple(
             (name, tuple(sorted(old + tuple(hits[name]))) if name in hits else old)
             for name, old in atoms
         )
-    earlier = where[tup[n]][:-1]
     if earlier:
         eqs = tuple(sorted(eqs + tuple((i, n) for i in earlier)))
     return (atoms, eqs)
@@ -97,6 +90,8 @@ def characteristic_formula(s: Structure, k: int, temporal: bool = False) -> FOFo
     the backward guards are included as well.  Memoized per extension tuple;
     conjuncts are deduplicated syntactically.
     """
+    if k < 0:
+        raise ValueError(f"rank must be non-negative, got {k}")
     m = s.signature.num_basepoints
     if m < 1:
         raise ValueError("characteristic formulas need at least one basepoint")
@@ -182,6 +177,8 @@ def scott_type(s: Structure, k: int):
     through its last position, read from the tuples at that element, and
     that position's equalities with earlier ones.
     """
+    if k < 0:
+        raise ValueError(f"rank must be non-negative, got {k}")
     return _types(s)(s.basepoints, k)
 
 
@@ -194,6 +191,8 @@ def scott_formula(s: Structure, k: int) -> FOFormula:
     counts cover each class once, and they are ordered canonically so the
     output is deterministic.
     """
+    if k < 0:
+        raise ValueError(f"rank must be non-negative, got {k}")
     m = s.signature.num_basepoints
     ty = _types(s)
     fm_memo: dict[tuple[tuple[str, ...], int], FOFormula] = {}

@@ -15,6 +15,7 @@ the basepoints).
 from __future__ import annotations
 
 import json
+from itertools import product
 from operator import and_, itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
@@ -123,10 +124,12 @@ class Structure:
     frozensets behind ``has_tuple`` (``tuple_set``), the tuples through each
     element (``tuples_at``), successors and predecessors over all transitions
     (``accessible``), the partners of each element in one binary relation
-    (``partners``), the transition edges, and the atom-code table
-    (``atom_codes``): one small int per element and per ordered pair of
-    elements for the atoms on exactly those elements, as tuples of ints
-    indexed by universe position.
+    (``partners``), and the atom-code table (``atom_codes``): one small int
+    per element and per ordered pair of elements for the atoms on exactly
+    those elements, as tuples of ints indexed by universe position.
+    ``atoms_at_last`` is the one atom step along a tuple or play, shared by
+    Scott types, ``back_and_forth_rank``, the coKleisli search and the
+    carrier lift; the game arena reads the atom codes instead.
     """
 
     __slots__ = (
@@ -140,7 +143,6 @@ class Structure:
         "_partners",
         "_tuples_at",
         "_atoms",
-        "_edges",
         "_gaifman",
     )
 
@@ -206,7 +208,6 @@ class Structure:
             None
         )
         self._atoms: tuple | None = None
-        self._edges: frozenset[tuple[str, str]] | None = None
         self._gaifman: MappingProxyType | None = None
 
     # -- identity -----------------------------------------------------------
@@ -266,6 +267,22 @@ class Structure:
                         at[e].append(entry)
             self._tuples_at = {e: tuple(v) for e, v in at.items()}
         return self._tuples_at[element]
+
+    def atoms_at_last(self, tup: Sequence[str]) -> tuple[list, tuple[int, ...]]:
+        """The atoms of ``tup`` through its last position, and the earlier
+        positions holding its last element.  An atom is a ``(relation,
+        positions)`` pair, one per choice of positions among repeated
+        elements that includes the last; one relation's atoms are adjacent."""
+        n = len(tup) - 1
+        where: dict[str, list[int]] = {}
+        for i, e in enumerate(tup):
+            where.setdefault(e, []).append(i)
+        hits = []
+        for name, t in self.tuples_at(tup[n]):
+            places = list(map(where.get, t))
+            if None not in places:
+                hits += [(name, idx) for idx in product(*places) if n in idx]
+        return hits, tuple(where[tup[n]][:-1])
 
     def atom_codes(
         self,
@@ -347,17 +364,6 @@ class Structure:
                 self._partners[relation, direction] = {e: tuple(v) for e, v in found.items()}
             got = self._partners[relation, backward]
         return got
-
-    def transition_edges(self) -> frozenset[tuple[str, str]]:
-        """All directed (u, v) pairs related by some transition relation, as
-        a frozenset built on first use."""
-        if self._edges is None:
-            self._edges = frozenset(
-                tup
-                for name in self.signature.transitions
-                for tup in self.relations[name]
-            )
-        return self._edges
 
     def induced(self, elements: Iterable[str]) -> "Structure":
         """Induced substructure on the given elements, keeping universe order.

@@ -1,7 +1,9 @@
 """Reference implementations the tests compare the production checks with.
 
 Each one is the from-scratch form of something the package now computes
-incrementally or more cheaply: the atomic type of a whole tuple, the
+incrementally or more cheaply: the atoms through a tuple's last position
+tested at every tuple of positions, the atomic type of a whole tuple, the
+relations of a carrier enumerated over every chain of prefixes, the
 children of each carrier play found by splitting the play strings, the
 coKleisli morphism search over the materialized I-carrier, the
 back-and-forth relation that compares every atom of every extension tuple,
@@ -78,6 +80,19 @@ def atomic_type_key(s: Structure, tup: tuple[str, ...]):
     return (tuple(atoms), eqs)
 
 
+def atoms_at_last(s: Structure, tup: tuple[str, ...]):
+    """``Structure.atoms_at_last`` with the atoms as a set: every relation
+    tested at every tuple of positions that holds the last one."""
+    n = len(tup) - 1
+    atoms = {
+        (name, idx)
+        for name, arity in s.signature.relations.items()
+        for idx in product(range(n + 1), repeat=arity)
+        if n in idx and s.has_tuple(name, tuple(tup[i] for i in idx))
+    }
+    return atoms, tuple(i for i in range(n) if tup[i] == tup[n])
+
+
 def scott_type(s: Structure, k: int):
     """``scott.scott_type`` with every atomic type computed from scratch."""
     memo: dict[tuple[tuple[str, ...], int], object] = {}
@@ -111,6 +126,33 @@ def carrier_children(c: ComonadStructure) -> dict[str, tuple[str, ...]]:
         if len(parts) > 1:
             out[play_join(parts[:-1])].append(p)
     return {p: tuple(v) for p, v in out.items()}
+
+
+def carrier_relations(c: ComonadStructure) -> dict[str, set[tuple[str, ...]]]:
+    """The relations of a carrier from their definition, over each play's
+    chain of prefixes: every tuple of plays on the chain that holds the
+    play and whose last elements the base relation holds (for the Modal
+    kind's transition, only the parent and the play), and with ``I`` every
+    pair on the chain that holds the play and ends in equal elements."""
+    sig = c.base.signature
+    modal_edge = next(iter(sig.transitions)) if c.kind is ComonadKind.MODAL else None
+    out = {name: set() for name in c.carrier.signature.relations}
+    for top in c.plays:
+        chain = c.prefixes[top]
+        last = {q: c.parts[q][-1] for q in chain}
+        if modal_edge is not None and c.base.has_tuple(modal_edge, c.parts[top][-2:]):
+            out[modal_edge].add(chain[-2:])
+        for name, arity in sig.relations.items():
+            for tup in product(chain, repeat=arity):
+                if name != modal_edge and top in tup and c.base.has_tuple(
+                    name, tuple(last[q] for q in tup)
+                ):
+                    out[name].add(tup)
+        if c.with_I:
+            out["I"].update(
+                (p, q) for p in chain for q in chain if top in (p, q) and last[p] == last[q]
+            )
+    return out
 
 
 def carrier_cokleisli_morphism(
@@ -342,13 +384,13 @@ def sequence_extract(arena, winner: str) -> dict:
             for side, x in arena.options(pos):
                 if (pos, side, x) in strategy:
                     continue
-                y = arena.answer(pos, side, x)
+                y = arena.answer(arena.key(pos), pos, side, x)
                 if y is not None:
                     strategy[pos, side, x] = y
                     visit(arena.step(pos, side, x, y))
         elif pos not in strategy:
             for side, x in arena.options(pos):
-                if arena.answer(pos, side, x) is None:
+                if arena.answer(arena.key(pos), pos, side, x) is None:
                     strategy[pos] = (side, x)
                     for y in arena.fits(pos, side, x):
                         visit(arena.step(pos, side, x, y))

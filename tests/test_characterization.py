@@ -427,6 +427,13 @@ class TestInvariance:
         with pytest.raises(ValueError):
             check_invariance(parse_fo("P(x)"), "generated:1", [LOOP])
 
+    @pytest.mark.parametrize(
+        "notion", ["generated:-1", "ball:-1", "generated:x", "ball:", "generated:1.5"]
+    )
+    def test_radius_must_be_a_natural_number(self, notion):
+        with pytest.raises(ValueError, match=f"notion '{notion}': the radius must be"):
+            check_invariance(parse_fo("E(c1,c1)"), notion, [LOOP])
+
 
 class TestLemmaCrosswalks:
     def test_bounded_equivalence_survives_reachable_part(self):

@@ -138,6 +138,43 @@ def test_module_entry_point_matches_golden():
     assert proc.stderr == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["characteristic", "--structure", "data/loop.json", "--k", "-1"],
+            "rank must be non-negative, got -1",
+        ),
+        (
+            ["equiv", "--left", "data/loop.json", "--right", "data/c2.json"]
+            + ["--logic", "hybrid", "--depth", "-1"],
+            "round count must be non-negative, got -1",
+        ),
+    ]
+    + [
+        (
+            ["invariance", "--formula", "E(c1,c1)", "--notion", notion]
+            + ["--corpus", "data/corpus"],
+            f"notion '{notion}': the radius must be a natural number",
+        )
+        for notion in ("generated:-1", "ball:-1", "generated:x", "ball:")
+    ],
+    ids=[
+        "characteristic_k_negative",
+        "equiv_depth_negative",
+        "generated_negative",
+        "ball_negative",
+        "generated_not_a_number",
+        "ball_empty",
+    ],
+)
+def test_bad_number_is_an_input_error(capsys, argv, message):
+    sink = io.StringIO()
+    assert run(argv, out=sink) == 2
+    assert sink.getvalue() == f"error: {message}\n"
+    assert "Traceback" not in capsys.readouterr().err
+
+
 GOOD = {
     "signature": {"relations": {"E": 2, "P": 1}, "transitions": ["E"]},
     "universe": ["a", "b"],

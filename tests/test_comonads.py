@@ -140,7 +140,7 @@ class TestAgainstBruteForce:
         from itertools import product as iproduct
 
         m = s.signature.num_basepoints
-        edges = s.transition_edges()
+        edges = {t for n in s.signature.transitions for t in s.relations[n]}
 
         def admissible(seq):
             if len(seq) <= m:
@@ -216,7 +216,7 @@ class TestAgainstBruteForce:
 
     def test_modal_lifting_matches_definition(self):
         c = build_comonad(PATH3, ComonadKind.MODAL, 3)
-        edges = PATH3.transition_edges()
+        edges = set(PATH3.relations["E"])
         expected = {
             (p, q)
             for p in c.plays

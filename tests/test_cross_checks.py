@@ -2,8 +2,9 @@
 
 ``scott_type``, ``find_cokleisli_morphism`` and ``back_and_forth_rank``
 build atomic information incrementally along each extension tuple or play,
-a carrier keeps its element tuples, prefixes and children from one walk of
-its play tree, the game arena filters Duplicator's replies through
+through the one atom step ``Structure.atoms_at_last``, a carrier keeps its
+element tuples, prefixes and children from one walk of its play tree and
+lifts its relations through the same step, the game arena filters Duplicator's replies through
 per-structure atom codes, the first-order evaluator walks guarded
 quantifiers over the partner index and memoizes only compound operands, and
 the parsers read a token list made by one ``findall``, and strategies are
@@ -18,7 +19,7 @@ import contextlib
 import hashlib
 import signal
 import time
-from itertools import permutations
+from itertools import groupby, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -145,6 +146,25 @@ def _outputs(structure_pairs):
                 yield f"cokleisli {kind.value} {k} {_listed(morphism)}"
 
 
+class TestAtomStep:
+    # the one atom step behind the independent checks and the carrier lift,
+    # on random structures with a ternary relation and tuples that repeat
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(GAME_SHAPES)), st.data())
+    def test_atoms_at_last_match_brute_force(self, shape, data):
+        s = data.draw(structures(*GAME_SHAPES[shape]))
+        element = st.sampled_from(s.universe)
+        tup = tuple(data.draw(st.lists(element, min_size=1, max_size=5)))
+        if data.draw(st.booleans()):  # end on an element played before
+            tup += (data.draw(st.sampled_from(tup)),)
+        found, earlier = s.atoms_at_last(tup)
+        atoms, expected_earlier = oracles.atoms_at_last(s, tup)
+        assert len(found) == len(set(found)) and set(found) == atoms
+        assert earlier == expected_earlier
+        names = [name for name, _ in found]
+        assert len(list(groupby(names))) == len(set(names))
+
+
 class TestPinnedOutputs:
     def test_check_outputs_are_unchanged(self):
         # computed before the checks became incremental
@@ -175,6 +195,8 @@ class TestCarrierMapsAgainstDecoding:
             assert c.prefixes[play] == prefixes == comultiplication(c, play)
             assert counit(c, play) == parts[-1]
             assert c.children(play) == children[play]
+        lifted = {name: set(tuples) for name, tuples in c.carrier.relations.items()}
+        assert lifted == oracles.carrier_relations(c)
 
 
 class TestThreeWayCrosswalk:

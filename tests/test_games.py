@@ -22,7 +22,7 @@ from hybridkit.games import (
     trace_game,
     verify_strategy,
 )
-from hybridkit.structures import Signature, Structure
+from hybridkit.structures import Signature, Structure, is_partial_isomorphism
 
 from fixtures import (
     BOUNDED_FIXTURES,
@@ -560,6 +560,25 @@ class TestCrossChecksStayApart:
     def test_cross_check_names_no_arena(self, check):
         names, _ = _reached(check)
         assert not names & self.ARENA_NAMES
+
+    @pytest.mark.parametrize(
+        "part",
+        [
+            games._Arena.fits,
+            games._Arena.holds,
+            games._Arena._condition,
+            is_partial_isomorphism,
+            Structure.atom_codes,
+        ],
+        ids=lambda fn: fn.__qualname__,
+    )
+    def test_arena_never_reaches_the_shared_atom_step(self, part):
+        # so each crosswalk keeps one side off Structure.atoms_at_last
+        assert "atoms_at_last" not in _reached(part)[0]
+
+    def test_cross_checks_read_the_shared_atom_step(self):
+        for check in (back_and_forth_rank, find_cokleisli_morphism, scott.scott_type):
+            assert "atoms_at_last" in _reached(check)[0]
 
     def test_walk_reaches_helpers_and_the_arena(self):
         assert scott._types in _reached(scott.scott_type)[1]

@@ -28,6 +28,12 @@ class TestScottType:
         assert scott_type(STAR2, 0) == scott_type(STAR3, 0)
 
 
+@pytest.mark.parametrize("build", [characteristic_formula, scott_type, scott_formula])
+def test_negative_rank_is_rejected(build):
+    with pytest.raises(ValueError, match="rank must be non-negative, got -1"):
+        build(LOOP, -1)
+
+
 class TestCharacteristicFormula:
     def test_true_on_itself(self):
         for s in FIXTURES30[:10]:
