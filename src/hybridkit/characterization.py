@@ -15,8 +15,7 @@ the machine against every move sequence keeps the state invariants and the
 partial-isomorphism condition, the strategy it records verifies as an EF
 strategy, and the two padded structures have the same rank-q EF type,
 computed in each structure separately.  The replay visits each distinct
-machine state once, and checks a state's invariants through its newest
-index only, given that its parent kept them all.
+machine state once and checks all six of its invariants literally.
 """
 from __future__ import annotations
 
@@ -25,9 +24,9 @@ from typing import Sequence
 
 from .errors import ResourceLimitError
 from .structures import (
-    DistanceMatrix,
     Structure,
     ball_part,
+    check_comparable,
     disjoint_union,
     gaifman_distance,
     is_partial_isomorphism,
@@ -49,26 +48,6 @@ MAX_REPLAY_SEQUENCES = 200_000
 
 def _summand_tag(element: str) -> str:
     return element.split(":", 1)[0]
-
-
-@dataclass(frozen=True)
-class MetricSpaceView:
-    """A disjoint-sum structure seen as a metric space, with each element's
-    distance to the nearest basepoint."""
-
-    structure: Structure
-    dist: DistanceMatrix
-    base: dict[str, float]
-
-    @classmethod
-    def of(cls, structure: Structure) -> "MetricSpaceView":
-        dist = gaifman_distance(structure)
-        bps = structure.basepoints
-        return cls(
-            structure,
-            dist,
-            {e: dist.set_distance((e,), bps) for e in structure.universe},
-        )
 
 
 def build_workspace(a: Structure, q: int) -> tuple[Structure, Structure, Structure]:
@@ -131,24 +110,24 @@ class WorkspaceStrategy:
                 f"exceeds {MAX_REPLAY_SEQUENCES} move sequences"
             )
         self.workspace = workspace
-        self.left = MetricSpaceView.of(left)
-        self.right = MetricSpaceView.of(right)
+        self.left, self.right = left, right
+        self.left_dist = gaifman_distance(left)
+        self.right_dist = gaifman_distance(right)
 
     def verify(self) -> bool:
         """:func:`verify_workspace` on this machine's workspace."""
         result, violations = _replay(self)
         if violations:
             return False
-        left, right = self.left.structure, self.right.structure
-        if not verify_strategy(result, left, right, GameVariant.EF, self.q):
+        if not verify_strategy(result, self.left, self.right, GameVariant.EF, self.q):
             return False
-        return ef_types_agree(left, right, self.q)
+        return ef_types_agree(self.left, self.right, self.q)
 
     def initial_state(self) -> WorkspaceStrategyState:
-        bps = self.left.structure.basepoints
+        bps = self.left.basepoints
         return WorkspaceStrategyState(
             left_play=bps,
-            right_play=self.right.structure.basepoints,
+            right_play=self.right.basepoints,
             c0=frozenset(bps),
             c1=frozenset(),
             d0=frozenset(bps),
@@ -189,7 +168,7 @@ class WorkspaceStrategy:
         if state.round >= self.q:
             raise ValueError("all rounds already played")
         on_left = side == "left"
-        view = self.left if on_left else self.right
+        dist = self.left_dist if on_left else self.right_dist
         play = state.left_play if on_left else state.right_play
         near0 = state.c0 if on_left else state.d0
         near1 = state.c1 if on_left else state.d1
@@ -197,7 +176,7 @@ class WorkspaceStrategy:
 
         case = "III"
         witness = None
-        row = view.dist.row(element)
+        row = dist.row(element)
         for i, prior in enumerate(play):
             if row[prior] <= half:
                 if prior in near0:
@@ -247,11 +226,11 @@ class WorkspaceStrategy:
     def invariant_violations(self, state: WorkspaceStrategyState) -> list[str]:
         """All six strategy invariants, checked literally."""
         out: list[str] = []
-        m = len(self.left.structure.basepoints)
+        m = len(self.left.basepoints)
         n = len(state.left_play)
         radius = state.radius
         reach = self.ell - radius
-        left_bps = self.left.structure.basepoints
+        left_bps = self.left.basepoints
         played_left = set(state.left_play)
         played_right = set(state.right_play)
 
@@ -263,10 +242,10 @@ class WorkspaceStrategy:
             out.append("basepoints escape the near parts")
 
         for e in state.c0:
-            if self.left.dist.set_distance([e], left_bps) > reach:
+            if self.left_dist.set_distance([e], left_bps) > reach:
                 out.append(f"near element {e!r} outside the {reach}-ball (left)")
         for e in state.d0:
-            if self.right.dist.set_distance([e], left_bps) > reach:
+            if self.right_dist.set_distance([e], left_bps) > reach:
                 out.append(f"near element {e!r} outside the {reach}-ball (right)")
         for i in range(n):
             if (state.left_play[i] in state.c0) != (state.right_play[i] in state.d0):
@@ -277,14 +256,25 @@ class WorkspaceStrategy:
         if near_left != near_right:
             out.append("matched near subsequences differ")
 
-        if self.left.dist.set_distance(state.c0, state.c1) <= radius:
+        if self.left_dist.set_distance(state.c0, state.c1) <= radius:
             out.append("left separation violated")
-        if self.right.dist.set_distance(state.d0, state.d1) <= radius:
+        if self.right_dist.set_distance(state.d0, state.d1) <= radius:
             out.append("right separation violated")
 
         for i in range(m, n):
-            if state.left_play[i] in state.c1 and state.right_play[i] in state.d1:
-                out.extend(self._far_index_violations(state, i))
+            x, y = state.left_play[i], state.right_play[i]
+            if x in state.c1 and y in state.d1:
+                entry = state.rho[i]
+                if entry is None:
+                    out.append(f"far index {i} lacks a summand isomorphism")
+                    continue
+                lt, rt = entry
+                if _summand_tag(x) != lt or _summand_tag(y) != rt:
+                    out.append(f"far index {i} not matched by its isomorphism tags")
+                if self._summand_type(lt, True) != self._summand_type(rt, False):
+                    out.append(f"far index {i} pairs summands of different types")
+                if x.split(":", 1)[1] != y.split(":", 1)[1]:
+                    out.append(f"far index {i} not related by the canonical map")
 
         for i in range(m, n):
             for j in range(m, n):
@@ -292,135 +282,12 @@ class WorkspaceStrategy:
                 yi, yj = state.right_play[i], state.right_play[j]
                 if xi in state.c1 and xj in state.c1 and yi in state.d1 and yj in state.d1:
                     close = (
-                        self.left.dist.distance(xi, xj) <= radius
-                        or self.right.dist.distance(yi, yj) <= radius
+                        self.left_dist.distance(xi, xj) <= radius
+                        or self.right_dist.distance(yi, yj) <= radius
                     )
                     if close and state.rho[i] != state.rho[j]:
                         out.append(f"nearby far indices {i},{j} use different isomorphisms")
         return out
-
-    def child_violations(
-        self, parent: WorkspaceStrategyState, child: WorkspaceStrategyState
-    ) -> list[str]:
-        """``invariant_violations(child)`` for a child of a ``parent`` that
-        keeps every invariant.
-
-        When the child extends the parent by exactly one index (plays,
-        ``rho`` and the round extend the parent's, and each of ``c0``,
-        ``c1``, ``d0`` and ``d1`` is the parent's set, or that set plus the
-        new element of its side), only the clauses through the new index,
-        or through an earlier index holding one of the new elements, are
-        checked.  Each clause that held at the parent still holds: the
-        sets only grow by the new elements, and as the radius halves the
-        reach grows and the separation and closeness tests get weaker.
-        Any other child is checked literally."""
-        if not _extends(parent, child):
-            return self.invariant_violations(child)
-        p = len(parent.left_play)
-        x, y = child.left_play[p], child.right_play[p]
-        c0, c1, d0, d1 = child.c0, child.c1, child.d0, child.d1
-        out: list[str] = []
-        m = len(self.left.structure.basepoints)
-        left, right, rho = child.left_play, child.right_play, child.rho
-        radius = child.radius
-        reach = self.ell - radius
-        # the indices whose clauses may have changed: the new one, and any
-        # earlier one that played one of the new elements
-        touched = [i for i in range(p + 1) if left[i] == x or right[i] == y]
-
-        if (x in c0) == (x in c1):
-            out.append("left bipartition does not split the played elements")
-        if (y in d0) == (y in d1):
-            out.append("right bipartition does not split the played elements")
-        if x in c0 and self.left.base[x] > reach:
-            out.append(f"near element {x!r} outside the {reach}-ball (left)")
-        if y in d0 and self.right.base[y] > reach:
-            out.append(f"near element {y!r} outside the {reach}-ball (right)")
-        for i in touched:
-            if (left[i] in c0) != (right[i] in d0):
-                out.append(f"index {i} is near on one side only")
-        if len(touched) > 1:
-            near_differ = [e for e in left if e in c0] != [e for e in right if e in d0]
-        else:
-            near_differ = (x in c0) != (y in d0) or (x in c0 and x != y)
-        if near_differ:
-            out.append("matched near subsequences differ")
-
-        for near, away, e, view, side in (
-            (c0, c1, x, self.left, "left"),
-            (d0, d1, y, self.right, "right"),
-        ):
-            row = view.dist.row(e)
-            if (e in near and any(row[f] <= radius for f in away)) or (
-                e in away and any(row[f] <= radius for f in near)
-            ):
-                out.append(f"{side} separation violated")
-
-        far = [left[i] in c1 and right[i] in d1 for i in range(p + 1)]
-        for i in touched:
-            if i >= m and far[i]:
-                out.extend(self._far_index_violations(child, i))
-        touched_set = set(touched)
-        for i in range(m, p + 1):
-            for j in range(m, p + 1):
-                if (
-                    (i in touched_set or j in touched_set)
-                    and far[i]
-                    and far[j]
-                    and rho[i] != rho[j]
-                    and (
-                        self.left.dist.distance(left[i], left[j]) <= radius
-                        or self.right.dist.distance(right[i], right[j]) <= radius
-                    )
-                ):
-                    out.append(f"nearby far indices {i},{j} use different isomorphisms")
-        return out
-
-    def _far_index_violations(self, state: WorkspaceStrategyState, i: int) -> list[str]:
-        """The clauses on a far index ``i``: its summand isomorphism exists,
-        names the summands of its pair, pairs summands of one type, and
-        relates the pair by the canonical map."""
-        x, y = state.left_play[i], state.right_play[i]
-        entry = state.rho[i]
-        if entry is None:
-            return [f"far index {i} lacks a summand isomorphism"]
-        out = []
-        lt, rt = entry
-        if _summand_tag(x) != lt or _summand_tag(y) != rt:
-            out.append(f"far index {i} not matched by its isomorphism tags")
-        if self._summand_type(lt, True) != self._summand_type(rt, False):
-            out.append(f"far index {i} pairs summands of different types")
-        if x.split(":", 1)[1] != y.split(":", 1)[1]:
-            out.append(f"far index {i} not related by the canonical map")
-        return out
-
-
-def _extends(parent: WorkspaceStrategyState, child: WorkspaceStrategyState) -> bool:
-    """Whether ``child`` extends ``parent`` by exactly one index: plays,
-    ``rho`` and the round extend the parent's, and each of ``c0``/``c1``
-    (``d0``/``d1``) is the parent's set, or that set plus the new element of
-    the left (right) play."""
-    p = len(parent.left_play)
-    if not len(child.left_play) == len(child.right_play) == len(child.rho) == p + 1:
-        return False
-    x, y = child.left_play[p], child.right_play[p]
-    return (
-        child.left_play[:p] == parent.left_play
-        and child.right_play[:p] == parent.right_play
-        and child.rho[:p] == parent.rho
-        and child.round == parent.round + 1
-        and child.q == parent.q
-        and _grows(parent.c0, child.c0, x)
-        and _grows(parent.c1, child.c1, x)
-        and _grows(parent.d0, child.d0, y)
-        and _grows(parent.d1, child.d1, y)
-    )
-
-
-def _grows(old: frozenset, new: frozenset, element) -> bool:
-    """Whether ``new`` is ``old``, or ``old`` plus ``element``."""
-    return new == old or new == old | {element}
-
 
 def _replay_size(width: int, q: int) -> int:
     """The move sequences of at most ``q`` moves over ``width`` elements, or
@@ -434,12 +301,10 @@ def _replay_size(width: int, q: int) -> int:
     return total
 
 
-def _replay(machine: WorkspaceStrategy, check_invariants: bool = True):
+def _replay(machine: WorkspaceStrategy):
     """Replay the machine against every move sequence; see
     :func:`workspace_game_result`."""
-    q = machine.q
-    left = machine.left.structure
-    right = machine.right.structure
+    q, left, right = machine.q, machine.left, machine.right
     strategy: dict = {}
     violations: list[str] = []
     # the partial-isomorphism check depends on the pair set alone; the
@@ -448,7 +313,7 @@ def _replay(machine: WorkspaceStrategy, check_invariants: bool = True):
     # each state replayed, with the slice of ``violations`` its subtree added
     seen: dict[WorkspaceStrategyState, tuple[int, int]] = {}
 
-    def record(state: WorkspaceStrategyState, parent: WorkspaceStrategyState | None):
+    def record(state: WorkspaceStrategyState):
         done = seen.get(state)
         if done is not None:
             violations.extend(violations[done[0] : done[1]])
@@ -457,15 +322,9 @@ def _replay(machine: WorkspaceStrategy, check_invariants: bool = True):
         pairs = tuple(zip(state.left_play, state.right_play))
         key = sequence_key(pairs)
         broken = False
-        if check_invariants:
-            issues = (
-                machine.invariant_violations(state)
-                if parent is None
-                else machine.child_violations(parent, state)
-            )
-            for issue in issues:
-                violations.append(f"at {pairs!r}: {issue}")
-                broken = True
+        for broken_clause in machine.invariant_violations(state):
+            violations.append(f"at {pairs!r}: {broken_clause}")
+            broken = True
         pair_set = key[0]
         if pair_set not in iso:
             iso[pair_set] = is_partial_isomorphism(pair_set, left, right)
@@ -481,16 +340,16 @@ def _replay(machine: WorkspaceStrategy, check_invariants: bool = True):
                         nxt.right_play[-1] if side == "left" else nxt.left_play[-1]
                     )
                     strategy.setdefault((key, game_side, element), response)
-                    record(nxt, state)
+                    record(nxt)
         seen[state] = (start, len(violations))
 
-    record(machine.initial_state(), None)
+    record(machine.initial_state())
     seen.clear()
     iso.clear()
     return GameResult(DUPLICATOR, GameVariant.EF, q, lambda: strategy), violations
 
 
-def workspace_game_result(a: Structure, q: int, check_invariants: bool = True):
+def workspace_game_result(a: Structure, q: int):
     """Exhaustively replay the strategy against every move sequence of length
     q, recording responses as a game strategy.
 
@@ -498,7 +357,8 @@ def workspace_game_result(a: Structure, q: int, check_invariants: bool = True):
     game between left and right, plus any invariant or winning-condition
     violations found during the replay (empty for a correct build).
 
-    The machine is a pure function of its state, so the replay expands each
+    Each distinct state's invariants are all checked literally.  The
+    machine is a pure function of its state, so the replay expands each
     distinct state once and, on a later visit, adds again the violations its
     first visit found; the violation list, order included, is that of
     replaying every sequence.  The strategy is keyed like the games' (see
@@ -509,7 +369,7 @@ def workspace_game_result(a: Structure, q: int, check_invariants: bool = True):
     Raises :class:`ResourceLimitError` when the move sequences outnumber
     ``MAX_REPLAY_SEQUENCES``.
     """
-    return _replay(WorkspaceStrategy(a, q), check_invariants)
+    return _replay(WorkspaceStrategy(a, q))
 
 
 def verify_workspace(a: Structure, q: int) -> bool:
@@ -544,10 +404,7 @@ def ef_types_agree(a: Structure, b: Structure, k: int) -> bool:
     share.  Independent of the game engine."""
     if k < 0:
         raise ValueError(f"round count must be non-negative, got {k}")
-    if not a.signature.same_vocabulary(b.signature):
-        raise ValueError("signature mismatch between the two structures")
-    if a.signature.num_basepoints != b.signature.num_basepoints:
-        raise ValueError("basepoint count mismatch between the two structures")
+    check_comparable(a, b)
     table: dict = {}
     return _ef_type(a, k, table) == _ef_type(b, k, table)
 

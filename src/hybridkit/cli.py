@@ -13,13 +13,13 @@ import os
 import sys
 from typing import TextIO
 
-from .errors import HybridKitError, ResourceLimitError
+from .errors import HybridKitError, ParseError, ResourceLimitError
 from .structures import (
     INF,
     Structure,
     load_structure,
 )
-from .parser import parse_fo, parse_hybrid, print_fo
+from .parser import is_relation_name, parse_fo, parse_hybrid, parse_term, print_fo
 from .semantics import eval_fo, eval_hybrid, standard_translation
 from .scott import characteristic_formula
 from .comonads import ComonadKind, build_comonad, dump_carrier
@@ -233,7 +233,7 @@ def _dispatch(args: argparse.Namespace, out: TextIO) -> int:
         if args.verify:  # the machine builds the workspace it verifies
             machine = WorkspaceStrategy(s, args.q)
             workspace = machine.workspace
-            left, right = machine.left.structure, machine.right.structure
+            left, right = machine.left, machine.right
         else:
             workspace, left, right = build_workspace(s, args.q)
         print(f"workspace size: {len(workspace)}", file=out)
@@ -268,7 +268,13 @@ def _dispatch(args: argparse.Namespace, out: TextIO) -> int:
 
     if args.command == "translate":
         formula = parse_hybrid(args.formula)
-        translated = standard_translation(formula, args.anchor, args.transition)
+        try:
+            anchor = parse_term(args.anchor)
+        except ParseError as exc:
+            raise ValueError(f"anchor {args.anchor!r}: {exc}") from None
+        if not is_relation_name(args.transition):
+            raise ValueError(f"transition {args.transition!r}: expected a relation name")
+        translated = standard_translation(formula, anchor, args.transition)
         print(print_fo(translated), file=out)
         return 0
 

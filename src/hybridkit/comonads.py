@@ -39,6 +39,7 @@ from .structures import (
     RESERVED_IDENTITY,
     Signature,
     Structure,
+    check_comparable,
     is_homomorphism,
     with_identity_I,
 )
@@ -333,10 +334,7 @@ def find_cokleisli_morphism(
     Subtree viability is memoized on (play, branch images), and witnesses
     are chosen least in universe order, keyed by play in carrier order.
     """
-    if not a.signature.same_vocabulary(b.signature):
-        raise ValueError("signature mismatch between the two structures")
-    if a.signature.num_basepoints != b.signature.num_basepoints:
-        raise ValueError("basepoint count mismatch between the two structures")
+    check_comparable(a, b)
     children = _plays(a, kind, k, max_plays)
     if RESERVED_IDENTITY in a.signature.relations:
         raise InvalidStructureError("structure already interprets 'I'")

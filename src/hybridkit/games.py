@@ -55,8 +55,14 @@ from enum import Enum
 from itertools import compress, repeat
 from typing import Callable, Mapping
 
-from .structures import Structure, covers, is_partial_isomorphism, row_codes
-from .comonads import ComonadKind, build_comonad
+from .structures import (
+    Structure,
+    check_comparable,
+    covers,
+    is_partial_isomorphism,
+    row_codes,
+)
+from .comonads import DEFAULT_MAX_PLAYS, ComonadKind, build_comonad
 
 DUPLICATOR = "Duplicator"
 SPOILER = "Spoiler"
@@ -117,10 +123,7 @@ class GameResult:
 def _check_variant(a: Structure, b: Structure, variant: GameVariant, k: int):
     if k < 0:
         raise ValueError(f"round count must be non-negative, got {k}")
-    if not a.signature.same_vocabulary(b.signature):
-        raise ValueError("signature mismatch between the two structures")
-    if a.signature.num_basepoints != b.signature.num_basepoints:
-        raise ValueError("basepoint count mismatch between the two structures")
+    check_comparable(a, b)
     if variant in _UNIMODAL and not a.signature.is_unimodal():
         raise ValueError(
             f"{variant.value} needs a unimodal signature "
@@ -379,12 +382,11 @@ class _CarrierArena(_Arena):
     hybrid comonad carrier, and a move steps to an immediate extension."""
 
     def __init__(
-        self, a: Structure, b: Structure, k: int, max_plays: int | None = None
+        self, a: Structure, b: Structure, k: int, max_plays: int = DEFAULT_MAX_PLAYS
     ):
         super().__init__(a, b, GameVariant.COMONADIC_GK, k)
-        kwargs = {} if max_plays is None else {"max_plays": max_plays}
         self.carriers = tuple(
-            build_comonad(s, ComonadKind.HYBRID, k, **kwargs) for s in (a, b)
+            build_comonad(s, ComonadKind.HYBRID, k, max_plays=max_plays) for s in (a, b)
         )
         self.start = tuple(c.carrier.basepoints[-1] for c in self.carriers)
 
@@ -541,14 +543,21 @@ def _least_matching(
     return tuple(matching)
 
 
-def _arena(a: Structure, b: Structure, variant: GameVariant, k: int, **cap) -> _Arena:
+def _arena(
+    a: Structure,
+    b: Structure,
+    variant: GameVariant,
+    k: int,
+    max_plays: int = DEFAULT_MAX_PLAYS,
+) -> _Arena:
     """The arena of the k-round ``variant`` game, once the two structures are
-    checked to suit it; ``cap`` is the carrier arena's size cap."""
+    checked to suit it; ``max_plays`` caps each carrier of the carrier
+    arena."""
     _check_variant(a, b, variant, k)
     if variant is GameVariant.BIJECTION:
         return _BijectionArena(a, b, variant, k)
     if variant is GameVariant.COMONADIC_GK:
-        return _CarrierArena(a, b, k, **cap)
+        return _CarrierArena(a, b, k, max_plays)
     return _Arena(a, b, variant, k)
 
 
@@ -558,13 +567,13 @@ def solve(a: Structure, b: Structure, variant: GameVariant, k: int) -> GameResul
 
 
 def solve_Gk(
-    a: Structure, b: Structure, k: int, max_plays: int | None = None
+    a: Structure, b: Structure, k: int, max_plays: int = DEFAULT_MAX_PLAYS
 ) -> GameResult:
     """The back-and-forth game played on the hybrid comonad carriers: moves
     step to immediate extensions, and a position is winning when pairing the
     two plays elementwise yields a partial isomorphism (so repeated elements
     must correspond)."""
-    return _arena(a, b, GameVariant.COMONADIC_GK, k, max_plays=max_plays).solve()
+    return _arena(a, b, GameVariant.COMONADIC_GK, k, max_plays).solve()
 
 
 def solve_bijection(a: Structure, b: Structure, k: int) -> GameResult:
@@ -601,10 +610,7 @@ def back_and_forth_rank(a: Structure, b: Structure, k: int) -> bool:
     The one-step extensions are each component's partners in the
     structure's index of each transition relation.
     """
-    if not a.signature.same_vocabulary(b.signature):
-        raise ValueError("signature mismatch between the two structures")
-    if a.signature.num_basepoints != b.signature.num_basepoints:
-        raise ValueError("basepoint count mismatch between the two structures")
+    check_comparable(a, b)
     transitions = sorted(a.signature.transitions)
     memo: dict[tuple[tuple[str, ...], tuple[str, ...], int], bool] = {}
     seen_a: dict[tuple[str, ...], tuple] = {}

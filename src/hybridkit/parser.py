@@ -331,6 +331,25 @@ def parse_fo(text: str) -> sx.FOFormula:
     return _FOParser(text).formula()
 
 
+def parse_term(text: str) -> sx.Term:
+    """A first-order term on its own: ``c<digits>`` is a constant, and any
+    other identifier that is not a keyword is a variable."""
+    p = _FOParser(text)
+    t = p.term()
+    p.done()
+    return t
+
+
+def is_relation_name(text: str) -> bool:
+    """Whether ``text`` reads as a relation name: an identifier that is not
+    a keyword."""
+    return (
+        _TOKEN_RE.fullmatch(text) is not None
+        and text[:1] in _ID_START
+        and text not in _FO_KEYWORDS
+    )
+
+
 # -- printers ----------------------------------------------------------------------
 
 # gaps leave room for the +1 "right operand" levels without colliding with

@@ -565,6 +565,16 @@ def tagged_sum(
     return Structure(sig, universe, rels, bps)
 
 
+def check_comparable(a: Structure, b: Structure) -> None:
+    """Raise ``ValueError`` unless ``a`` and ``b`` share their vocabulary and
+    their number of basepoints, as every comparison of two structures
+    needs."""
+    if not a.signature.same_vocabulary(b.signature):
+        raise ValueError("signature mismatch between the two structures")
+    if a.signature.num_basepoints != b.signature.num_basepoints:
+        raise ValueError("basepoint count mismatch between the two structures")
+
+
 def disjoint_union(a: Structure, b: Structure) -> Structure:
     """Coproduct of structures; basepoints come from the left operand.
 

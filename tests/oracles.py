@@ -591,13 +591,11 @@ def expand_certificate(arena, strategy: dict, winner: str) -> dict:
 # -- the workspace replay -------------------------------------------------------
 
 
-def workspace_replay(machine, check_invariants: bool = True):
+def workspace_replay(machine):
     """The copy-cat replay of ``characterization.workspace_game_result`` that
     steps through every move sequence, checking each state's invariants
     literally: returns the strategy dict and the violation list."""
-    q = machine.q
-    left = machine.left.structure
-    right = machine.right.structure
+    q, left, right = machine.q, machine.left, machine.right
     strategy: dict = {}
     violations: list[str] = []
     iso: dict[frozenset, bool] = {}
@@ -605,10 +603,9 @@ def workspace_replay(machine, check_invariants: bool = True):
     def record(state):
         pairs = tuple(zip(state.left_play, state.right_play))
         broken = False
-        if check_invariants:
-            for issue in machine.invariant_violations(state):
-                violations.append(f"at {pairs!r}: {issue}")
-                broken = True
+        for broken_clause in machine.invariant_violations(state):
+            violations.append(f"at {pairs!r}: {broken_clause}")
+            broken = True
         pair_set = frozenset(pairs)
         if pair_set not in iso:
             iso[pair_set] = is_partial_isomorphism(pair_set, left, right)

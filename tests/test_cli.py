@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hybridkit.cli import LOGIC_VARIANTS, run
 from hybridkit.games import GameVariant
+from hybridkit.parser import parse_fo, print_fo
 
 from cli_cases import CASES
 
@@ -158,6 +159,28 @@ def test_module_entry_point_matches_golden():
             f"notion '{notion}': the radius must be a natural number",
         )
         for notion in ("generated:-1", "ball:-1", "generated:x", "ball:")
+    ]
+    + [
+        (
+            ["translate", "--formula", "dia p", "--anchor", "1x"],
+            "anchor '1x': at position 0: expected a term, found '1'",
+        ),
+        (
+            ["translate", "--formula", "dia p", "--anchor", "forall"],
+            "anchor 'forall': at position 0: expected a term, found 'forall'",
+        ),
+        (
+            ["translate", "--formula", "dia p", "--anchor", "x y"],
+            "anchor 'x y': at position 2: unexpected trailing input 'y'",
+        ),
+        (
+            ["translate", "--formula", "dia p", "--transition", "E(x"],
+            "transition 'E(x': expected a relation name",
+        ),
+        (
+            ["translate", "--formula", "dia p", "--transition", "exists"],
+            "transition 'exists': expected a relation name",
+        ),
     ],
     ids=[
         "characteristic_k_negative",
@@ -166,6 +189,11 @@ def test_module_entry_point_matches_golden():
         "ball_negative",
         "generated_not_a_number",
         "ball_empty",
+        "translate_anchor_number",
+        "translate_anchor_keyword",
+        "translate_anchor_two_terms",
+        "translate_transition_not_a_name",
+        "translate_transition_keyword",
     ],
 )
 def test_bad_number_is_an_input_error(capsys, argv, message):
@@ -173,6 +201,21 @@ def test_bad_number_is_an_input_error(capsys, argv, message):
     assert run(argv, out=sink) == 2
     assert sink.getvalue() == f"error: {message}\n"
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "anchor, expected",
+    [
+        ("c1", "exists y (E(c1,y) & P(y))"),
+        ("y", "exists y1 (E(y,y1) & P(y1))"),
+    ],
+)
+def test_translate_anchor_is_a_term(anchor, expected):
+    sink = io.StringIO()
+    assert run(["translate", "--formula", "dia p", "--anchor", anchor], out=sink) == 0
+    printed = sink.getvalue().strip()
+    assert printed == expected
+    assert print_fo(parse_fo(printed)) == printed
 
 
 GOOD = {
