@@ -241,10 +241,10 @@ class WorkspaceStrategy:
         if not set(left_bps) <= (state.c0 & state.d0):
             out.append("basepoints escape the near parts")
 
-        for e in state.c0:
+        for e in sorted(state.c0, key=self.left.position):
             if self.left_dist.set_distance([e], left_bps) > reach:
                 out.append(f"near element {e!r} outside the {reach}-ball (left)")
-        for e in state.d0:
+        for e in sorted(state.d0, key=self.right.position):
             if self.right_dist.set_distance([e], left_bps) > reach:
                 out.append(f"near element {e!r} outside the {reach}-ball (right)")
         for i in range(n):

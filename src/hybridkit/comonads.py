@@ -261,20 +261,15 @@ def check_comonad_laws(
     c_c: ComonadStructure,
     h: Mapping[str, str],
     g: Mapping[str, str],
-    h_star: Mapping[str, str] | None = None,
-    g_star: Mapping[str, str] | None = None,
 ) -> ComonadLawReport:
     """Check the three Kleisli-form equations pointwise on every play.
 
     ``h`` maps plays over A to elements of B, ``g`` plays over B to elements
-    of C.  Precomputed coextensions may be supplied (e.g. corrupted ones, as
-    a negative control); by default they are computed here.
+    of C.
     """
     failures: list[str] = []
-    if h_star is None:
-        h_star = cokleisli_extension(h, c_a, c_b)
-    if g_star is None:
-        g_star = cokleisli_extension(g, c_b, c_c)
+    h_star = cokleisli_extension(h, c_a, c_b)
+    g_star = cokleisli_extension(g, c_b, c_c)
 
     law1 = True
     for play in c_a.plays:

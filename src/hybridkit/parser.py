@@ -45,6 +45,7 @@ _TOKENS_PREFIX_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*\s*")
 _ID_START = frozenset(string.ascii_letters + "_")
 
 _MODALITIES = {"box": sx.Box, "dia": sx.Dia, "boxinv": sx.BoxInv, "diainv": sx.DiaInv}
+_MODALITY_NAMES = {cls: name for name, cls in _MODALITIES.items()}
 _FO_KEYWORDS = {"forall", "exists", "true", "false", "acc"}
 
 _WORLD_VAR_RE = re.compile(r"^[xyzuvw][0-9]*$")
@@ -168,7 +169,7 @@ def parse_hybrid(
     variables are a scope error; ``num_nominals`` bounds the nominal indices."""
     f = _HybridParser(text).formula()
     if closed:
-        free = free_world_vars_sorted(f)
+        free = sorted(sx.free_world_vars(f))
         if free:
             raise ScopeError(f"unbound world variable {free[0]!r} in a closed formula")
     if num_nominals is not None:
@@ -180,10 +181,6 @@ def parse_hybrid(
     return f
 
 
-def free_world_vars_sorted(f: sx.HybridFormula) -> list[str]:
-    return sorted(sx.free_world_vars(f))
-
-
 # -- first-order ------------------------------------------------------------------
 
 
@@ -192,16 +189,6 @@ def _term_of(name: str) -> sx.Term:
     if m:
         return sx.Const(int(m.group(1)))
     return sx.Var(name)
-
-
-def _guard_shape(guard: sx.FOFormula, var: str) -> bool:
-    # Syntactic guard test; transition membership is checked by is_bounded.
-    if type(guard) is not sx.Rel or len(guard.args) != 2:
-        return False
-    left, right = guard.args
-    return (type(left) is sx.Var and left.name == var) != (
-        type(right) is sx.Var and right.name == var
-    )
 
 
 class _FOParser(_Parser):
@@ -297,7 +284,7 @@ class _FOParser(_Parser):
         var = self.variable()
         at = self.i - 1
         body = self.unary()
-        guarded = type(body) is sx.And and _guard_shape(body.left, var)
+        guarded = type(body) is sx.And and sx.guard_shape(body.left, var) is not None
         if count is not None:
             if guarded:
                 return sx.CountExists(count, var, body.left, body.right)
@@ -311,7 +298,7 @@ class _FOParser(_Parser):
         if (
             type(body) is sx.Or
             and type(body.left) is sx.Not
-            and _guard_shape(body.left.sub, var)
+            and sx.guard_shape(body.left.sub, var) is not None
         ):
             return sx.BoundedForall(var, body.left.sub, body.right)
         return sx.Forall(var, body)
@@ -380,14 +367,9 @@ def _ph(f: sx.HybridFormula, prec: int) -> str:
     if isinstance(f, sx.Disj):
         body = f"{_ph(f.left, _PREC_OR)} | {_ph(f.right, _PREC_OR + 1)}"
         return f"({body})" if prec > _PREC_OR else body
-    if isinstance(f, sx.Box):
-        return f"box {_ph(f.sub, _PREC_UNARY)}"
-    if isinstance(f, sx.Dia):
-        return f"dia {_ph(f.sub, _PREC_UNARY)}"
-    if isinstance(f, sx.BoxInv):
-        return f"boxinv {_ph(f.sub, _PREC_UNARY)}"
-    if isinstance(f, sx.DiaInv):
-        return f"diainv {_ph(f.sub, _PREC_UNARY)}"
+    name = _MODALITY_NAMES.get(type(f))
+    if name is not None:
+        return f"{name} {_ph(f.sub, _PREC_UNARY)}"
     if isinstance(f, sx.Bind):
         body = f"down {f.var}. {_ph(f.sub, 0)}"
         return f"({body})" if prec > 0 else body

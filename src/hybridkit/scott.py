@@ -247,7 +247,7 @@ def _guard_disjuncts(guard: FOFormula, var: str, signature: Signature) -> list[R
         return _guard_disjuncts(guard.left, var, signature) + _guard_disjuncts(
             guard.right, var, signature
         )
-    if isinstance(guard, Rel) and sx.is_transition_guard(guard, var, signature):
+    if sx.is_transition_guard(guard, var, signature):
         return [guard]
     raise ValueError(f"not a disjunction of transition guards for {var!r}: {guard!r}")
 
@@ -280,33 +280,14 @@ def normalize_counting(f: FOFormula, signature: Signature) -> FOFormula:
         got = memo.get(g)
         if got is not None:
             return got
-        if isinstance(g, (Rel, Eq, sx.Top, sx.Bottom, Acc)):
-            out: FOFormula = g
-        elif isinstance(g, Not):
-            out = Not(walk(g.sub))
-        elif isinstance(g, And):
-            out = And(walk(g.left), walk(g.right))
-        elif isinstance(g, Or):
-            out = Or(walk(g.left), walk(g.right))
-        elif isinstance(g, Forall):
-            out = Forall(g.var, walk(g.body))
-        elif isinstance(g, Exists):
-            out = Exists(g.var, walk(g.body))
-        elif isinstance(g, BoundedForall):
-            out = BoundedForall(g.var, g.guard, walk(g.body))
-        elif isinstance(g, BoundedExists):
-            out = BoundedExists(g.var, g.guard, walk(g.body))
-        elif isinstance(g, CountExists):
+        if isinstance(g, CountExists) and not sx.is_transition_guard(
+            g.guard, g.var, signature
+        ):
             body = walk(g.body)
-            if isinstance(g.guard, Rel) and sx.is_transition_guard(
-                g.guard, g.var, signature
-            ):
-                out = CountExists(g.count, g.var, g.guard, body)
-            else:
-                guards = _guard_disjuncts(g.guard, g.var, signature)
-                out = split(g.count, g.var, guards, body)
+            guards = _guard_disjuncts(g.guard, g.var, signature)
+            out = split(g.count, g.var, guards, body)
         else:
-            raise TypeError(f"not a first-order formula: {g!r}")
+            out = sx.rebuild(g, walk)
         memo[g] = out
         return out
 

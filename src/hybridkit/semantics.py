@@ -230,16 +230,14 @@ class _Evaluator:
         ``inner`` and tested only when the caller asks for the next one, so
         guard and body run interleaved, as in the plain definition."""
         guard, var = f.guard, f.var
-        if type(guard) is Rel and len(guard.args) == 2:
-            left, right = guard.args
-            backward = type(left) is Var and left.name == var
-            if backward != (type(right) is Var and right.name == var):
-                if not self.s.universe:
-                    return ()
-                self.tuples(guard.name)
-                if self.s.signature.relations[guard.name] == 2:
-                    source = self.term(right if backward else left, inner)
-                    return self.s.partners(guard.name, backward)[source]
+        shape = sx.guard_shape(guard, var)
+        if shape is not None:
+            if not self.s.universe:
+                return ()
+            self.tuples(guard.name)
+            if self.s.signature.relations[guard.name] == 2:
+                source, backward = shape
+                return self.s.partners(guard.name, backward)[self.term(source, inner)]
         return self._tested(guard, var, inner)
 
     def _tested(self, guard: FOFormula, var: str, inner: dict[str, str]):
@@ -299,14 +297,8 @@ def standard_translation(
     def collect(g: HybridFormula):
         if isinstance(g, Bind):
             used.add(g.var)
-            collect(g.sub)
-        elif isinstance(g, (Neg, Box, Dia, BoxInv, DiaInv)):
-            collect(g.sub)
-        elif isinstance(g, (Conj, Disj)):
-            collect(g.left)
-            collect(g.right)
-        elif isinstance(g, At):
-            collect(g.sub)
+        for sub in sx.hybrid_subformulas(g):
+            collect(sub)
 
     collect(f)
 
@@ -396,50 +388,25 @@ def distance_at_most(
     anchors: tuple[Term, ...], var: str, k: int, signature: Signature
 ) -> FOFormula:
     """Formula expressing that ``var`` lies within Gaifman distance ``k`` of
-    some anchor."""
+    some anchor.  Level j says that its variable is an anchor or adjacent to
+    level j - 1's, which it binds.  Level k's is ``var``, the lower levels'
+    are fresh names ``z, z1, ...`` chosen up front, and the adjacency formulas'
+    inner names avoid them all, so no quantifier captures a level's variable."""
     used = {var} | {t.name for t in anchors if isinstance(t, Var)}
-    at_zero = sx.disj_all([Eq(Var(var), a) for a in anchors])
-    fm = at_zero
+    names: list[str] = []
     for _ in range(k):
-        z = sx.fresh_var(used, "z")
-        used.add(z)
-        prev = _rename_free_var(fm, var, z)
-        step = Exists(z, And(prev, adjacency_formula(Var(z), Var(var), signature, used)))
-        fm = Or(at_zero, step)
+        names.append(sx.fresh_var(used, "z"))
+        used.add(names[-1])
+    names.append(var)
+
+    def at_zero(v: str) -> FOFormula:
+        return sx.disj_all([Eq(Var(v), a) for a in anchors])
+
+    fm = at_zero(names[0])
+    for lower, upper in zip(names, names[1:]):
+        step = And(fm, adjacency_formula(Var(lower), Var(upper), signature, used))
+        fm = Or(at_zero(upper), Exists(lower, step))
     return fm
-
-
-def _rename_free_var(f: FOFormula, old: str, new: str) -> FOFormula:
-    """Rename a free variable; quantifiers in generated distance formulas
-    never capture because fresh names are drawn from a shared pool."""
-    if old not in f.free:
-        return f
-
-    def rt(t: Term) -> Term:
-        return Var(new) if t == Var(old) else t
-
-    if isinstance(f, Rel):
-        return Rel(f.name, tuple(rt(t) for t in f.args))
-    if isinstance(f, Eq):
-        return Eq(rt(f.left), rt(f.right))
-    if isinstance(f, Acc):
-        return Acc(tuple(rt(t) for t in f.sources), new if f.var == old else f.var)
-    if isinstance(f, Not):
-        return Not(_rename_free_var(f.sub, old, new))
-    if isinstance(f, (And, Or)):
-        ctor = type(f)
-        return ctor(_rename_free_var(f.left, old, new), _rename_free_var(f.right, old, new))
-    if isinstance(f, (Forall, Exists)):
-        ctor = type(f)
-        return ctor(f.var, _rename_free_var(f.body, old, new))
-    if isinstance(f, (BoundedForall, BoundedExists)):
-        ctor = type(f)
-        return ctor(f.var, _rename_free_var(f.guard, old, new), _rename_free_var(f.body, old, new))
-    if isinstance(f, CountExists):
-        return CountExists(
-            f.count, f.var, _rename_free_var(f.guard, old, new), _rename_free_var(f.body, old, new)
-        )
-    raise TypeError(f"not a first-order formula: {f!r}")
 
 
 def gaifman_relativize(
@@ -464,14 +431,6 @@ def gaifman_relativize(
         return got
 
     def rel(g: FOFormula) -> FOFormula:
-        if isinstance(g, (Rel, Eq, Top, Bottom, Acc)):
-            return g
-        if isinstance(g, Not):
-            return Not(rel(g.sub))
-        if isinstance(g, And):
-            return And(rel(g.left), rel(g.right))
-        if isinstance(g, Or):
-            return Or(rel(g.left), rel(g.right))
         if isinstance(g, Forall):
             return Forall(g.var, Or(Not(dist(g.var)), rel(g.body)))
         if isinstance(g, Exists):
@@ -482,6 +441,6 @@ def gaifman_relativize(
             return Exists(g.var, And(dist(g.var), And(g.guard, rel(g.body))))
         if isinstance(g, CountExists):
             return CountExists(g.count, g.var, g.guard, And(dist(g.var), rel(g.body)))
-        raise TypeError(f"not a first-order formula: {g!r}")
+        return sx.rebuild(g, rel)
 
     return rel(f)

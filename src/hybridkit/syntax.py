@@ -18,6 +18,12 @@ The first-order language has terms (variables and the constants ``c1..cm``
 read off the basepoints), guarded quantifier nodes whose guard is a single
 transition atom, and a dedicated one-step accessibility guard ``Acc`` that
 abbreviates the disjunction of all transition atoms from a tuple of sources.
+
+The structural walk of each language lives here, once: ``subformulas`` and
+``hybrid_subformulas`` list a node's immediate subformulas, the fields it
+declares as formulas, ``rebuild`` maps a function over them, and
+``guard_shape`` is the one test of a guard atom.  Walkers elsewhere special-case only the node kinds
+they treat differently.
 """
 from __future__ import annotations
 
@@ -99,56 +105,36 @@ class At(HybridFormula):
     sub: HybridFormula
 
 
+def hybrid_subformulas(f: HybridFormula) -> tuple[HybridFormula, ...]:
+    """The fields of a hybrid node declared as formulas, ``@``'s anchor first."""
+    if not isinstance(f, HybridFormula):
+        raise TypeError(f"not a hybrid formula: {f!r}")
+    declared, names = type(f).__annotations__, f.__match_args__
+    return tuple([getattr(f, n) for n in names if declared[n] == "HybridFormula"])
+
+
 def free_world_vars(f: HybridFormula) -> frozenset[str]:
-    if isinstance(f, (Atom, Nom)):
-        return frozenset()
     if isinstance(f, WVar):
         return frozenset({f.name})
-    if isinstance(f, (Neg, Box, Dia, BoxInv, DiaInv)):
-        return free_world_vars(f.sub)
-    if isinstance(f, (Conj, Disj)):
-        return free_world_vars(f.left) | free_world_vars(f.right)
-    if isinstance(f, Bind):
-        return free_world_vars(f.sub) - {f.var}
-    if isinstance(f, At):
-        return free_world_vars(f.anchor) | free_world_vars(f.sub)
-    raise TypeError(f"not a hybrid formula: {f!r}")
+    free = frozenset().union(*map(free_world_vars, hybrid_subformulas(f)))
+    return free - {f.var} if isinstance(f, Bind) else free
 
 
 def max_nominal(f: HybridFormula) -> int:
     """Largest nominal index used, 0 if none."""
     if isinstance(f, Nom):
         return f.index
-    if isinstance(f, (Atom, WVar)):
-        return 0
-    if isinstance(f, (Neg, Box, Dia, BoxInv, DiaInv, Bind)):
-        return max_nominal(f.sub)
-    if isinstance(f, (Conj, Disj)):
-        return max(max_nominal(f.left), max_nominal(f.right))
-    if isinstance(f, At):
-        return max(max_nominal(f.anchor), max_nominal(f.sub))
-    raise TypeError(f"not a hybrid formula: {f!r}")
+    return max(map(max_nominal, hybrid_subformulas(f)), default=0)
 
 
 def hybrid_depth(f: HybridFormula) -> int:
     """Modal depth, with the adjustment that a diamond applied directly to a
     world variable has depth zero (it only tests an edge between worlds
     already reached)."""
-    if isinstance(f, (Atom, WVar, Nom)):
-        return 0
-    if isinstance(f, Neg):
-        return hybrid_depth(f.sub)
-    if isinstance(f, (Conj, Disj)):
-        return max(hybrid_depth(f.left), hybrid_depth(f.right))
     if isinstance(f, Dia) and isinstance(f.sub, WVar):
         return 0
-    if isinstance(f, (Box, Dia, BoxInv, DiaInv)):
-        return 1 + hybrid_depth(f.sub)
-    if isinstance(f, Bind):
-        return hybrid_depth(f.sub)
-    if isinstance(f, At):
-        return hybrid_depth(f.sub)
-    raise TypeError(f"not a hybrid formula: {f!r}")
+    depth = max(map(hybrid_depth, hybrid_subformulas(f)), default=0)
+    return depth + 1 if isinstance(f, (Box, Dia, BoxInv, DiaInv)) else depth
 
 
 # -- first-order logic ----------------------------------------------------------
@@ -401,18 +387,44 @@ def quantifier_rank(f: FOFormula) -> int:
     return f.rank
 
 
+def subformulas(f: FOFormula) -> tuple[FOFormula, ...]:
+    """The fields of a first-order node declared as formulas, guards included."""
+    if not isinstance(f, FOFormula):
+        raise TypeError(f"not a first-order formula: {f!r}")
+    declared = type(f).__annotations__
+    return tuple([getattr(f, n) for n in f.__match_args__ if declared[n] == "FOFormula"])
+
+
+def rebuild(f: FOFormula, fn) -> FOFormula:
+    """``f`` with ``fn`` applied to each immediate subformula; ``f`` itself
+    when no subformula changed."""
+    if not isinstance(f, FOFormula):
+        raise TypeError(f"not a first-order formula: {f!r}")
+    declared, names = type(f).__annotations__, f.__match_args__
+    parts = [getattr(f, n) for n in names]
+    new = [fn(p) if declared[n] == "FOFormula" else p for n, p in zip(names, parts)]
+    # equality of nodes is identity, and the other parts are passed through
+    return f if new == parts else type(f)(*new)
+
+
+def guard_shape(guard: FOFormula, var: str) -> tuple[Term, bool] | None:
+    """For an atom of two arguments with ``var`` in exactly one position, the
+    other term and whether the guard is backward (``var`` first); otherwise
+    ``None``."""
+    if type(guard) is not Rel or len(guard.args) != 2:
+        return None
+    left, right = guard.args
+    backward = type(left) is Var and left.name == var
+    if backward == (type(right) is Var and right.name == var):
+        return None
+    return (right if backward else left), backward
+
+
 def is_transition_guard(guard: FOFormula, var: str, signature: Signature) -> bool:
     """A single transition atom mentioning ``var`` in exactly one argument
     position, the other term distinct from ``var``.  Both the forward form
     E(t, x) and the backward form E(x, t) qualify."""
-    if not isinstance(guard, Rel) or len(guard.args) != 2:
-        return False
-    if guard.name not in signature.transitions:
-        return False
-    left, right = guard.args
-    left_is_var = left == Var(var)
-    right_is_var = right == Var(var)
-    return left_is_var != right_is_var
+    return guard_shape(guard, var) is not None and guard.name in signature.transitions
 
 
 def is_bounded(f: FOFormula, signature: Signature) -> bool:
@@ -425,17 +437,12 @@ def is_bounded(f: FOFormula, signature: Signature) -> bool:
         if g in seen:
             return True  # a false answer ends the whole walk at once
         seen.add(g)
-        if isinstance(g, (Rel, Eq, Top, Bottom, Acc)):
-            return True
-        if isinstance(g, Not):
-            return walk(g.sub)
-        if isinstance(g, (And, Or)):
-            return walk(g.left) and walk(g.right)
         if isinstance(g, (Forall, Exists)):
             return False
         if isinstance(g, (BoundedForall, BoundedExists, CountExists)):
-            return is_transition_guard(g.guard, g.var, signature) and walk(g.body)
-        raise TypeError(f"not a first-order formula: {g!r}")
+            if not is_transition_guard(g.guard, g.var, signature):
+                return False
+        return all(map(walk, subformulas(g)))
 
     return walk(f)
 

@@ -1,6 +1,10 @@
+import ast
 import contextlib
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -326,6 +330,38 @@ class TestInvariantClauses:
         for state, clause in zip(found, clauses):
             violations = machine.invariant_violations(state)
             assert any(v.endswith(clause) for v in violations), (state, violations)
+
+    WIDENED = """
+import dataclasses
+from fixtures import PATH6
+from hybridkit.characterization import WorkspaceStrategy
+machine = WorkspaceStrategy(PATH6, 1)
+state = machine.step(machine.initial_state(), "left", "A:x5")
+state = dataclasses.replace(state, c0=state.c0 | {"A:x4", "A:x5"}, d0=state.d0 | {"M1:x4", "M1:x5"})
+print(machine.invariant_violations(state))
+"""
+
+    def test_violation_order_ignores_string_hashing(self):
+        # several near elements outside the ball on each side are reported
+        # in universe order, whatever the process's hash seed
+        here = os.path.dirname(os.path.abspath(__file__))
+        path = [os.path.join(os.path.dirname(here), "src"), here]
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(path))
+            proc = subprocess.run(
+                [sys.executable, "-c", self.WIDENED],
+                capture_output=True, text=True, env=env, timeout=60, check=True,
+            )
+            outputs.append(ast.literal_eval(proc.stdout))
+        assert outputs[0] == outputs[1]
+        far = [v for v in outputs[0] if v.startswith("near element")]
+        assert far == [
+            f"near element {e!r} outside the 1-ball ({side})"
+            for e, side in [
+                ("A:x4", "left"), ("A:x5", "left"), ("M1:x4", "right"), ("M1:x5", "right"),
+            ]
+        ]
 
 
 class TestReplayGuard:

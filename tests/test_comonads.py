@@ -6,6 +6,7 @@ import random
 import pytest
 
 import hybridkit
+from hybridkit import comonads
 
 from hybridkit.errors import InvalidStructureError, ResourceLimitError
 from hybridkit.comonads import (
@@ -302,14 +303,26 @@ class TestLaws:
             report = check_comonad_laws(c_a, c_b, c_c, h, g)
             assert report.all_pass, report.failures
 
-    def test_corrupted_extension_fails_counit_law(self):
+    def test_corrupted_extension_fails_counit_law(self, monkeypatch):
+        # the first coextension the check computes, that of h, loses the
+        # last move of every play longer than one move
         c = build_comonad(PATH3, ComonadKind.HYBRID, 2)
         eps = {p: counit(c, p) for p in c.plays}
-        bad_star = {}
-        for play, image in cokleisli_extension(eps, c, c).items():
-            parts = play_parts(image)
-            bad_star[play] = ".".join(parts[:-1]) if len(parts) > 1 else image
-        report = check_comonad_laws(c, c, c, eps, eps, h_star=bad_star)
+        calls = []
+
+        def corrupted_first(h, c_a, c_b):
+            star = cokleisli_extension(h, c_a, c_b)
+            if calls:
+                return star
+            calls.append(None)
+            bad_star = {}
+            for play, image in star.items():
+                parts = play_parts(image)
+                bad_star[play] = ".".join(parts[:-1]) if len(parts) > 1 else image
+            return bad_star
+
+        monkeypatch.setattr(comonads, "cokleisli_extension", corrupted_first)
+        report = check_comonad_laws(c, c, c, eps, eps)
         assert not report.counit_law
 
 

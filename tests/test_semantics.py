@@ -12,7 +12,7 @@ from hybridkit.semantics import (
     gaifman_relativize,
     standard_translation,
 )
-from hybridkit.structures import ball_part
+from hybridkit.structures import Signature, Structure, ball_part
 from hybridkit.syntax import hybrid_depth, is_bounded, quantifier_rank
 
 from fixtures import C2, FIXTURES30, LOOP, PATH3, PATH6, STAR2, STAR3, UNIMODAL
@@ -272,6 +272,23 @@ class TestRelativization:
             for k in (1, 2):
                 rel = gaifman_relativize(f, k, UNIMODAL)
                 assert eval_fo(rel, PATH6) == eval_fo(f, ball_part(PATH6, k))
+
+    # a ternary relation makes the adjacency formulas quantify inner names,
+    # which must not capture the variables of the distance levels
+    TERNARY = Structure(
+        Signature({"E": 2, "R": 3, "P": 1}, ["E"], 1),
+        ["a", "b", "c", "d", "e"],
+        {"R": [("a", "b", "d"), ("b", "c", "e")], "P": [("c",)]},
+        ["a"],
+    )
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_ball_property_with_a_ternary_relation(self, k):
+        s = self.TERNARY
+        for text in ("exists y (P(y))", "forall y (!P(y) | exists z (R(y,z,z) | z = y))"):
+            f = parse_fo(text)
+            rel = gaifman_relativize(f, k, s.signature)
+            assert eval_fo(rel, s) == eval_fo(f, ball_part(s, k))
 
     @pytest.mark.parametrize("s", FIXTURES30[:10], ids=range(10))
     def test_ball_property_across_fixtures(self, s):

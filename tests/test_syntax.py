@@ -4,8 +4,10 @@ walks and a naive evaluator written here."""
 import copy
 import dataclasses
 import gc
+import hashlib
 import inspect
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,10 +15,11 @@ from hypothesis import given, settings, strategies as st
 from hybridkit import syntax as sx
 from hybridkit.parser import parse_fo, print_fo
 from hybridkit.scott import characteristic_formula, normalize_counting, scott_formula
-from hybridkit.semantics import eval_fo
+from hybridkit.semantics import eval_fo, gaifman_relativize, standard_translation
 
-from fixtures import C2, FIXTURES30, UNIMODAL
+from fixtures import BOUNDED_FIXTURES, C2, FIXTURES30, UNIMODAL
 from helpers import interned_count
+from randgen import random_bounded_sentence, random_fo_sentence, random_hybrid_formula
 
 #: Two elements, a loop and one edge, P everywhere: its rank-4 characteristic
 #: formula is 275,730 nodes written out as a tree.
@@ -340,3 +343,87 @@ def test_random_formulas_intern_and_evaluate(f, s, picks):
     assert sx.is_bounded(f, UNIMODAL) == naive_bounded(f, UNIMODAL)
     env = {v: s.universe[i % len(s.universe)] for v, i in zip(VARS, picks)}
     assert eval_fo(f, s, env) == naive_eval(f, s, env)
+
+
+# -- pinned walker outputs ------------------------------------------------------------
+
+
+def _hybrid_parts(f):
+    """``f`` and every hybrid node below it, read off the dataclass fields."""
+    yield f
+    for field in dataclasses.fields(f):
+        part = getattr(f, field.name)
+        if isinstance(part, sx.HybridFormula):
+            yield from _hybrid_parts(part)
+
+
+def _dag(root) -> str:
+    """``root`` written once per distinct node, in post-order, each node as
+    its class and its parts, a subformula by its number."""
+    ids: dict = {}
+
+    def visit(f) -> int:
+        if f not in ids:
+            parts = [
+                str(visit(part)) if isinstance(part, sx.FOFormula) else repr(part)
+                for part in (getattr(f, name) for name in f.__match_args__)
+            ]
+            lines.append(f"{type(f).__name__}({', '.join(parts)})")
+            ids[f] = len(ids)
+        return ids[f]
+
+    lines: list[str] = []
+    visit(root)
+    return "; ".join(lines)
+
+
+def _walker_outputs():
+    """One line per output of the formula walkers: relativization, counting
+    normalization, the boundedness test, the three hybrid walkers and the
+    standard translation, over fixtures and seeded random formulas."""
+    rng = random.Random(16)
+    signatures = {s.signature: None for s in FIXTURES30 + BOUNDED_FIXTURES}
+    for sig in signatures:
+        for _ in range(40):
+            for f in (
+                random_bounded_sentence(rng, sig, 2),
+                random_fo_sentence(rng, sig, 2),
+            ):
+                yield f"bounded {sx.is_bounded(f, sig)} {sx.is_bounded(f, UNIMODAL)}"
+                for k in (1, 2):
+                    yield print_fo(gaifman_relativize(f, k, sig))
+    for s in FIXTURES30 + BOUNDED_FIXTURES:
+        for k in (1, 2):
+            yield _dag(normalize_counting(scott_formula(s, k), s.signature))
+    for _ in range(300):
+        f = random_hybrid_formula(rng, rng.randint(0, 3))
+        for g in (f, sx.At(sx.Nom(2), sx.DiaInv(f)), sx.BoxInv(sx.Conj(sx.Nom(3), f))):
+            for part in _hybrid_parts(g):
+                free = sorted(sx.free_world_vars(part))
+                yield f"hybrid {free} {sx.max_nominal(part)} {sx.hybrid_depth(part)}"
+            yield print_fo(standard_translation(g))
+
+
+class TestPinnedWalkers:
+    def test_a_term_in_a_formula_field_is_refused(self):
+        # the constructors accept a term where a formula belongs; the walkers
+        # refuse it when they reach it
+        walks = [
+            lambda: sx.is_bounded(sx.Not(sx.Var("x")), UNIMODAL),
+            lambda: normalize_counting(sx.And(sx.TRUE, sx.Var("x")), UNIMODAL),
+            lambda: gaifman_relativize(sx.Exists("y", sx.Var("y")), 1, UNIMODAL),
+            lambda: sx.free_world_vars(sx.Neg("x")),
+            lambda: sx.hybrid_depth(sx.Box(3)),
+        ]
+        for walk in walks:
+            with pytest.raises(TypeError, match="^not a (first-order|hybrid) formula"):
+                walk()
+
+    def test_walker_outputs_are_unchanged(self):
+        # computed before the walkers shared one structural walk
+        digest = hashlib.sha256()
+        for line in _walker_outputs():
+            digest.update(line.encode() + b"\n")
+        assert digest.hexdigest() == (
+            "9b37897330c35b59e52ff2d4a169c83e112936832835d9137308324c3d169bfe"
+        )
