@@ -152,6 +152,30 @@ def _plays(
     return tree
 
 
+def _play_names(
+    base: Structure, kind: ComonadKind, k: int, max_plays: int
+) -> tuple[dict, dict, dict]:
+    """The play tree with each play named once, from its parent's name:
+    ``(parts, prefixes, children)``, mapping each name to its element tuple,
+    its prefix names (shortest first, itself last) and its children's names,
+    each in carrier order.  Raises as ``_plays`` does."""
+    parts: dict[str, tuple[str, ...]] = {}
+    prefixes: dict[str, tuple[str, ...]] = {}
+    children: dict[str, tuple[str, ...]] = {}
+    name_of = {(): ""}
+    for played, below in _plays(base, kind, k, max_plays).items():
+        up = name_of[played]
+        above = prefixes[up] if played else ()
+        for play in below:
+            name = up + PLAY_SEP + play[-1] if played else play[-1]
+            name_of[play] = name
+            parts[name] = play
+            prefixes[name] = above + (name,)
+        if played:
+            children[up] = tuple(name_of[play] for play in below)
+    return parts, prefixes, children
+
+
 def build_comonad(
     base: Structure,
     kind: ComonadKind,
@@ -163,30 +187,16 @@ def build_comonad(
 
     The carrier universe is ordered by play length, then lexicographically by
     base universe positions, which fixes deterministic iteration for morphism
-    search and dump output.  Each play is named once, from its parent's name,
-    while the play tree is walked.  Relations are lifted from each play's
-    atoms through its last position (``Structure.atoms_at_last``): an atom
-    at positions ``idx`` relates the prefix plays at those depths, so every
-    tuple is found once, from its longest play, and ``I`` relates the play
-    to each prefix ending in the same element.
+    search and dump output.  Plays are named by ``_play_names``.  Relations
+    are lifted from each play's atoms through its last position
+    (``Structure.atoms_at_last``): an atom at positions ``idx`` relates the
+    prefix plays at those depths, so every tuple is found once, from its
+    longest play, and ``I`` relates the play to each prefix ending in the
+    same element.
     """
-    tree = _plays(base, kind, k, max_plays)
+    parts, prefixes, children = _play_names(base, kind, k, max_plays)
     sig = base.signature
     m = sig.num_basepoints
-    parts: dict[str, tuple[str, ...]] = {}
-    prefixes: dict[str, tuple[str, ...]] = {}
-    children: dict[str, tuple[str, ...]] = {}
-    name_of = {(): ""}
-    for played, below in tree.items():
-        up = name_of[played]
-        above = prefixes[up] if played else ()
-        for play in below:
-            name = up + PLAY_SEP + play[-1] if played else play[-1]
-            name_of[play] = name
-            parts[name] = play
-            prefixes[name] = above + (name,)
-        if played:
-            children[up] = tuple(name_of[play] for play in below)
     plays = list(parts)
     carrier_rels = dict(sig.relations)
     if with_I:
@@ -325,7 +335,8 @@ def find_cokleisli_morphism(
     realizes it (``Structure.atoms_at_last``; for the Modal kind's
     transition relation, only the parent-to-child edge counts), and a play
     whose last element occurs at an earlier depth must repeat that depth's
-    image (the I-relation).
+    image (the I-relation).  Such a repeat takes no atom step: each of its
+    atoms then maps onto a tuple already checked along its prefix.
     Subtree viability is memoized on (play, branch images), and witnesses
     are chosen least in universe order, keyed by play in carrier order.
     """
@@ -342,15 +353,17 @@ def find_cokleisli_morphism(
 
     def constraints_of(play: tuple[str, ...]):
         """The earlier depth whose image the play's last depth must repeat
-        (or None), and the (B relation, depths) pairs through that depth."""
+        (or None), and the (B relation, depths) pairs through that depth;
+        a repeat has none but the Modal parent-to-child edge."""
         n = len(play) - 1
-        found, earlier = a.atoms_at_last(play)
+        same = play.index(play[n])
+        found = a.atoms_at_last(play)[0] if same == n else ()
         tuples = [
             (b.tuple_set(name), depths) for name, depths in found if name != modal_edge
         ]
         if n and modal_edge is not None and a.has_tuple(modal_edge, play[n - 1 :]):
             tuples.append((b.tuple_set(modal_edge), (n - 1, n)))
-        return (earlier[0] if earlier else None), tuples
+        return (same if same < n else None), tuples
 
     def choices(play: tuple[str, ...], images: tuple[str, ...]):
         """The image tuples of the play that extend its prefix's ``images``

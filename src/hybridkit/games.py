@@ -26,8 +26,10 @@ one key's move.  ``value``, ``extract`` and ``replay`` are written once:
   Positions are memoized on the pair set and the rounds played
   (``sequence_key``).
 * :class:`_CarrierArena` plays the comonadic game ``G_k``.  A position is a
-  pair of plays in the two hybrid comonad carriers (its pairs are the plays
-  zipped), and a move steps to an immediate extension.
+  pair of plays of the hybrid comonad over the two structures (its pairs
+  are the plays zipped), and a move steps to an immediate extension.  The
+  arena reads only the two named play trees: the winning condition needs
+  each play's elements, not the relations a carrier lifts onto plays.
 * :class:`_BijectionArena` plays the bounded bijection game on the positions
   of the sequence games, but a round opens with Duplicator matching the two
   accessible sets, and Spoiler picks a pair of the matching.  Spoiler's
@@ -41,7 +43,8 @@ arena code and read no atom codes: ``back_and_forth_rank`` here,
 ``comonads.find_cokleisli_morphism``, ``scott.scott_type``,
 ``coalgebras.coalgebra_number`` and ``characterization.ef_types_agree``.
 All but the last read the atoms along their tuples or plays from
-``Structure.atoms_at_last``, which the arena never calls.
+``Structure.atoms_at_last``, which the arena never calls; the first two
+skip it where the newest element repeats an earlier one.
 
 All iteration follows universe (or carrier) order, which makes winners,
 strategies and traces deterministic.  The exposed round count ``k`` is the
@@ -62,7 +65,7 @@ from .structures import (
     is_partial_isomorphism,
     row_codes,
 )
-from .comonads import DEFAULT_MAX_PLAYS, ComonadKind, build_comonad
+from .comonads import DEFAULT_MAX_PLAYS, ComonadKind, _play_names
 
 DUPLICATOR = "Duplicator"
 SPOILER = "Spoiler"
@@ -379,35 +382,37 @@ class _Arena:
 
 class _CarrierArena(_Arena):
     """The comonadic game ``G_k``: a position is a pair of plays, one in each
-    hybrid comonad carrier, and a move steps to an immediate extension."""
+    hybrid comonad play tree (``comonads._play_names``), and a move steps to
+    an immediate extension."""
 
     def __init__(
         self, a: Structure, b: Structure, k: int, max_plays: int = DEFAULT_MAX_PLAYS
     ):
         super().__init__(a, b, GameVariant.COMONADIC_GK, k)
-        self.carriers = tuple(
-            build_comonad(s, ComonadKind.HYBRID, k, max_plays=max_plays) for s in (a, b)
-        )
-        self.start = tuple(c.carrier.basepoints[-1] for c in self.carriers)
+        trees = [_play_names(s, ComonadKind.HYBRID, k, max_plays) for s in (a, b)]
+        self.parts = tuple(parts for parts, _, _ in trees)
+        self.children = tuple(children for _, _, children in trees)
+        # the basepoint plays, first in each tree: G_k has one basepoint
+        self.start = tuple(next(iter(parts)) for parts in self.parts)
 
     def key(self, pos):
         return pos
 
     def pairs(self, pos) -> tuple[tuple[str, str], ...]:
-        a, b = self.carriers
-        return tuple(zip(a.parts[pos[0]], b.parts[pos[1]]))
+        a, b = self.parts
+        return tuple(zip(a[pos[0]], b[pos[1]]))
 
     def elements(self, i: int, moves):
-        parts = self.carriers[i].parts
+        parts = self.parts[i]
         return [parts[move][-1] for move in moves]
 
     def options(self, pos) -> list[tuple[str, str]]:
-        a_moves, b_moves = (c.children(p) for c, p in zip(self.carriers, pos))
+        a_moves, b_moves = (c[p] for c, p in zip(self.children, pos))
         return [("A", s) for s in a_moves] + [("B", t) for t in b_moves]
 
     def replies(self, pos, side: str) -> tuple[str, ...]:
         i = 1 if side == "A" else 0
-        return self.carriers[i].children(pos[i])
+        return self.children[i][pos[i]]
 
     def step(self, pos, side: str, x, y):
         return _orient(side, x, y)
@@ -569,10 +574,11 @@ def solve(a: Structure, b: Structure, variant: GameVariant, k: int) -> GameResul
 def solve_Gk(
     a: Structure, b: Structure, k: int, max_plays: int = DEFAULT_MAX_PLAYS
 ) -> GameResult:
-    """The back-and-forth game played on the hybrid comonad carriers: moves
-    step to immediate extensions, and a position is winning when pairing the
-    two plays elementwise yields a partial isomorphism (so repeated elements
-    must correspond)."""
+    """The back-and-forth game played on the plays of the hybrid comonad:
+    moves step to immediate extensions, and a position is winning when
+    pairing the two plays elementwise yields a partial isomorphism (so
+    repeated elements must correspond).  Only the two play trees are built,
+    never a carrier; ``max_plays`` caps each."""
     return _arena(a, b, GameVariant.COMONADIC_GK, k, max_plays).solve()
 
 
@@ -606,7 +612,9 @@ def back_and_forth_rank(a: Structure, b: Structure, k: int) -> bool:
     Full atomic agreement is checked once, at the basepoints; an extension
     pair agrees when the atoms and equalities through its new positions do
     (``Structure.atoms_at_last``), each side's computed once per tuple and
-    compared after the memo lookup.
+    compared after the memo lookup.  A tuple whose new element repeats an
+    earlier one skips the atom step: two such tuples agree when they repeat
+    at the same positions.
     The one-step extensions are each component's partners in the
     structure's index of each transition relation.
     """
@@ -619,8 +627,9 @@ def back_and_forth_rank(a: Structure, b: Structure, k: int) -> bool:
     def atoms(s: Structure, seen: dict, tup: tuple[str, ...]):
         got = seen.get(tup)
         if got is None:
-            found, earlier = s.atoms_at_last(tup)
-            got = seen[tup] = (frozenset(found), earlier)
+            last = tup[-1]
+            earlier = tuple(i for i, e in enumerate(tup[:-1]) if e == last)
+            got = seen[tup] = earlier or frozenset(s.atoms_at_last(tup)[0])
         return got
 
     def agree(ta: tuple[str, ...], tb: tuple[str, ...]) -> bool:

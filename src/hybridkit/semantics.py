@@ -418,7 +418,8 @@ def gaifman_relativize(
     """Relativize every quantifier of ``f`` to the Gaifman k-ball around the
     anchors (the constants ``c1..cm`` by default).  The anchors stay fixed
     through the recursion, so the result holds in a structure exactly when
-    ``f`` holds in its ball part."""
+    ``f`` holds in its ball part.  Each distinct node of the formula DAG is
+    relativized once per call."""
     if anchors is None:
         anchors = tuple(Const(i) for i in range(1, signature.num_basepoints + 1))
     dist_cache: dict[str, FOFormula] = {}
@@ -430,7 +431,15 @@ def gaifman_relativize(
             dist_cache[var] = got
         return got
 
+    memo: dict[FOFormula, FOFormula] = {}
+
     def rel(g: FOFormula) -> FOFormula:
+        got = memo.get(g)
+        if got is None:
+            got = memo[g] = step(g)
+        return got
+
+    def step(g: FOFormula) -> FOFormula:
         if isinstance(g, Forall):
             return Forall(g.var, Or(Not(dist(g.var)), rel(g.body)))
         if isinstance(g, Exists):

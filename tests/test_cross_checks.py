@@ -51,7 +51,7 @@ from hybridkit.semantics import eval_fo
 from hybridkit.structures import Signature, Structure, is_partial_isomorphism
 
 import oracles
-from fixtures import BOUNDED_FIXTURES, FIXTURES30, fitting_kinds, pairs, star
+from fixtures import BOUNDED_FIXTURES, C2, FIXTURES30, LOOP, fitting_kinds, pairs, star
 
 BIMODAL = Signature({"P": 1, "E": 2, "F": 2}, ["E", "F"], 2)
 SHAPES = {
@@ -133,6 +133,25 @@ class TestAgainstOracles:
             assert _listed(find_cokleisli_morphism(a, b, kind, k)) == _listed(
                 oracles.carrier_cokleisli_morphism(a, b, kind, k)
             )
+
+
+class TestRepeatsOnOneSide:
+    # every play over LOOP repeats its one element, while C2's first move
+    # is new: the rank and coKleisli checks settle LOOP's repeats from the
+    # prefix and take the atom step on C2
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_loop_against_c2(self, k):
+        kind = ComonadKind.HYBRID
+        for a, b in ((LOOP, C2), (C2, LOOP)):
+            assert not back_and_forth_rank(a, b, k)
+            assert not oracles.back_and_forth_rank(a, b, k)
+            assert _listed(find_cokleisli_morphism(a, b, kind, k)) == _listed(
+                oracles.carrier_cokleisli_morphism(a, b, kind, k)
+            )
+        assert find_cokleisli_morphism(LOOP, C2, kind, k) is None
+        image = find_cokleisli_morphism(C2, LOOP, kind, k)
+        assert list(image) == list(build_comonad(C2, kind, k).plays)
+        assert set(image.values()) == {"a"}
 
 
 def _outputs(structure_pairs):

@@ -4,9 +4,10 @@ import types
 
 import pytest
 
-from hybridkit import characterization, games, scott
+from hybridkit import characterization, comonads, games, scott
 from hybridkit.coalgebras import coalgebra_number, enumerate_coalgebras
-from hybridkit.comonads import ComonadKind, find_cokleisli_morphism
+from hybridkit.comonads import ComonadKind, build_comonad, find_cokleisli_morphism
+from hybridkit.errors import ResourceLimitError
 from hybridkit.games import (
     DUPLICATOR,
     SPOILER,
@@ -118,6 +119,46 @@ class TestGk:
 
     def test_loop_vs_c2(self):
         assert solve_Gk(LOOP, C2, 1).winner == SPOILER
+
+    # winners over the ordered pairs of FIXTURES30[:6], row by row
+    WINNERS = {
+        1: "DSSSSSSDSSSSSSDDDSSSDDDSSSDDDSSSSSSD",
+        2: "DSSSSSSDSSSSSSDSSSSSSDDSSSSDDSSSSSSD",
+    }
+
+    def test_plays_on_the_bare_play_tree(self, monkeypatch):
+        # the winning condition reads only the plays' elements, so G_k
+        # builds no carrier and no structure of any kind
+        def no_carrier(*args, **kwargs):
+            raise AssertionError("G_k built a carrier")
+
+        built = []
+        init = Structure.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(comonads, "build_comonad", no_carrier)
+        monkeypatch.setattr(Structure, "__init__", counted)
+        for k, winners in self.WINNERS.items():
+            got = ""
+            for a, b in pairs(FIXTURES30[:6]):
+                result = solve_Gk(a, b, k)
+                assert verify_strategy(result, a, b, GameVariant.COMONADIC_GK, k)
+                got += result.winner[0]
+            assert got == winners
+        assert built == []
+
+    def test_play_cap_trips(self):
+        # STAR3's hybrid play tree at k = 2 has 13 plays
+        plays = len(build_comonad(STAR3, ComonadKind.HYBRID, 2).plays)
+        assert plays == 13
+        with pytest.raises(ResourceLimitError, match=f"exceed {plays - 1} plays"):
+            solve_Gk(STAR3, STAR2, 2, max_plays=plays - 1)
+        with pytest.raises(ResourceLimitError, match=f"exceed {plays - 1} plays"):
+            solve_Gk(STAR2, STAR3, 2, max_plays=plays - 1)
+        assert solve_Gk(STAR3, STAR3, 2, max_plays=plays).winner == DUPLICATOR
 
 
 class TestBackAndForthRank:

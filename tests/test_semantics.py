@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from hybridkit import syntax as sx
 from hybridkit.errors import ScopeError
 from hybridkit.parser import parse_fo, parse_hybrid, print_fo
+from hybridkit.scott import characteristic_formula
 from randgen import random_hybrid_formula
 from hybridkit.semantics import (
     eval_fo,
@@ -296,3 +298,18 @@ class TestRelativization:
         for k in (1, 2):
             rel = gaifman_relativize(f, k, s.signature)
             assert eval_fo(rel, s) == eval_fo(f, ball_part(s, k))
+
+    def test_shared_subformulas_relativize_as_before(self):
+        # χ is a DAG that shares most of its nodes; this output was pinned
+        # while relativization still walked it as a tree
+        s = FIXTURES30[20]
+        rel = gaifman_relativize(characteristic_formula(s, 3), 1, s.signature)
+        assert hashlib.sha256(print_fo(rel).encode()).hexdigest() == (
+            "02fa3aea14e23f1e6a94df72cab9ffa2fe66d95566ca221526b7f18e14e6e3b3"
+        )
+
+    def test_ball_property_of_a_rank4_characteristic_formula(self):
+        chi = characteristic_formula(FIXTURES30[20], 4)
+        rel = gaifman_relativize(chi, 1, UNIMODAL)
+        for s in FIXTURES30[:8] + [FIXTURES30[20]]:
+            assert eval_fo(rel, s) == eval_fo(chi, ball_part(s, 1))
