@@ -412,38 +412,32 @@ def ef_types_agree(a: Structure, b: Structure, k: int) -> bool:
 def _ef_type(s: Structure, k: int, table: dict) -> int:
     """The interned rank-k type of ``s``'s basepoint tuple.
 
-    A tuple is carried as its distinct elements numbered in order of first
+    A tuple is carried as its distinct elements in order of first
     occurrence.  Its atomic type is interned from its prefix's: an element
-    repeating an earlier one adds that element's number, and a new element
-    adds its atoms with the earlier ones, as relation names over numbers."""
+    repeating an earlier one adds that element's position, and a new element
+    adds its atoms with the earlier ones (``Structure.atoms_at_last``)."""
 
     def intern(key) -> int:
         return table.setdefault(key, len(table))
 
-    def extend(first: dict, atomic: int, e: str) -> tuple[dict, int]:
-        j = first.get(e)
-        if j is not None:
-            return first, intern((atomic, j))
-        first = {**first, e: len(first)}
-        atoms = frozenset(
-            (name, tuple(map(first.__getitem__, tup)))
-            for name, tup in s.tuples_at(e)
-            if all(map(first.__contains__, tup))
-        )
-        return first, intern((atomic, atoms))
+    def extend(seen: tuple, atomic: int, e: str) -> tuple[tuple, int]:
+        if e in seen:
+            return seen, intern((atomic, seen.index(e)))
+        seen += (e,)
+        return seen, intern((atomic, frozenset(s.atoms_at_last(seen)[0])))
 
-    def ef_type(first: dict, atomic: int, rank: int) -> int:
+    def ef_type(seen: tuple, atomic: int, rank: int) -> int:
         if rank == 0:
             return atomic
         below = frozenset(
-            ef_type(*extend(first, atomic, e), rank - 1) for e in s.universe
+            ef_type(*extend(seen, atomic, e), rank - 1) for e in s.universe
         )
         return intern((rank, atomic, below))
 
-    first, atomic = {}, intern(())
+    seen, atomic = (), intern(())
     for e in s.basepoints:
-        first, atomic = extend(first, atomic, e)
-    return ef_type(first, atomic, k)
+        seen, atomic = extend(seen, atomic, e)
+    return ef_type(seen, atomic, k)
 
 
 # -- invariance ---------------------------------------------------------------------
@@ -515,22 +509,19 @@ def check_invariance(
 
 
 def synthesize_bounded_equivalent(
-    f: sx.FOFormula,
-    k: int,
-    corpus: Sequence[Structure],
-    q: int | None = None,
+    f: sx.FOFormula, k: int, corpus: Sequence[Structure]
 ) -> sx.FOFormula:
     """Corpus-relative bounded equivalent of a sentence invariant under
     k-generated substructures: the disjunction of the rank q*2^max(k,q)
-    characteristic formulas of the corpus models.
+    characteristic formulas of the corpus models, where q is the sentence's
+    quantifier rank.
 
     The output is only guaranteed to agree with the input on the given
     corpus.  Agreement on all structures would need the sentence to be
     invariant everywhere, which no finite check can establish; callers must
     label the result as corpus-relative.
     """
-    if q is None:
-        q = sx.quantifier_rank(f)
+    q = sx.quantifier_rank(f)
     report = check_invariance(f, f"generated:{k}", corpus)
     if not report.invariant:
         bad = report.counterexamples[0]

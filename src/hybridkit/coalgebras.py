@@ -457,25 +457,23 @@ def coalgebra_number(s: Structure, kind: ComonadKind | None = None) -> float:
 # -- paths, embeddings, open maps ----------------------------------------------------
 
 
-DEFAULT_EMBEDDING_SIZE_GUARD = 64
+MAX_EMBEDDING_SIZE = 64
 
 
 def check_open_pathwise_embedding(
-    f: Mapping[str, str],
-    t: TreeCover,
-    u: TreeCover,
-    size_guard: int = DEFAULT_EMBEDDING_SIZE_GUARD,
+    f: Mapping[str, str], t: TreeCover, u: TreeCover
 ) -> bool:
     """Whether a cover morphism is an open pathwise embedding.
 
     Path embeddings into a cover correspond to its branches, so the pathwise
     condition asks every branch to map injectively preserving and reflecting
     relations, and openness asks every branch extension of an image to lift.
-    Inputs are deliberately small; a size guard refuses big ones.
+    Inputs are deliberately small: a structure of more than
+    ``MAX_EMBEDDING_SIZE`` elements is refused.
     """
-    if len(t.base) > size_guard or len(u.base) > size_guard:
+    if len(t.base) > MAX_EMBEDDING_SIZE or len(u.base) > MAX_EMBEDDING_SIZE:
         raise ResourceLimitError(
-            f"open-map check limited to structures of size {size_guard}"
+            f"open-map check limited to structures of size {MAX_EMBEDDING_SIZE}"
         )
     for e in t.base.universe:
         if e not in f:

@@ -2,14 +2,17 @@
 
 A carrier is an ordinary :class:`Structure` whose elements name plays
 (nonempty sequences of base elements), so every structure operation and
-morphism predicate applies to carriers unchanged.  A
-:class:`ComonadStructure` keeps, next to its carrier, the maps built in the
-same walk of the play tree: each play's element tuple, whose last element
-is the counit ε, and its prefix plays, which are the comultiplication δ.
-Other modules read these maps.  How a name encodes its play (the elements
-joined with ``.``) is private to this module; ``play_parts`` and
-``play_join`` state it for the tests, for coextension values that need not
-be plays of any carrier, and for the image plays this module renders.
+morphism predicate applies to carriers unchanged.  One walk of the play
+tree, ``_play_tree``, names each play from its parent's name and maps it to
+its element tuple, whose last element is the counit ε, to its prefix plays,
+which are the comultiplication δ, and to its children.  It serves the
+carrier (:class:`ComonadStructure` keeps the maps next to it), the
+coKleisli search and the game ``G_k`` alike, and refuses a tree of more
+than ``MAX_PLAYS`` plays.  Other modules read these maps.  How a name
+encodes its play (the elements joined with ``.``) is private to this
+module; ``play_parts`` and ``play_join`` state it for the tests, for
+coextension values that need not be plays of any carrier, and for the image
+plays this module renders.
 
 Plays start with the basepoint tuple and are capped at length k+m; each
 comonad kind restricts how a play may grow:
@@ -31,8 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import InvalidStructureError, ResourceLimitError
 from .structures import (
@@ -46,7 +48,7 @@ from .structures import (
 
 PLAY_SEP = "."
 
-DEFAULT_MAX_PLAYS = 200_000
+MAX_PLAYS = 200_000
 
 
 def play_parts(play: str) -> tuple[str, ...]:
@@ -95,14 +97,13 @@ class ComonadStructure:
         return self._children[play]
 
 
-def _plays(
-    base: Structure, kind: ComonadKind, k: int, max_plays: int
-) -> dict[tuple[str, ...], Sequence[tuple[str, ...]]]:
-    """The play tree of the carrier over a pointed structure: the empty
-    sequence, then each play as an element tuple, mapped to its immediate
-    extensions.  Plays are ordered by length, then lexicographically by base
-    universe positions.  Raises when the carrier cannot be built or would
-    pass ``max_plays``."""
+def _play_tree(base: Structure, kind: ComonadKind, k: int) -> tuple[dict, dict, dict]:
+    """The play tree of the carrier over a pointed structure, each play named
+    once from its parent's name: ``(parts, prefixes, children)``, mapping each
+    name to its element tuple, its prefix names (shortest first, itself last)
+    and its children's names.  Plays start with the basepoint chain and are
+    ordered by length, then lexicographically by base universe positions.
+    Raises when the carrier cannot be built or would pass ``MAX_PLAYS``."""
     if k < 1:
         raise ValueError(f"comonad resource k must be at least 1, got {k}")
     sig = base.signature
@@ -122,6 +123,11 @@ def _plays(
 
     def extensions(played: tuple[str, ...]) -> tuple[str, ...]:
         """The elements that may extend a play, in universe order."""
+        n = len(played)
+        if n < m:
+            return base.basepoints[n : n + 1]
+        if n == k + m:
+            return ()
         if not played or kind is ComonadKind.EF:
             return base.universe
         if kind is ComonadKind.MODAL:
@@ -130,71 +136,44 @@ def _plays(
             return base.accessible(played, backward=True)
         return base.accessible(played)
 
-    bps = base.basepoints
-    tree: dict[tuple[str, ...], Sequence[tuple[str, ...]]] = {
-        bps[:i]: [bps[: i + 1]] for i in range(m)
-    }
-    tree[bps] = ()
-    frontier = [bps]
-    while frontier:
-        nxt: list[tuple[str, ...]] = []
-        for played in frontier:
-            if len(played) < k + m:
-                below = tree[played] = [played + (e,) for e in extensions(played)]
-                nxt.extend(below)
-        tree.update(dict.fromkeys(nxt, ()))
-        if len(tree) - 1 > max_plays:
-            raise ResourceLimitError(
-                f"carrier would exceed {max_plays} plays; "
-                "raise max_plays to build it anyway"
-            )
-        frontier = nxt
-    return tree
-
-
-def _play_names(
-    base: Structure, kind: ComonadKind, k: int, max_plays: int
-) -> tuple[dict, dict, dict]:
-    """The play tree with each play named once, from its parent's name:
-    ``(parts, prefixes, children)``, mapping each name to its element tuple,
-    its prefix names (shortest first, itself last) and its children's names,
-    each in carrier order.  Raises as ``_plays`` does."""
     parts: dict[str, tuple[str, ...]] = {}
     prefixes: dict[str, tuple[str, ...]] = {}
     children: dict[str, tuple[str, ...]] = {}
-    name_of = {(): ""}
-    for played, below in _plays(base, kind, k, max_plays).items():
-        up = name_of[played]
-        above = prefixes[up] if played else ()
-        for play in below:
-            name = up + PLAY_SEP + play[-1] if played else play[-1]
-            name_of[play] = name
-            parts[name] = play
-            prefixes[name] = above + (name,)
-        if played:
-            children[up] = tuple(name_of[play] for play in below)
+    frontier = [("", ())]  # the empty sequence, whose children go unrecorded
+    while frontier:
+        nxt: list[tuple[str, tuple[str, ...]]] = []
+        for up, played in frontier:
+            above = prefixes[up] if played else ()
+            names = []
+            for e in extensions(played):
+                name = up + PLAY_SEP + e if played else e
+                parts[name] = play = played + (e,)
+                prefixes[name] = above + (name,)
+                names.append(name)
+                nxt.append((name, play))
+            if played:
+                children[up] = tuple(names)
+        if len(parts) > MAX_PLAYS:
+            raise ResourceLimitError(f"carrier would exceed {MAX_PLAYS} plays")
+        frontier = nxt
     return parts, prefixes, children
 
 
 def build_comonad(
-    base: Structure,
-    kind: ComonadKind,
-    k: int,
-    with_I: bool = False,
-    max_plays: int = DEFAULT_MAX_PLAYS,
+    base: Structure, kind: ComonadKind, k: int, with_I: bool = False
 ) -> ComonadStructure:
     """Materialize the comonad carrier over a pointed structure.
 
     The carrier universe is ordered by play length, then lexicographically by
     base universe positions, which fixes deterministic iteration for morphism
-    search and dump output.  Plays are named by ``_play_names``.  Relations
+    search and dump output.  Plays are named by ``_play_tree``.  Relations
     are lifted from each play's atoms through its last position
     (``Structure.atoms_at_last``): an atom at positions ``idx`` relates the
     prefix plays at those depths, so every tuple is found once, from its
     longest play, and ``I`` relates the play to each prefix ending in the
     same element.
     """
-    parts, prefixes, children = _play_names(base, kind, k, max_plays)
+    parts, prefixes, children = _play_tree(base, kind, k)
     sig = base.signature
     m = sig.num_basepoints
     plays = list(parts)
@@ -318,11 +297,7 @@ def check_comonad_laws(
 
 
 def find_cokleisli_morphism(
-    a: Structure,
-    b: Structure,
-    kind: ComonadKind,
-    k: int,
-    max_plays: int = DEFAULT_MAX_PLAYS,
+    a: Structure, b: Structure, kind: ComonadKind, k: int
 ) -> dict[str, str] | None:
     """Deterministic least coKleisli morphism from A to B, or None.
 
@@ -341,7 +316,7 @@ def find_cokleisli_morphism(
     are chosen least in universe order, keyed by play in carrier order.
     """
     check_comparable(a, b)
-    children = _plays(a, kind, k, max_plays)
+    parts, prefixes, children = _play_tree(a, kind, k)
     if RESERVED_IDENTITY in a.signature.relations:
         raise InvalidStructureError("structure already interprets 'I'")
     m = a.signature.num_basepoints
@@ -349,7 +324,7 @@ def find_cokleisli_morphism(
         next(iter(a.signature.transitions)) if kind is ComonadKind.MODAL else None
     )
 
-    constraints: dict[tuple[str, ...], tuple] = {}
+    constraints: dict[str, tuple] = {}
 
     def constraints_of(play: tuple[str, ...]):
         """The earlier depth whose image the play's last depth must repeat
@@ -365,12 +340,12 @@ def find_cokleisli_morphism(
             tuples.append((b.tuple_set(modal_edge), (n - 1, n)))
         return (same if same < n else None), tuples
 
-    def choices(play: tuple[str, ...], images: tuple[str, ...]):
-        """The image tuples of the play that extend its prefix's ``images``
+    def choices(play: str, images: tuple[str, ...]):
+        """The image tuples of the play that extend its parent's ``images``
         and meet the play's constraints, least last image first."""
         got = constraints.get(play)
         if got is None:
-            got = constraints[play] = constraints_of(play)
+            got = constraints[play] = constraints_of(parts[play])
         same, tuples = got
         n = len(images)
         pool = b.universe if n >= m else (b.basepoints[n],)
@@ -382,9 +357,9 @@ def find_cokleisli_morphism(
             if all(tuple(full[d] for d in ds) in target for target, ds in tuples):
                 yield full
 
-    viable_memo: dict[tuple[tuple[str, ...], tuple[str, ...]], bool] = {}
+    viable_memo: dict[tuple[str, tuple[str, ...]], bool] = {}
 
-    def viable(play: tuple[str, ...], images: tuple[str, ...]) -> bool:
+    def viable(play: str, images: tuple[str, ...]) -> bool:
         key = (play, images)
         got = viable_memo.get(key)
         if got is None:
@@ -394,21 +369,18 @@ def find_cokleisli_morphism(
             )
         return got
 
-    chosen: dict[tuple[str, ...], tuple[str, ...]] = {}
+    chosen: dict[str, tuple[str, ...]] = {"": ()}  # the empty sequence
     witness: dict[str, str] = {}
-    for play in islice(children, 1, None):  # after the empty sequence
+    for play, chain in prefixes.items():
+        parent = chain[-2] if len(chain) > 1 else ""
         images = next(
-            (
-                full
-                for full in choices(play, chosen.get(play[:-1], ()))
-                if viable(play, full)
-            ),
+            (full for full in choices(play, chosen[parent]) if viable(play, full)),
             None,
         )
         if images is None:
             return None
         chosen[play] = images
-        witness[play_join(play)] = images[-1]
+        witness[play] = images[-1]
     return witness
 
 

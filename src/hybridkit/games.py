@@ -28,8 +28,9 @@ one key's move.  ``value``, ``extract`` and ``replay`` are written once:
 * :class:`_CarrierArena` plays the comonadic game ``G_k``.  A position is a
   pair of plays of the hybrid comonad over the two structures (its pairs
   are the plays zipped), and a move steps to an immediate extension.  The
-  arena reads only the two named play trees: the winning condition needs
-  each play's elements, not the relations a carrier lifts onto plays.
+  arena reads only the two named play trees (``comonads._play_tree``, each
+  capped at ``comonads.MAX_PLAYS`` plays): the winning condition needs each
+  play's elements, not the relations a carrier lifts onto plays.
 * :class:`_BijectionArena` plays the bounded bijection game on the positions
   of the sequence games, but a round opens with Duplicator matching the two
   accessible sets, and Spoiler picks a pair of the matching.  Spoiler's
@@ -42,9 +43,9 @@ Outside the arena stay the independent checks of the games, which share no
 arena code and read no atom codes: ``back_and_forth_rank`` here,
 ``comonads.find_cokleisli_morphism``, ``scott.scott_type``,
 ``coalgebras.coalgebra_number`` and ``characterization.ef_types_agree``.
-All but the last read the atoms along their tuples or plays from
-``Structure.atoms_at_last``, which the arena never calls; the first two
-skip it where the newest element repeats an earlier one.
+Each reads the atoms along its tuples or plays from
+``Structure.atoms_at_last``, which the arena never calls; the first two and
+the last skip it where the newest element repeats an earlier one.
 
 All iteration follows universe (or carrier) order, which makes winners,
 strategies and traces deterministic.  The exposed round count ``k`` is the
@@ -65,7 +66,7 @@ from .structures import (
     is_partial_isomorphism,
     row_codes,
 )
-from .comonads import DEFAULT_MAX_PLAYS, ComonadKind, _play_names
+from .comonads import ComonadKind, _play_tree
 
 DUPLICATOR = "Duplicator"
 SPOILER = "Spoiler"
@@ -382,14 +383,12 @@ class _Arena:
 
 class _CarrierArena(_Arena):
     """The comonadic game ``G_k``: a position is a pair of plays, one in each
-    hybrid comonad play tree (``comonads._play_names``), and a move steps to
+    hybrid comonad play tree (``comonads._play_tree``), and a move steps to
     an immediate extension."""
 
-    def __init__(
-        self, a: Structure, b: Structure, k: int, max_plays: int = DEFAULT_MAX_PLAYS
-    ):
+    def __init__(self, a: Structure, b: Structure, k: int):
         super().__init__(a, b, GameVariant.COMONADIC_GK, k)
-        trees = [_play_names(s, ComonadKind.HYBRID, k, max_plays) for s in (a, b)]
+        trees = [_play_tree(s, ComonadKind.HYBRID, k) for s in (a, b)]
         self.parts = tuple(parts for parts, _, _ in trees)
         self.children = tuple(children for _, _, children in trees)
         # the basepoint plays, first in each tree: G_k has one basepoint
@@ -548,21 +547,14 @@ def _least_matching(
     return tuple(matching)
 
 
-def _arena(
-    a: Structure,
-    b: Structure,
-    variant: GameVariant,
-    k: int,
-    max_plays: int = DEFAULT_MAX_PLAYS,
-) -> _Arena:
+def _arena(a: Structure, b: Structure, variant: GameVariant, k: int) -> _Arena:
     """The arena of the k-round ``variant`` game, once the two structures are
-    checked to suit it; ``max_plays`` caps each carrier of the carrier
-    arena."""
+    checked to suit it."""
     _check_variant(a, b, variant, k)
     if variant is GameVariant.BIJECTION:
         return _BijectionArena(a, b, variant, k)
     if variant is GameVariant.COMONADIC_GK:
-        return _CarrierArena(a, b, k, max_plays)
+        return _CarrierArena(a, b, k)
     return _Arena(a, b, variant, k)
 
 
@@ -571,15 +563,13 @@ def solve(a: Structure, b: Structure, variant: GameVariant, k: int) -> GameResul
     return _arena(a, b, variant, k).solve()
 
 
-def solve_Gk(
-    a: Structure, b: Structure, k: int, max_plays: int = DEFAULT_MAX_PLAYS
-) -> GameResult:
+def solve_Gk(a: Structure, b: Structure, k: int) -> GameResult:
     """The back-and-forth game played on the plays of the hybrid comonad:
     moves step to immediate extensions, and a position is winning when
     pairing the two plays elementwise yields a partial isomorphism (so
     repeated elements must correspond).  Only the two play trees are built,
-    never a carrier; ``max_plays`` caps each."""
-    return _arena(a, b, GameVariant.COMONADIC_GK, k, max_plays).solve()
+    never a carrier; each holds at most ``comonads.MAX_PLAYS`` plays."""
+    return _arena(a, b, GameVariant.COMONADIC_GK, k).solve()
 
 
 def solve_bijection(a: Structure, b: Structure, k: int) -> GameResult:

@@ -409,19 +409,13 @@ def distance_at_most(
     return fm
 
 
-def gaifman_relativize(
-    f: FOFormula,
-    k: int,
-    signature: Signature,
-    anchors: tuple[Term, ...] | None = None,
-) -> FOFormula:
+def gaifman_relativize(f: FOFormula, k: int, signature: Signature) -> FOFormula:
     """Relativize every quantifier of ``f`` to the Gaifman k-ball around the
-    anchors (the constants ``c1..cm`` by default).  The anchors stay fixed
+    anchors, the constants ``c1..cm``.  The anchors stay fixed
     through the recursion, so the result holds in a structure exactly when
     ``f`` holds in its ball part.  Each distinct node of the formula DAG is
     relativized once per call."""
-    if anchors is None:
-        anchors = tuple(Const(i) for i in range(1, signature.num_basepoints + 1))
+    anchors = tuple(Const(i) for i in range(1, signature.num_basepoints + 1))
     dist_cache: dict[str, FOFormula] = {}
 
     def dist(var: str) -> FOFormula:

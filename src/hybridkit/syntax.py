@@ -182,6 +182,9 @@ class _Interning(type):
             node = None if entry is None else entry()
             if node is None:
                 node = super().__call__(*parts)
+                for i, kind, what in cls._part_checks:
+                    if not isinstance(parts[i], kind):
+                        raise TypeError(f"not a {what}: {parts[i]!r}")
                 try:
                     free, rank = _derive(node)
                 except AttributeError:
@@ -219,12 +222,28 @@ class Term(_Node):
     __slots__ = ()
 
 
+class FOFormula(_Node):
+    __slots__ = ()
+
+
+#: Field declarations whose parts a constructor checks, with the wording the
+#: walkers use to refuse anything else.
+_CHECKED_PARTS = {"Term": (Term, "term"), "FOFormula": (FOFormula, "first-order formula")}
+
+
 def _node(cls):
     """A frozen, slotted first-order node class whose equality is identity,
-    constructed through the intern table with its dataclass signature."""
+    constructed through the intern table with its dataclass signature, and
+    refusing a part that is not the term or formula its field declares."""
     cls = dataclass(frozen=True, eq=False, slots=True)(cls)
     init = inspect.signature(cls.__init__)
     cls.__signature__ = init.replace(parameters=list(init.parameters.values())[1:])
+    declared = cls.__annotations__
+    cls._part_checks = tuple(
+        (i, *_CHECKED_PARTS[declared[name]])
+        for i, name in enumerate(cls.__match_args__)
+        if declared[name] in _CHECKED_PARTS
+    )
     return cls
 
 
@@ -236,10 +255,6 @@ class Var(Term):
 @_node
 class Const(Term):
     index: int  # constant c_i, 1-based; denotes basepoint i
-
-
-class FOFormula(_Node):
-    __slots__ = ()
 
 
 @_node

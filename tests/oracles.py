@@ -25,7 +25,6 @@ from itertools import permutations, product
 from typing import Mapping
 
 from hybridkit.comonads import (
-    DEFAULT_MAX_PLAYS,
     ComonadKind,
     ComonadStructure,
     build_comonad,
@@ -160,7 +159,6 @@ def carrier_cokleisli_morphism(
     b: Structure,
     kind: ComonadKind,
     k: int,
-    max_plays: int = DEFAULT_MAX_PLAYS,
 ) -> dict[str, str] | None:
     """Deterministic least coKleisli morphism from A to B, or None, searched
     on the materialized carrier.
@@ -175,7 +173,7 @@ def carrier_cokleisli_morphism(
         raise ValueError("signature mismatch between the two structures")
     if a.signature.num_basepoints != b.signature.num_basepoints:
         raise ValueError("basepoint count mismatch between the two structures")
-    c_a = build_comonad(a, kind, k, with_I=True, max_plays=max_plays)
+    c_a = build_comonad(a, kind, k, with_I=True)
     target = with_identity_I(b)
     carrier = c_a.carrier
     m = a.signature.num_basepoints

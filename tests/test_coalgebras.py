@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hybridkit import coalgebras
 from hybridkit.coalgebras import (
     Coalgebra,
     TreeCover,
@@ -278,10 +279,11 @@ class TestOpenPathwiseEmbeddings:
         inclusion = {"a": "a", "b": "b"}
         assert not check_open_pathwise_embedding(inclusion, pruned_cover, full_cover)
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
+        monkeypatch.setattr(coalgebras, "MAX_EMBEDDING_SIZE", 2)
         with pytest.raises(ResourceLimitError):
             check_open_pathwise_embedding(
-                {e: e for e in PATH3.universe}, CHAIN3, CHAIN3, size_guard=2
+                {e: e for e in PATH3.universe}, CHAIN3, CHAIN3
             )
 
     def test_non_morphism_rejected(self):

@@ -21,7 +21,7 @@ from hybridkit.comonads import (
     is_cokleisli_homomorphism,
     play_parts,
 )
-from hybridkit.structures import is_homomorphism, with_identity_I
+from hybridkit.structures import Signature, Structure, is_homomorphism, with_identity_I
 
 from helpers import lands_in_carrier, lift_homomorphism
 from randgen import random_cokleisli_map, random_structure
@@ -71,9 +71,10 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_comonad(BOUNDED_FIXTURES[0], ComonadKind.MODAL, 1)
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
+        monkeypatch.setattr(comonads, "MAX_PLAYS", 5)
         with pytest.raises(ResourceLimitError):
-            build_comonad(PATH3, ComonadKind.EF, 3, max_plays=5)
+            build_comonad(PATH3, ComonadKind.EF, 3)
 
     @pytest.mark.parametrize("s", FIXTURES30[:10], ids=range(10))
     def test_universe_inclusions(self, s):
@@ -337,9 +338,10 @@ class TestMorphismSearch:
     def test_loop_to_path3_blocked(self):
         assert find_cokleisli_morphism(LOOP, PATH3, ComonadKind.HYBRID, 1) is None
 
-    def test_search_keeps_the_carrier_guards(self):
+    def test_search_keeps_the_carrier_guards(self, monkeypatch):
+        monkeypatch.setattr(comonads, "MAX_PLAYS", 5)
         with pytest.raises(ResourceLimitError):
-            find_cokleisli_morphism(PATH3, PATH3, ComonadKind.EF, 3, max_plays=5)
+            find_cokleisli_morphism(PATH3, PATH3, ComonadKind.EF, 3)
         with pytest.raises(ValueError):
             find_cokleisli_morphism(PATH3, PATH3, ComonadKind.HYBRID, 0)
         s = BOUNDED_FIXTURES[0]
@@ -423,6 +425,37 @@ class TestPinnedCarriers:
         assert digest.hexdigest() == (
             "010539a121e2a8538db829f43b2056dfe0c3627f19ad6b7c8b8a46f1405faefe"
         )
+
+    @staticmethod
+    def in_carrier_order(s, plays):
+        """Plays sorted by length, then by base universe positions."""
+        pos = {e: i for i, e in enumerate(s.universe)}
+        ranks = {p: [pos[e] for e in play_parts(p)] for p in plays}
+        return sorted(plays, key=lambda p: (len(ranks[p]), ranks[p]))
+
+    def test_ef_carrier_without_basepoints(self):
+        sig = Signature({"E": 2, "P": 1}, ["E"], 0)
+        rels = {"E": [("b", "a"), ("a", "c")], "P": [("c",)]}
+        s = Structure(sig, ["b", "a", "c"], rels, [])
+        c = build_comonad(s, ComonadKind.EF, 2)
+        oracle = TestAgainstBruteForce.oracle_plays(s, ComonadKind.EF, 2)
+        assert list(c.plays) == self.in_carrier_order(s, oracle)
+        assert c.carrier.basepoints == ()
+
+    def test_repeated_basepoints(self):
+        rels = {"E": [("a", "b")], "F": [("b", "a")], "P": []}
+        s = Structure(BOUNDED2, ["b", "a"], rels, ["a", "a"])
+        for kind in fitting_kinds(s):
+            c = build_comonad(s, kind, 2)
+            oracle = TestAgainstBruteForce.oracle_plays(s, kind, 2)
+            assert list(c.plays) == self.in_carrier_order(s, oracle), kind
+            assert c.carrier.basepoints == ("a", "a.a")
+
+    @pytest.mark.parametrize("s", FIXTURES30[:4], ids=range(4))
+    def test_search_witness_is_keyed_in_carrier_order(self, s):
+        for kind in fitting_kinds(s):
+            witness = find_cokleisli_morphism(s, s, kind, 2)
+            assert list(witness) == list(build_comonad(s, kind, 2).plays), kind
 
 
 PACKAGE = pathlib.Path(hybridkit.__file__).parent

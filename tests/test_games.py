@@ -150,15 +150,17 @@ class TestGk:
             assert got == winners
         assert built == []
 
-    def test_play_cap_trips(self):
+    def test_play_cap_trips(self, monkeypatch):
         # STAR3's hybrid play tree at k = 2 has 13 plays
         plays = len(build_comonad(STAR3, ComonadKind.HYBRID, 2).plays)
         assert plays == 13
+        monkeypatch.setattr(comonads, "MAX_PLAYS", plays - 1)
         with pytest.raises(ResourceLimitError, match=f"exceed {plays - 1} plays"):
-            solve_Gk(STAR3, STAR2, 2, max_plays=plays - 1)
+            solve_Gk(STAR3, STAR2, 2)
         with pytest.raises(ResourceLimitError, match=f"exceed {plays - 1} plays"):
-            solve_Gk(STAR2, STAR3, 2, max_plays=plays - 1)
-        assert solve_Gk(STAR3, STAR3, 2, max_plays=plays).winner == DUPLICATOR
+            solve_Gk(STAR2, STAR3, 2)
+        monkeypatch.setattr(comonads, "MAX_PLAYS", plays)
+        assert solve_Gk(STAR3, STAR3, 2).winner == DUPLICATOR
 
 
 class TestBackAndForthRank:

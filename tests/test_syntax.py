@@ -406,8 +406,8 @@ def _walker_outputs():
 
 class TestPinnedWalkers:
     def test_a_term_in_a_formula_field_is_refused(self):
-        # the constructors accept a term where a formula belongs; the walkers
-        # refuse it when they reach it
+        # a first-order constructor refuses a term where a formula belongs,
+        # and a hybrid walker refuses a non-formula when it reaches it
         walks = [
             lambda: sx.is_bounded(sx.Not(sx.Var("x")), UNIMODAL),
             lambda: normalize_counting(sx.And(sx.TRUE, sx.Var("x")), UNIMODAL),
@@ -418,6 +418,21 @@ class TestPinnedWalkers:
         for walk in walks:
             with pytest.raises(TypeError, match="^not a (first-order|hybrid) formula"):
                 walk()
+
+    def test_construction_refuses_a_misplaced_part(self):
+        x = sx.Var("x")
+        builds = {
+            "^not a first-order formula: Var": [
+                lambda: sx.Not(x),
+                lambda: sx.And(sx.TRUE, x),
+                lambda: sx.BoundedExists("y", x, sx.TRUE),
+            ],
+            "^not a term: Top": [lambda: sx.Eq(sx.TRUE, x)],
+        }
+        for message, calls in builds.items():
+            for build in calls:
+                with pytest.raises(TypeError, match=message):
+                    build()
 
     def test_walker_outputs_are_unchanged(self):
         # computed before the walkers shared one structural walk
