@@ -191,25 +191,17 @@ class WorkspaceStrategy:
         if case == "I":
             response = element
             rho_entry = None
-        elif case == "II":
-            rho_entry = state.rho[witness]
+        else:
             tag, rest = element.split(":", 1)
-            if on_left:
-                assert tag == rho_entry[0]
-                response = f"{rho_entry[1]}:{rest}"
+            if case == "II":
+                rho_entry = state.rho[witness]
             else:
-                assert tag == rho_entry[1]
-                response = f"{rho_entry[0]}:{rest}"
-        else:
-            rho_entry = self._fresh_partner(_summand_tag(element), on_left, state)
-            rest = element.split(":", 1)[1]
-            partner_tag = rho_entry[1] if on_left else rho_entry[0]
-            response = f"{partner_tag}:{rest}"
+                rho_entry = self._fresh_partner(tag, on_left, state)
+            mine, theirs = rho_entry if on_left else rho_entry[::-1]
+            assert mine == tag
+            response = f"{theirs}:{rest}"
 
-        if on_left:
-            new_left, new_right = element, response
-        else:
-            new_left, new_right = response, element
+        new_left, new_right = (element, response) if on_left else (response, element)
         to_near0 = case == "I"
         return WorkspaceStrategyState(
             left_play=state.left_play + (new_left,),

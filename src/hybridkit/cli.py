@@ -179,8 +179,7 @@ def _dispatch(args: argparse.Namespace, out: TextIO) -> int:
     if args.command == "equiv":
         a = load_structure(args.left)
         b = load_structure(args.right)
-        variant = LOGIC_VARIANTS[args.logic]
-        result = solve(a, b, variant, args.depth)
+        result = solve(a, b, LOGIC_VARIANTS[args.logic], args.depth)
         print(f"logic: {args.logic} depth: {args.depth}", file=out)
         print(f"winner: {result.winner}", file=out)
         equivalent = result.winner == "Duplicator"
@@ -193,17 +192,16 @@ def _dispatch(args: argparse.Namespace, out: TextIO) -> int:
                 rounds = "round" if args.depth == 1 else "rounds"
                 print(f"reason: Spoiler wins within {args.depth} {rounds}", file=out)
         if args.trace:
-            out.write(trace_game(a, b, variant, args.depth))
+            out.write(trace_game(result, a, b))
         return 0 if equivalent else 1
 
     if args.command == "game":
         a = load_structure(args.left)
         b = load_structure(args.right)
-        variant = GameVariant(args.variant)
-        result = solve(a, b, variant, args.k)
+        result = solve(a, b, GameVariant(args.variant), args.k)
         print(f"winner: {result.winner}", file=out)
         if args.trace:
-            out.write(trace_game(a, b, variant, args.k))
+            out.write(trace_game(result, a, b))
         return 0 if result.winner == "Duplicator" else 1
 
     if args.command == "comonad":

@@ -27,8 +27,9 @@ Relations are lifted along plays: a tuple of plays is related when the plays
 are pairwise comparable in the prefix order and the base relation holds of
 their last elements.  The Modal kind instead relates a play only to its
 immediate extensions through the transition relation.  With ``with_I`` the
-identity-tracking relation ``I`` is added: comparable plays with equal last
-elements.
+lift runs over the base extended by its identity relation ``I``
+(``with_identity_I``), so ``I`` is lifted like any other relation: it relates
+comparable plays with equal last elements.
 """
 from __future__ import annotations
 
@@ -39,7 +40,6 @@ from typing import Mapping
 from .errors import InvalidStructureError, ResourceLimitError
 from .structures import (
     RESERVED_IDENTITY,
-    Signature,
     Structure,
     check_comparable,
     is_homomorphism,
@@ -170,31 +170,25 @@ def build_comonad(
     are lifted from each play's atoms through its last position
     (``Structure.atoms_at_last``): an atom at positions ``idx`` relates the
     prefix plays at those depths, so every tuple is found once, from its
-    longest play, and ``I`` relates the play to each prefix ending in the
-    same element.
+    longest play.  With ``with_I`` the lift runs over ``with_identity_I(base)``,
+    so ``I`` is lifted like any other relation: a play is related to itself
+    and, both ways, to each prefix ending in the same element.  A base that
+    already interprets ``I`` raises ``InvalidStructureError``.
     """
     parts, prefixes, children = _play_tree(base, kind, k)
-    sig = base.signature
-    m = sig.num_basepoints
+    lifted = with_identity_I(base) if with_I else base
+    sig = lifted.signature
     plays = list(parts)
-    carrier_rels = dict(sig.relations)
-    if with_I:
-        carrier_rels[RESERVED_IDENTITY] = 2
-    rels: dict[str, list[tuple[str, ...]]] = {name: [] for name in carrier_rels}
+    rels: dict[str, list[tuple[str, ...]]] = {name: [] for name in sig.relations}
     modal_edge = next(iter(sig.transitions)) if kind is ComonadKind.MODAL else None
     for p in plays:
         chain, played = prefixes[p], parts[p]
-        found, earlier = base.atoms_at_last(played)
-        for name, idx in found:
+        for name, idx in lifted.atoms_at_last(played)[0]:
             if name != modal_edge:
                 rels[name].append(tuple(map(chain.__getitem__, idx)))
         if modal_edge is not None and base.has_tuple(modal_edge, played[-2:]):
             rels[modal_edge].append(chain[-2:])
-        if with_I:  # (p, p) comes twice; the carrier keeps one
-            for q in (p, *map(chain.__getitem__, earlier)):
-                rels[RESERVED_IDENTITY] += ((q, p), (p, q))
-    carrier_sig = Signature(carrier_rels, sig.transitions, m, _allow_reserved=True)
-    carrier = Structure(carrier_sig, plays, rels, plays[:m])
+    carrier = Structure(sig, plays, rels, plays[: sig.num_basepoints])
     return ComonadStructure(kind, k, base, carrier, with_I, parts, prefixes, children)
 
 

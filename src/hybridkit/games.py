@@ -12,7 +12,8 @@ atoms on at most two elements are local, so it compares the cached atom codes
 (``Structure.atom_codes``) of move and reply at the played pairs, and checks
 wider tuples per reply.  ``holds`` computes the condition from scratch, once
 per pair set, for the initial position, the traces and ``replay``, which
-trusts no recorded move.  ``win`` memoizes ``value``, and ``answer``
+trusts no recorded move; ``trace_game`` renders a solved ``GameResult``
+without solving again.  ``win`` memoizes ``value``, and ``answer``
 Duplicator's least winning reply per memo key, shared by solving and
 extraction.  Strategies are recorded per memo key too (``key``), since the
 condition and the legal moves depend on nothing else: ``extract`` and
@@ -95,14 +96,6 @@ _UNIMODAL = {
     GameVariant.BACK_FORTH_TEMPORAL,
     GameVariant.COMONADIC_GK,
 }
-
-#: Comonad kind whose coKleisli morphisms match each existential variant.
-KIND_FOR_VARIANT = {
-    GameVariant.EXISTENTIAL_EF: ComonadKind.EF,
-    GameVariant.EXISTENTIAL_HYBRID: ComonadKind.HYBRID,
-    GameVariant.EXISTENTIAL_BOUNDED: ComonadKind.BOUNDED,
-}
-
 
 @dataclass
 class GameResult:
@@ -659,10 +652,11 @@ def back_and_forth_rank(a: Structure, b: Structure, k: int) -> bool:
 # -- traces ------------------------------------------------------------------------------
 
 
-def trace_game(a: Structure, b: Structure, variant: GameVariant, k: int) -> str:
-    """Line-per-round transcript of the principal play: the winner follows the
-    extracted strategy, the loser probes with the least legal option."""
-    result = solve(a, b, variant, k)
+def trace_game(result: GameResult, a: Structure, b: Structure) -> str:
+    """Line-per-round transcript of the principal play of a solved game on
+    ``a`` and ``b``: the winner follows the extracted strategy, the loser
+    probes with the least legal option."""
+    variant, k = result.variant, result.k
     lines = [f"game: {variant.value} k={k}", f"winner: {result.winner}"]
     if variant in (GameVariant.BIJECTION, GameVariant.COMONADIC_GK):
         lines.append("trace: not rendered for this variant")

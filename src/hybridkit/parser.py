@@ -90,6 +90,17 @@ class _Parser:
         if tok:
             self.fail(f"unexpected trailing input {tok!r}", self.i)
 
+    def indexed(self, tok: str, at: int, kind=sx.Nom):
+        """The ``kind`` node (a nominal, or ``sx.Const``) that a ``c<digits>``
+        token at ``at`` names, else ``None``.  Index 0 names no basepoint and
+        fails there."""
+        m = _NOMINAL_RE.match(tok)
+        if m is None:
+            return None
+        if int(m.group(1)) == 0:
+            self.fail(f"{tok!r} names no basepoint: indices start at 1", at)
+        return kind(int(m.group(1)))
+
 
 # -- hybrid --------------------------------------------------------------------
 
@@ -142,9 +153,9 @@ class _HybridParser(_Parser):
                 self.fail(f"expected a world variable after 'down', found {var!r}", self.i - 1)
             self.expect(".")
             return sx.Bind(var, self.expr())
-        m = _NOMINAL_RE.match(tok)
-        if m:
-            return sx.Nom(int(m.group(1)))
+        nominal = self.indexed(tok, self.i - 1)
+        if nominal is not None:
+            return nominal
         if _WORLD_VAR_RE.match(tok):
             return sx.WVar(tok)
         return sx.Atom(tok)
@@ -154,9 +165,9 @@ class _HybridParser(_Parser):
         self.i += 1
         if tok[:1] not in _ID_START:
             self.fail(f"expected a world variable or nominal, found {tok!r}", self.i - 1)
-        m = _NOMINAL_RE.match(tok)
-        if m:
-            return sx.Nom(int(m.group(1)))
+        nominal = self.indexed(tok, self.i - 1)
+        if nominal is not None:
+            return nominal
         if _WORLD_VAR_RE.match(tok):
             return sx.WVar(tok)
         self.fail(f"{tok!r} is neither a world variable nor a nominal", self.i - 1)
@@ -182,13 +193,6 @@ def parse_hybrid(
 
 
 # -- first-order ------------------------------------------------------------------
-
-
-def _term_of(name: str) -> sx.Term:
-    m = _NOMINAL_RE.match(name)
-    if m:
-        return sx.Const(int(m.group(1)))
-    return sx.Var(name)
 
 
 class _FOParser(_Parser):
@@ -260,7 +264,7 @@ class _FOParser(_Parser):
                 args.append(self.term())
             self.expect(")")
             return sx.Rel(tok, tuple(args))
-        left = _term_of(tok)
+        left = self.indexed(tok, self.i - 1, sx.Const) or sx.Var(tok)
         self.expect("=")
         return sx.Eq(left, self.term())
 
@@ -310,7 +314,7 @@ class _FOParser(_Parser):
         if t is None:
             if tok[:1] not in _ID_START or tok in _FO_KEYWORDS:
                 self.fail(f"expected a term, found {_found(tok)}", self.i - 1)
-            t = self.terms[tok] = _term_of(tok)
+            t = self.terms[tok] = self.indexed(tok, self.i - 1, sx.Const) or sx.Var(tok)
         return t
 
 
@@ -319,8 +323,8 @@ def parse_fo(text: str) -> sx.FOFormula:
 
 
 def parse_term(text: str) -> sx.Term:
-    """A first-order term on its own: ``c<digits>`` is a constant, and any
-    other identifier that is not a keyword is a variable."""
+    """A first-order term on its own: ``c<n>`` with n >= 1 is a constant, and
+    any other identifier that is not a keyword is a variable."""
     p = _FOParser(text)
     t = p.term()
     p.done()

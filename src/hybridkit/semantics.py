@@ -80,9 +80,10 @@ class _Evaluator:
     steps where a tree walk would take 2^i.
 
     Errors are those of the plain recursive definition: an unknown relation,
-    an unbound variable or a constant out of range raises ``ScopeError``
-    when evaluation reaches it, a guard's only once the universe is
-    non-empty.
+    an atom of the wrong arity, an unbound variable or a constant out of
+    range raises ``ScopeError`` when evaluation reaches it, a guard's only
+    once the universe is non-empty.  The arity is read only after a failed
+    membership test, so a true atom costs nothing more.
     """
 
     def __init__(self, s: Structure):
@@ -136,7 +137,15 @@ class _Evaluator:
 
     def _rel(self, f: Rel, env: Mapping[str, str]) -> bool:
         tuples = self.tuples(f.name)
-        return tuple([self.term(t, env) for t in f.args]) in tuples
+        if tuple([self.term(t, env) for t in f.args]) in tuples:
+            return True
+        arity, n = self.s.signature.relations[f.name], len(f.args)
+        if n != arity:
+            plural = "" if n == 1 else "s"
+            raise ScopeError(
+                f"relation {f.name!r} has arity {arity}, used with {n} argument{plural}"
+            )
+        return False
 
     def _eq(self, f: Eq, env: Mapping[str, str]) -> bool:
         return self.term(f.left, env) == self.term(f.right, env)

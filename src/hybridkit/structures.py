@@ -10,7 +10,9 @@ The module also provides the atom codes the games compare, the Gaifman graph
 and its path metric, disjoint unions, and the two idempotent substructure
 operators: the reachable part (directed transition paths from the
 basepoints, bounded by k) and the ball part (Gaifman balls of radius k around
-the basepoints).
+the basepoints).  Both are one walk outward from the basepoints, level by
+level while the level's distance is at most k: over ``accessible`` for the
+reachable part, over the cached ``gaifman_graph`` for the ball.
 """
 from __future__ import annotations
 
@@ -122,11 +124,12 @@ class Structure:
     Immutable after construction; all operations in this package are pure.
     Its index is built piece by piece on first use and cached: the relation
     frozensets behind ``has_tuple`` (``tuple_set``), the tuples through each
-    element (``tuples_at``), successors and predecessors over all transitions
-    (``accessible``), the partners of each element in one binary relation
-    (``partners``), and the atom-code table (``atom_codes``): one small int
-    per element and per ordered pair of elements for the atoms on exactly
-    those elements, as tuples of ints indexed by universe position.
+    element (``tuples_at``), the partners of each element in one binary
+    relation (``partners``), successors and predecessors over all
+    transitions, merged from those partners (``accessible``), and the
+    atom-code table (``atom_codes``): one small int per element and per
+    ordered pair of elements for the atoms on exactly those elements, as
+    tuples of ints indexed by universe position.
     ``atoms_at_last`` is the one atom step along a tuple or play, shared by
     Scott types, ``back_and_forth_rank``, the coKleisli search and the
     carrier lift; the game arena reads the atom codes instead.
@@ -321,18 +324,15 @@ class Structure:
         self, elements: Iterable[str], backward: bool = False
     ) -> tuple[str, ...]:
         """Elements one transition step forward from some given element (with
-        ``backward`` also one step back), in universe order, from a map of
-        successors and predecessors built on first use."""
+        ``backward`` also one step back), in universe order, from the
+        ``partners`` of every transition, merged on first use."""
         if self._steps is None:
-            succ: dict[str, list] = {e: [] for e in self.universe}
-            pred: dict[str, list] = {e: [] for e in self.universe}
-            for name in self.signature.transitions:
-                for u, v in self.relations[name]:
-                    succ[u].append(v)
-                    pred[v].append(u)
-            self._steps = tuple(
-                {e: tuple(v) for e, v in m.items()} for m in (succ, pred)
-            )
+            steps = ({e: () for e in self.universe}, {e: () for e in self.universe})
+            for name in sorted(self.signature.transitions):
+                for back, merged in zip((False, True), steps):
+                    for e, found in self.partners(name, back).items():
+                        merged[e] += found
+            self._steps = steps
         succ, pred = self._steps
         seen: set[str] = set()
         for e in elements:
@@ -487,11 +487,6 @@ class DistanceMatrix:
         callers must not change it."""
         return self._rows[x]
 
-    def ball(self, centers: Iterable[str], radius: float) -> tuple[str, ...]:
-        """Elements within `radius` of some center, in universe order."""
-        rows = [self._rows[c] for c in centers]
-        return tuple(e for e in self.order if any(r[e] <= radius for r in rows))
-
     def set_distance(self, xs: Iterable[str], ys: Iterable[str]) -> float:
         """inf over pairs; INF when either side is empty."""
         best = INF
@@ -588,24 +583,29 @@ def disjoint_union(a: Structure, b: Structure) -> Structure:
 # -- substructure operators ---------------------------------------------------
 
 
+def _walk_out(s: Structure, k: float, step: Callable) -> Structure:
+    """Induced substructure on the elements within distance k of a basepoint,
+    walked outward one level at a time: ``step`` gives the elements one step
+    from a frontier, and a level is added only while its distance is <= k."""
+    reached = frontier = set(s.basepoints)
+    while frontier and k >= 1:
+        frontier = set(step(frontier)) - reached
+        reached |= frontier
+        k -= 1
+    return s.induced(reached)
+
+
 def reachable_part(s: Structure, k: float = INF) -> Structure:
     """Induced substructure on elements reachable from a basepoint by a
     directed transition path of length <= k.  ``k=INF`` gives the full
     reachable part."""
-    reached = set(s.basepoints)
-    frontier: tuple[str, ...] = s.basepoints
-    d = 0
-    while frontier and d < k:
-        d += 1
-        frontier = tuple(v for v in s.accessible(frontier) if v not in reached)
-        reached.update(frontier)
-    return s.induced(reached)
+    return _walk_out(s, k, s.accessible)
 
 
 def ball_part(s: Structure, k: float) -> Structure:
     """Induced substructure on the union of Gaifman k-balls around the basepoints."""
-    dist = gaifman_distance(s)
-    return s.induced(dist.ball(s.basepoints, k))
+    adj = gaifman_graph(s)
+    return _walk_out(s, k, lambda xs: [y for x in xs for y in adj[x]])
 
 
 # -- morphism predicates ------------------------------------------------------

@@ -182,9 +182,10 @@ class _Interning(type):
             node = None if entry is None else entry()
             if node is None:
                 node = super().__call__(*parts)
-                for i, kind, what in cls._part_checks:
-                    if not isinstance(parts[i], kind):
-                        raise TypeError(f"not a {what}: {parts[i]!r}")
+                for i, kind, what, many in cls._part_checks:
+                    for part in parts[i] if many else (parts[i],):
+                        if not isinstance(part, kind):
+                            raise TypeError(f"not a {what}: {part!r}")
                 try:
                     free, rank = _derive(node)
                 except AttributeError:
@@ -227,8 +228,13 @@ class FOFormula(_Node):
 
 
 #: Field declarations whose parts a constructor checks, with the wording the
-#: walkers use to refuse anything else.
-_CHECKED_PARTS = {"Term": (Term, "term"), "FOFormula": (FOFormula, "first-order formula")}
+#: walkers use to refuse anything else, and whether the field is a tuple of
+#: them, each checked.
+_CHECKED_PARTS = {
+    "Term": (Term, "term", False),
+    "FOFormula": (FOFormula, "first-order formula", False),
+    "tuple[Term, ...]": (Term, "term", True),
+}
 
 
 def _node(cls):

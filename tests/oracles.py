@@ -664,6 +664,12 @@ class Evaluator:
             if f.name not in s.signature.relations:
                 raise ScopeError(f"unknown relation symbol {f.name!r}")
             tup = tuple(self.term(t, env) for t in f.args)
+            arity, n = s.signature.relations[f.name], len(tup)
+            if n != arity:
+                plural = "" if n == 1 else "s"
+                raise ScopeError(
+                    f"relation {f.name!r} has arity {arity}, used with {n} argument{plural}"
+                )
             return s.has_tuple(f.name, tup)
         if isinstance(f, Eq):
             return self.term(f.left, env) == self.term(f.right, env)
@@ -843,9 +849,9 @@ class _HybridParser(_Parser):
         tok = self.next()
         if tok[0] != "id":
             raise ParseError(f"expected a world variable or nominal, found {tok[1]!r}", tok[2])
-        m = _NOMINAL_RE.match(tok[1])
-        if m:
-            return sx.Nom(int(m.group(1)))
+        index = _index(tok)
+        if index is not None:
+            return sx.Nom(index)
         if _WORLD_VAR_RE.match(tok[1]):
             return sx.WVar(tok[1])
         raise ParseError(f"{tok[1]!r} is neither a world variable nor a nominal", tok[2])
@@ -859,9 +865,9 @@ class _HybridParser(_Parser):
         if tok[0] == "id":
             if tok[1] in _HYBRID_KEYWORDS:
                 raise ParseError(f"unexpected keyword {tok[1]!r}", tok[2])
-            m = _NOMINAL_RE.match(tok[1])
-            if m:
-                return sx.Nom(int(m.group(1)))
+            index = _index(tok)
+            if index is not None:
+                return sx.Nom(index)
             if _WORLD_VAR_RE.match(tok[1]):
                 return sx.WVar(tok[1])
             return sx.Atom(tok[1])
@@ -874,11 +880,20 @@ def parse_hybrid(text: str) -> sx.HybridFormula:
     return _HybridParser(text).formula()
 
 
-def _term_of(name: str) -> sx.Term:
-    m = _NOMINAL_RE.match(name)
-    if m:
-        return sx.Const(int(m.group(1)))
-    return sx.Var(name)
+def _index(tok: tuple[str, str, int]) -> int | None:
+    """The index of a nominal or constant token, else ``None``; index 0 is
+    refused at the token."""
+    m = _NOMINAL_RE.match(tok[1])
+    if m is None:
+        return None
+    if int(m.group(1)) == 0:
+        raise ParseError(f"{tok[1]!r} names no basepoint: indices start at 1", tok[2])
+    return int(m.group(1))
+
+
+def _term_of(tok: tuple[str, str, int]) -> sx.Term:
+    index = _index(tok)
+    return sx.Var(tok[1]) if index is None else sx.Const(index)
 
 
 def _guard_shape(guard: sx.FOFormula, var: str) -> bool:
@@ -986,7 +1001,7 @@ class _FOParser(_Parser):
                     args.append(self.term())
                 self.expect("op", ")")
                 return sx.Rel(tok[1], tuple(args))
-            left = _term_of(tok[1])
+            left = _term_of(tok)
             self.expect("op", "=")
             return sx.Eq(left, self.term())
         raise ParseError(f"expected a formula, found {tok[1] or 'end of input'!r}", tok[2])
@@ -995,7 +1010,7 @@ class _FOParser(_Parser):
         tok = self.next()
         if tok[0] != "id" or tok[1] in _FO_KEYWORDS:
             raise ParseError(f"expected a term, found {tok[1] or 'end of input'!r}", tok[2])
-        return _term_of(tok[1])
+        return _term_of(tok)
 
 
 def parse_fo(text: str) -> sx.FOFormula:

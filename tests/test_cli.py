@@ -10,6 +10,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from hybridkit import games
 from hybridkit.cli import LOGIC_VARIANTS, run
 from hybridkit.games import GameVariant
 from hybridkit.parser import parse_fo, print_fo
@@ -40,6 +41,25 @@ def test_golden(stem, argv):
 @pytest.mark.parametrize("stem, argv", CASES, ids=[stem for stem, _ in CASES])
 def test_byte_identical_across_runs(stem, argv):
     assert invoke(argv) == invoke(argv)
+
+
+@pytest.mark.parametrize("command", ["equiv", "game"])
+def test_trace_solves_the_game_once(monkeypatch, command):
+    solved = []
+    solve = games._Arena.solve
+
+    def counted(arena):
+        solved.append(arena.variant)
+        return solve(arena)
+
+    monkeypatch.setattr(games._Arena, "solve", counted)
+    argv = [command, "--left", "data/star2.json", "--right", "data/star3.json"]
+    if command == "equiv":
+        argv += ["--logic", "bf", "--depth", "3", "--trace"]
+    else:
+        argv += ["--variant", "ef", "--k", "2", "--trace"]
+    run(argv, out=io.StringIO())
+    assert len(solved) == 1
 
 
 def test_usage_error_exit_code():
@@ -181,6 +201,28 @@ def test_module_entry_point_matches_golden():
             ["translate", "--formula", "dia p", "--transition", "exists"],
             "transition 'exists': expected a relation name",
         ),
+        (
+            ["translate", "--formula", "dia p", "--anchor", "c0"],
+            "anchor 'c0': at position 0: 'c0' names no basepoint: indices start at 1",
+        ),
+        (
+            ["translate", "--formula", "@c0 p"],
+            "at position 1: 'c0' names no basepoint: indices start at 1",
+        ),
+        (
+            ["check", "--structure", "data/loop.json", "--formula", "e"],
+            "relation 'E' has arity 2, used with 1 argument",
+        ),
+        (
+            ["check", "--structure", "data/loop.json", "--logic", "fo"]
+            + ["--formula", "E(c1,c1,c1)"],
+            "relation 'E' has arity 2, used with 3 arguments",
+        ),
+        (
+            ["invariance", "--formula", "E(c1,c1,c1)", "--notion", "generated:1"]
+            + ["--corpus", "data/corpus"],
+            "relation 'E' has arity 2, used with 3 arguments",
+        ),
     ],
     ids=[
         "characteristic_k_negative",
@@ -194,6 +236,11 @@ def test_module_entry_point_matches_golden():
         "translate_anchor_two_terms",
         "translate_transition_not_a_name",
         "translate_transition_keyword",
+        "translate_anchor_c0",
+        "translate_nominal_c0",
+        "check_hybrid_atom_wrong_arity",
+        "check_fo_atom_wrong_arity",
+        "invariance_atom_wrong_arity",
     ],
 )
 def test_bad_number_is_an_input_error(capsys, argv, message):

@@ -351,6 +351,11 @@ class TestMorphismSearch:
         with pytest.raises(InvalidStructureError):
             find_cokleisli_morphism(carrier, carrier, ComonadKind.EF, 1)
 
+    def test_identity_lift_refuses_a_base_that_interprets_I(self):
+        carrier = build_comonad(SINGLE, ComonadKind.HYBRID, 1, with_I=True).carrier
+        with pytest.raises(InvalidStructureError, match="already interprets 'I'"):
+            build_comonad(carrier, ComonadKind.EF, 1, with_I=True)
+
     @pytest.mark.parametrize("s", FIXTURES30[:8], ids=range(8))
     def test_identity_always_exists(self, s):
         witness = find_cokleisli_morphism(s, s, ComonadKind.HYBRID, 2)

@@ -281,14 +281,15 @@ class TestCrosswalkWithComonads:
 
 class TestTrace:
     def test_trace_is_stable_and_informative(self):
-        text1 = trace_game(LOOP, C2, GameVariant.BACK_FORTH_HYBRID, 1)
-        text2 = trace_game(LOOP, C2, GameVariant.BACK_FORTH_HYBRID, 1)
+        text1 = trace_game(solve(LOOP, C2, GameVariant.BACK_FORTH_HYBRID, 1), LOOP, C2)
+        text2 = trace_game(solve(LOOP, C2, GameVariant.BACK_FORTH_HYBRID, 1), LOOP, C2)
         assert text1 == text2
         assert "winner: Spoiler" in text1
         assert "round 0" in text1
 
     def test_duplicator_trace_runs_all_rounds(self):
-        text = trace_game(PATH3, PATH3, GameVariant.BACK_FORTH_HYBRID, 2)
+        result = solve(PATH3, PATH3, GameVariant.BACK_FORTH_HYBRID, 2)
+        text = trace_game(result, PATH3, PATH3)
         assert "winner: Duplicator" in text
         assert "round 1" in text and "round 2" in text
 
@@ -311,7 +312,7 @@ class TestPinnedBehaviour:
                     )
                     entries = sorted(expanded.items())
                     digest.update(repr((result.winner, entries)).encode())
-                    digest.update(trace_game(a, b, variant, k).encode())
+                    digest.update(trace_game(result, a, b).encode())
         assert digest.hexdigest() == (
             "172a2d5fe1a56ce22af37665b43fa2a500a7758a2d42460a38a9c16be31de51a"
         )

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridkit.errors import InvalidStructureError
 from hybridkit.structures import (
@@ -170,6 +171,66 @@ class TestSubstructureOperators:
                 reachable_part(s, k + 1).universe
             )
             assert set(ball_part(s, k).universe) <= set(ball_part(s, k + 1).universe)
+
+
+PATH5 = Structure(
+    Signature({"E": 2}, ["E"], 1),
+    "abcde",
+    {"E": [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")]},
+    ["a"],
+)
+
+WALK_SIGNATURE = Signature({"P": 1, "E": 2, "F": 2, "R": 3}, ["E", "F"], 2)
+
+
+@st.composite
+def walk_structures(draw) -> Structure:
+    """Up to 7 elements over two transitions and a ternary relation, which
+    adds Gaifman edges but no transition steps."""
+    size = draw(st.integers(1, 7))
+    universe = [f"v{i}" for i in range(size)]
+    element = st.sampled_from(universe)
+    rels = {
+        name: draw(st.lists(st.tuples(*[element] * arity), max_size=size))
+        for name, arity in sorted(WALK_SIGNATURE.relations.items())
+    }
+    basepoints = draw(st.lists(element, min_size=2, max_size=2))
+    return Structure(WALK_SIGNATURE, universe, rels, basepoints)
+
+
+def transition_distances(s):
+    """Directed transition distance from the nearest basepoint, by a BFS
+    over the relation tuples themselves."""
+    dist = {e: 0 for e in s.basepoints}
+    frontier = list(dist)
+    while frontier:
+        nxt = []
+        for name in sorted(s.signature.transitions):
+            for u, v in s.relations[name]:
+                if u in frontier and v not in dist:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
+class TestWalkOut:
+    def test_a_level_counts_only_within_the_radius(self):
+        assert reachable_part(PATH5, 2.5).universe == ("a", "b", "c")
+        assert ball_part(PATH5, 2.5).universe == ("a", "b", "c")
+
+    @settings(max_examples=150, deadline=None)
+    @given(walk_structures(), st.sampled_from([0, 1, 2, 2.5, 3, INF]))
+    def test_parts_keep_exactly_the_elements_within_k(self, s, k):
+        # an element no path reaches is at distance INF, in no part even at
+        # k = INF
+        dist = transition_distances(s)
+        near = [e for e in s.universe if e in dist and dist[e] <= k]
+        assert reachable_part(s, k).universe == tuple(near)
+        rows = [gaifman_distance(s).row(b) for b in s.basepoints]
+        nearest = {e: min(row[e] for row in rows) for e in s.universe}
+        near = [e for e, d in nearest.items() if d != INF and d <= k]
+        assert ball_part(s, k).universe == tuple(near)
 
 
 class TestIndex:

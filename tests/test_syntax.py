@@ -427,7 +427,11 @@ class TestPinnedWalkers:
                 lambda: sx.And(sx.TRUE, x),
                 lambda: sx.BoundedExists("y", x, sx.TRUE),
             ],
-            "^not a term: Top": [lambda: sx.Eq(sx.TRUE, x)],
+            "^not a term: Top": [
+                lambda: sx.Eq(sx.TRUE, x),
+                lambda: sx.Rel("E", (sx.TRUE, x)),
+            ],
+            "^not a term: Not": [lambda: sx.Acc((sx.Not(sx.TRUE),), "y")],
         }
         for message, calls in builds.items():
             for build in calls:
