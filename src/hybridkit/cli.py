@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import product
 from typing import TextIO
 
 from .errors import HybridKitError, ParseError, ResourceLimitError
@@ -113,15 +114,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _initial_violation(a: Structure, b: Structure) -> str | None:
     """The first atomic fact on which the basepoint tuples disagree."""
     pairs = list(zip(a.basepoints, b.basepoints))
-    fwd = {}
     for i, (x, y) in enumerate(pairs):
-        if fwd.setdefault(x, y) != y:
-            return f"c{i + 1} repeats an earlier constant on the left only"
         for j, (x2, y2) in enumerate(pairs):
             if (x == x2) != (y == y2):
                 return f"c{i + 1} = c{j + 1} holds on one side only"
-    from itertools import product
-
     for name in sorted(a.signature.relations):
         arity = a.signature.relations[name]
         for idx in product(range(len(pairs)), repeat=arity):

@@ -153,15 +153,13 @@ def default_kind(s: Structure) -> ComonadKind:
     return ComonadKind.HYBRID if s.signature.is_unimodal() else ComonadKind.BOUNDED
 
 
-def cover_to_coalgebra(
-    t: TreeCover, k: int, kind: ComonadKind | None = None
-) -> Coalgebra:
-    """Read each element's root-to-element branch as its play."""
+def cover_to_coalgebra(t: TreeCover, k: int) -> Coalgebra:
+    """Read each element's root-to-element branch as its play in the
+    carrier of the base's ``default_kind``."""
     if not is_generated_tree_cover(t, k):
         raise ValueError("not a generated tree cover within the height bound")
     base = t.base
-    kind = kind or default_kind(base)
-    target = build_comonad(base, kind, k, with_I=False)
+    target = build_comonad(base, default_kind(base), k, with_I=False)
     play_of = {parts: play for play, parts in target.parts.items()}
     alpha = {}
     for e in base.universe:

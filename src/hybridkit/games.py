@@ -8,9 +8,10 @@ and ``elements`` gives the elements that moves play.  The winning condition
 on the pairs is a partial isomorphism in the back-and-forth games and a
 partial homomorphism from A to B in the existential ones.  For solving and
 extraction, ``fits`` keeps the replies to a move under which it still holds:
-atoms on at most two elements are local, so it compares the cached atom codes
-(``Structure.atom_codes``) of move and reply at the played pairs, and checks
-wider tuples per reply.  ``holds`` computes the condition from scratch, once
+in the existential games, those whose extended map sends the move's tuples
+into B (``structures.maps_into``).  Elsewhere atoms on at most two elements
+are local, so it compares the cached atom codes (``Structure.atom_codes``) of
+move and reply at the played pairs, and checks wider tuples per reply.  ``holds`` computes the condition from scratch, once
 per pair set, for the initial position, the traces and ``replay``, which
 trusts no recorded move; ``trace_game`` renders a solved ``GameResult``
 without solving again.  ``win`` memoizes ``value``, and ``answer``
@@ -57,14 +58,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress, repeat
-from typing import Callable, Mapping
+from itertools import compress
+from typing import Callable
 
 from .structures import (
     Structure,
     check_comparable,
-    covers,
     is_partial_isomorphism,
+    maps_into,
     row_codes,
 )
 from .comonads import ComonadKind, _play_tree
@@ -134,17 +135,6 @@ def _orient(side: str, x, y) -> tuple:
     """The pair of a move ``x`` made on ``side`` and answered by ``y``, with
     the component from A first."""
     return (x, y) if side == "A" else (y, x)
-
-
-def _maps_into(tuples, h: Mapping[str, str], target: Structure) -> bool:
-    """Whether ``h`` sends each ``(relation, tuple)`` it is defined on to a
-    tuple of that relation in ``target``."""
-    for name, tup in tuples:
-        if all(map(h.__contains__, tup)) and not target.has_tuple(
-            name, tuple(map(h.__getitem__, tup))
-        ):
-            return False
-    return True
 
 
 def sequence_key(pos) -> tuple[frozenset, int]:
@@ -227,44 +217,45 @@ class _Arena:
         for x, y in pairs:
             if fwd.setdefault(x, y) != y:
                 return False
-        return all(_maps_into(self.a.tuples_at(x), fwd, self.b) for x in fwd)
+        return all(maps_into(self.a.tuples_at(x), fwd, self.b) for x in fwd)
 
     def fits(self, pos, side: str, x, among=None):
         """Yield, in order, Duplicator's replies to Spoiler's ``x`` on ``side``
         (those in ``among``, by default all) after which the winning condition
-        still holds, given that it holds at ``pos``.  By the atom codes, the
-        move's atoms with each played pair must equal the reply's with its
-        image in the back-and-forth games and map into them in the existential
-        ones, where those with an image the reply repeats collapse onto it.
-        Tuples over three or more elements are checked per reply."""
+        still holds, given that it holds at ``pos``.  In the existential games
+        the extended map must keep an earlier image of the move and send its
+        tuples into the other structure (``maps_into``).  In the
+        back-and-forth games, by the atom codes, the move's atoms with each
+        played pair must equal the reply's with its image; tuples over three
+        or more elements are checked per reply, both ways."""
         mine, theirs = (self.a, self.b) if side == "A" else (self.b, self.a)
-        index, rows, wide = mine.atom_codes()
-        their_index, their_rows, their_wide = theirs.atom_codes()
         i = 0 if side == "A" else 1  # the mover's place in a pair
         pairs = self.pairs(pos)
         (ex,) = self.elements(i, (x,))
-        e = index[ex]
-        images = [p[1 - i] for p in pairs]
-        want = row_codes([index[p[i]] for p in pairs])(rows[e])
-        get = row_codes([their_index[v] for v in images])
         replies = self.replies(pos, side) if among is None else among
         reached = self.elements(1 - i, replies)
+        if self.existential:
+            fwd = {p[i]: p[1 - i] for p in pairs}
+            at = mine.tuples_at(ex)
+            for y, f in zip(replies, reached):
+                if fwd.get(ex, f) == f and maps_into(at, fwd | {ex: f}, theirs):
+                    yield y
+            return
+        index, rows, wide = mine.atom_codes()
+        their_index, their_rows, their_wide = theirs.atom_codes()
+        e = index[ex]
+        want = row_codes([index[p[i]] for p in pairs])(rows[e])
+        get = row_codes([their_index[p[1 - i]] for p in pairs])
         at = map(their_index.__getitem__, reached)
-        got = map(get, map(their_rows.__getitem__, at))
-        if not self.existential:
-            kept = map(want.__eq__, got)
-        else:
-            slots: dict[str, tuple[int, ...]] = {}  # where each image's codes are
-            for k, v in enumerate(images, 1):
-                slots[v] = slots.get(v, ()) + (k,)
-            kept = map(covers, got, repeat(want), map(slots.get, reached, repeat(())))
+        kept = map(want.__eq__, map(get, map(their_rows.__getitem__, at)))
         for y, f in compress(zip(replies, reached), kept):
             t = their_index[f]
             if wide[e] or their_wide[t]:
                 fwd = {p[i]: p[1 - i] for p in pairs} | {ex: f}
                 back = {v: u for u, v in fwd.items()}
-                if not _maps_into(wide[e], fwd, theirs) or not (
-                    self.existential or _maps_into(their_wide[t], back, mine)
+                if not (
+                    maps_into(wide[e], fwd, theirs)
+                    and maps_into(their_wide[t], back, mine)
                 ):
                     continue
             yield y

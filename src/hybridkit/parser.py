@@ -25,9 +25,11 @@ whole text; a token is its text, and its kind is read from its
 first character (a letter or ``_`` for an identifier, a digit for a number,
 anything else for an operator), with ``""`` marking the end.  Positions are
 found again, by scanning the text, only when a ``ParseError`` reports one.
-The parsers are recursive descent, with ``&``, ``|`` (and ``->``) handled in
-one loop per nesting level, so a parenthesized operand costs two Python
-frames.
+The parsers are recursive descent and share ``_Parser.formula`` and one
+``&``/``|`` loop, ``_Parser.expr``, which builds each language's own nodes
+and, in first-order syntax, the optional right-nested ``->``.  A
+parenthesized operand costs two Python frames.  The two printers likewise
+share ``_infix`` for ``&`` and ``|``.
 """
 from __future__ import annotations
 
@@ -69,6 +71,8 @@ def _found(tok: str) -> str:
 
 
 class _Parser:
+    implies = False  # whether ``->`` may follow an ``&``/``|`` chain
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
@@ -93,42 +97,51 @@ class _Parser:
     def indexed(self, tok: str, at: int, kind=sx.Nom):
         """The ``kind`` node (a nominal, or ``sx.Const``) that a ``c<digits>``
         token at ``at`` names, else ``None``.  Index 0 names no basepoint and
-        fails there."""
+        fails there, as does a leading zero, so each index has one
+        spelling."""
         m = _NOMINAL_RE.match(tok)
         if m is None:
             return None
-        if int(m.group(1)) == 0:
+        digits = m.group(1)
+        if int(digits) == 0:
             self.fail(f"{tok!r} names no basepoint: indices start at 1", at)
-        return kind(int(m.group(1)))
+        if digits[0] == "0":
+            self.fail(f"{tok!r} has a leading zero", at)
+        return kind(int(digits))
+
+    def formula(self):
+        f = self.expr()
+        self.done()
+        return f
+
+    def expr(self):
+        """Operands joined by ``&`` and ``|`` into the subclass's ``conj``
+        and ``disj`` nodes, ``&`` binding tighter and both associating to the
+        left; then, where ``implies`` is set, optionally ``->`` and the rest,
+        which it binds loosest.  The one loop stays in this frame, so with
+        ``unary`` a parenthesized operand costs two Python frames."""
+        tokens = self.tokens
+        f = None
+        while True:
+            g = self.unary()
+            while tokens[self.i] == "&":
+                self.i += 1
+                g = self.conj(g, self.unary())
+            f = g if f is None else self.disj(f, g)
+            if tokens[self.i] != "|":
+                break
+            self.i += 1
+        if tokens[self.i] == "->" and self.implies:
+            self.i += 1
+            return sx.Or(sx.Not(f), self.expr())
+        return f
 
 
 # -- hybrid --------------------------------------------------------------------
 
 
 class _HybridParser(_Parser):
-    def formula(self) -> sx.HybridFormula:
-        f = self.expr()
-        self.done()
-        return f
-
-    def expr(self) -> sx.HybridFormula:
-        """Operands joined by ``&`` and ``|``, ``&`` binding tighter."""
-        tokens = self.tokens
-        f = self.unary()
-        while True:
-            op = tokens[self.i]
-            if op == "&":
-                self.i += 1
-                f = sx.Conj(f, self.unary())
-            elif op == "|":
-                self.i += 1
-                g = self.unary()
-                while tokens[self.i] == "&":
-                    self.i += 1
-                    g = sx.Conj(g, self.unary())
-                f = sx.Disj(f, g)
-            else:
-                return f
+    conj, disj = sx.Conj, sx.Disj
 
     def unary(self) -> sx.HybridFormula:
         tok = self.tokens[self.i]
@@ -196,37 +209,11 @@ def parse_hybrid(
 
 
 class _FOParser(_Parser):
+    conj, disj, implies = sx.And, sx.Or, True
+
     def __init__(self, text: str):
         super().__init__(text)
         self.terms: dict[str, sx.Term] = {}  # token -> term, for this text
-
-    def formula(self) -> sx.FOFormula:
-        f = self.expr()
-        self.done()
-        return f
-
-    def expr(self) -> sx.FOFormula:
-        """Operands joined by ``&`` and ``|``, ``&`` binding tighter, and
-        then optionally ``->`` and the rest, which it binds loosest."""
-        tokens = self.tokens
-        f = self.unary()
-        while True:
-            op = tokens[self.i]
-            if op == "&":
-                self.i += 1
-                f = sx.And(f, self.unary())
-            elif op == "|":
-                self.i += 1
-                g = self.unary()
-                while tokens[self.i] == "&":
-                    self.i += 1
-                    g = sx.And(g, self.unary())
-                f = sx.Or(f, g)
-            elif op == "->":
-                self.i += 1
-                return sx.Or(sx.Not(f), self.expr())
-            else:
-                return f
 
     def unary(self) -> sx.FOFormula:
         tokens = self.tokens
@@ -350,6 +337,29 @@ _PREC_AND = 20
 _PREC_UNARY = 30
 
 
+#: The ``&`` and ``|`` nodes of both languages: operator and precedence level.
+_INFIX = {
+    **dict.fromkeys((sx.Conj, sx.And), ("&", _PREC_AND)),
+    **dict.fromkeys((sx.Disj, sx.Or), ("|", _PREC_OR)),
+}
+
+
+def _infix(show, f, prec: int) -> str:
+    """An ``&`` or ``|`` node, its operands printed by ``show``, in
+    parentheses when ``prec`` binds tighter.  An operand that is itself
+    ``&`` or ``|`` is printed here directly, so a nesting level costs one
+    Python frame, as any other node does."""
+    op, level = _INFIX[type(f)]
+    # right operands print one level tighter so nesting direction
+    # survives the left-associative reparse; guarded-quantifier bodies
+    # likewise, so the guard classification sees the same split
+    sides = []
+    for g, at in ((f.left, level), (f.right, level + 1)):
+        sides.append(_infix(show, g, at) if type(g) in _INFIX else show(g, at))
+    body = f"{sides[0]} {op} {sides[1]}"
+    return f"({body})" if prec > level else body
+
+
 def print_hybrid(f: sx.HybridFormula) -> str:
     return _ph(f, 0)
 
@@ -363,14 +373,8 @@ def _ph(f: sx.HybridFormula, prec: int) -> str:
         return f"c{f.index}"
     if isinstance(f, sx.Neg):
         return f"!{_ph(f.sub, _PREC_UNARY)}"
-    if isinstance(f, sx.Conj):
-        # the right operand is printed one level tighter so that nesting
-        # direction survives the left-associative reparse
-        body = f"{_ph(f.left, _PREC_AND)} & {_ph(f.right, _PREC_AND + 1)}"
-        return f"({body})" if prec > _PREC_AND else body
-    if isinstance(f, sx.Disj):
-        body = f"{_ph(f.left, _PREC_OR)} | {_ph(f.right, _PREC_OR + 1)}"
-        return f"({body})" if prec > _PREC_OR else body
+    if type(f) in _INFIX:
+        return _infix(_ph, f, prec)
     name = _MODALITY_NAMES.get(type(f))
     if name is not None:
         return f"{name} {_ph(f.sub, _PREC_UNARY)}"
@@ -408,15 +412,8 @@ def _pf(f: sx.FOFormula, prec: int) -> str:
         return f"acc({','.join(print_term(t) for t in f.sources)}; {f.var})"
     if isinstance(f, sx.Not):
         return f"!{_pf(f.sub, _PREC_UNARY)}"
-    if isinstance(f, sx.And):
-        # right operands print one level tighter so nesting direction
-        # survives the left-associative reparse; guarded-quantifier bodies
-        # likewise, so the guard classification sees the same split
-        body = f"{_pf(f.left, _PREC_AND)} & {_pf(f.right, _PREC_AND + 1)}"
-        return f"({body})" if prec > _PREC_AND else body
-    if isinstance(f, sx.Or):
-        body = f"{_pf(f.left, _PREC_OR)} | {_pf(f.right, _PREC_OR + 1)}"
-        return f"({body})" if prec > _PREC_OR else body
+    if type(f) in _INFIX:
+        return _infix(_pf, f, prec)
     if isinstance(f, sx.Forall):
         return f"forall {f.var} ({_pf(f.body, 0)})"
     if isinstance(f, sx.Exists):

@@ -58,11 +58,13 @@ class _Evaluator:
     Dispatch is on the exact node class.  ``And`` and ``Or`` walk their
     right spine in a loop, which is the shape ``conj_all`` and ``disj_all``
     build; the left operands, and the node that ends the spine, are
-    evaluated through :meth:`eval`.  A bounded or counting quantifier whose
-    guard is a binary atom with the bound variable in exactly one position
-    walks the structure's partner index (``Structure.partners``) from the
-    other term's value, successors or predecessors, and never evaluates the
-    guard; any other guard is tested on each element in universe order.
+    evaluated through :meth:`eval`.  All five quantifier classes share
+    :meth:`_quantifier`, one loop over the universe or the guard's elements.
+    A bounded or counting quantifier whose guard is a binary atom with the
+    bound variable in exactly one position walks the structure's partner
+    index (``Structure.partners``) from the other term's value, successors
+    or predecessors, and never evaluates the guard; any other guard is
+    tested on each element in universe order.
 
     Memo: characteristic and Scott formulas share subformulas heavily, and
     first-order nodes are interned, so a shared subformula is one object
@@ -187,48 +189,21 @@ class _Evaluator:
                 return self.eval(f, env)
         return True
 
-    def _forall(self, f: Forall, env: Mapping[str, str]) -> bool:
+    def _quantifier(self, f, env: Mapping[str, str]) -> bool:
+        """Bind the variable to each element of the range in order, and stop
+        at the ``count``-th body value that is not the quantifier's default
+        (true for a universal); ``count`` is 1 unless ``f`` is a
+        ``CountExists``."""
+        universal, guarded = _QUANTIFIERS[type(f)]
         inner = dict(env)
-        for e in self.s.universe:
+        left = f.count if type(f) is CountExists else 1
+        for e in self._guarded(f, inner) if guarded else self.s.universe:
             inner[f.var] = e
-            if not self.eval(f.body, inner):
-                return False
-        return True
-
-    def _exists(self, f: Exists, env: Mapping[str, str]) -> bool:
-        inner = dict(env)
-        for e in self.s.universe:
-            inner[f.var] = e
-            if self.eval(f.body, inner):
-                return True
-        return False
-
-    def _bounded_forall(self, f: BoundedForall, env: Mapping[str, str]) -> bool:
-        inner = dict(env)
-        for e in self._guarded(f, inner):
-            inner[f.var] = e
-            if not self.eval(f.body, inner):
-                return False
-        return True
-
-    def _bounded_exists(self, f: BoundedExists, env: Mapping[str, str]) -> bool:
-        inner = dict(env)
-        for e in self._guarded(f, inner):
-            inner[f.var] = e
-            if self.eval(f.body, inner):
-                return True
-        return False
-
-    def _count_exists(self, f: CountExists, env: Mapping[str, str]) -> bool:
-        inner = dict(env)
-        hits = 0
-        for e in self._guarded(f, inner):
-            inner[f.var] = e
-            if self.eval(f.body, inner):
-                hits += 1
-                if hits >= f.count:
-                    return True
-        return False
+            if self.eval(f.body, inner) is not universal:
+                left -= 1
+                if not left:
+                    return not universal
+        return universal
 
     def _guarded(self, f, inner: dict[str, str]) -> Iterable[str]:
         """The elements satisfying the guard of the quantifier ``f``, in
@@ -262,16 +237,21 @@ _LITERALS = {
     Top: _Evaluator._top,
     Bottom: _Evaluator._bottom,
 }
+#: Per quantifier class: whether it is universal, and whether it ranges over
+#: its guard's elements (``_Evaluator._guarded``) rather than the universe.
+_QUANTIFIERS = {
+    Forall: (True, False),
+    Exists: (False, False),
+    BoundedForall: (True, True),
+    BoundedExists: (False, True),
+    CountExists: (False, True),
+}
 _COMPOUNDS = {
     And: _Evaluator._and,
     Or: _Evaluator._or,
     Not: _Evaluator._not,
-    BoundedExists: _Evaluator._bounded_exists,
-    BoundedForall: _Evaluator._bounded_forall,
-    CountExists: _Evaluator._count_exists,
     Acc: _Evaluator._acc,
-    Exists: _Evaluator._exists,
-    Forall: _Evaluator._forall,
+    **dict.fromkeys(_QUANTIFIERS, _Evaluator._quantifier),
 }
 
 

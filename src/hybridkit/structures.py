@@ -6,19 +6,21 @@ strings; the universe is an ordered tuple, and that order fixes deterministic
 iteration and tie-breaking everywhere downstream.  Relation tuples are stored
 sorted, so structure equality is syntactic.
 
-The module also provides the atom codes the games compare, the Gaifman graph
-and its path metric, disjoint unions, and the two idempotent substructure
-operators: the reachable part (directed transition paths from the
-basepoints, bounded by k) and the ball part (Gaifman balls of radius k around
-the basepoints).  Both are one walk outward from the basepoints, level by
-level while the level's distance is at most k: over ``accessible`` for the
-reachable part, over the cached ``gaifman_graph`` for the ball.
+The module also provides the atom codes the back-and-forth games compare,
+the partial-map test ``maps_into`` behind the existential games and
+``is_homomorphism``, the Gaifman graph and its path metric, disjoint unions,
+and the two idempotent substructure operators: the reachable part (directed
+transition paths from the basepoints, bounded by k) and the ball part
+(Gaifman balls of radius k around the basepoints).  Both are one walk
+outward from the basepoints, level by level while the level's distance is
+at most k: over ``accessible`` for the reachable part, over the cached
+``gaifman_graph`` for the ball.
 """
 from __future__ import annotations
 
 import json
 from itertools import product
-from operator import and_, itemgetter
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -398,54 +400,24 @@ class Structure:
 #: The equality marker of the atom codes: the bit on the diagonal of every
 #: structure's pair codes.
 EQUAL_CODE = 1
-#: The atom shapes ``(relation, pattern)`` behind the other bits of the atom
-#: codes, interned for all structures so that codes of two structures compare
-#: directly.  A pattern gives, for each position of a tuple, 0 for the first
-#: element of the code and 1 for the second.
-_SHAPES: list[tuple[str, tuple[int, ...]]] = []
+#: The bits past ``EQUAL_CODE``, one per atom shape ``(relation, pattern)``,
+#: interned for all structures so that the back-and-forth games can compare
+#: codes of two structures for equality.  A pattern gives, for each position
+#: of a tuple, 0 for the first element of the code and 1 for the second.
 _SHAPE_BITS: dict[tuple[str, tuple[int, ...]], int] = {}
-_COLLAPSED: dict[int, int] = {}  # memo of ``collapsed``
 
 
 def _shape_bit(name: str, pattern: tuple[int, ...]) -> int:
     bit = _SHAPE_BITS.get((name, pattern))
     if bit is None:
-        _SHAPES.append((name, pattern))
-        bit = _SHAPE_BITS[name, pattern] = 1 << len(_SHAPES)
+        bit = _SHAPE_BITS[name, pattern] = 1 << (len(_SHAPE_BITS) + 1)
     return bit
-
-
-def collapsed(code: int) -> int:
-    """The element code of the atoms of a pair code once its two elements are
-    one: each pattern becomes all first positions, and equality is dropped."""
-    out = _COLLAPSED.get(code)
-    if out is None:
-        out = 0
-        for i, (name, pattern) in enumerate(_SHAPES, 1):
-            if code >> i & 1:
-                out |= _shape_bit(name, (0,) * len(pattern))
-        _COLLAPSED[code] = out
-    return out
 
 
 def row_codes(positions: list[int]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
     """A getter of an atom-code row's element code and its pair codes with
     the elements at ``positions``, in that order, as a tuple."""
     return itemgetter(-1, *positions) if positions else lambda row: row[-1:]
-
-
-def covers(got: tuple[int, ...], want: tuple[int, ...], slots=()) -> bool:
-    """Whether the codes ``got`` hold every atom of ``want``, both read by
-    ``row_codes``.  When the reply read in ``got`` is the element whose pair
-    codes ``want`` holds at ``slots`` (counted from 1), those atoms must
-    collapse onto its element code instead."""
-    if slots:
-        want = list(want)
-        for k in slots:
-            want[0] |= collapsed(want[k])
-            want[k] = 0
-        want = tuple(want)
-    return tuple(map(and_, got, want)) == want
 
 
 # -- Gaifman machinery -------------------------------------------------------
@@ -473,10 +445,9 @@ class DistanceMatrix:
     """All-pairs Gaifman path distance; unreachable pairs are ``INF``.  The
     distances from each element are kept as one row, read by ``row``."""
 
-    __slots__ = ("order", "_rows")
+    __slots__ = ("_rows",)
 
-    def __init__(self, order: Sequence[str], rows: Mapping[str, Mapping[str, float]]):
-        self.order = tuple(order)
+    def __init__(self, rows: Mapping[str, Mapping[str, float]]):
         self._rows = dict(rows)
 
     def distance(self, x: str, y: str) -> float:
@@ -518,7 +489,7 @@ def gaifman_distance(s: Structure) -> DistanceMatrix:
                         nxt.append(v)
             frontier = nxt
         rows[src] = {e: seen.get(e, INF) for e in s.universe}
-    return DistanceMatrix(s.universe, rows)
+    return DistanceMatrix(rows)
 
 
 # -- sums ---------------------------------------------------------------------
@@ -611,6 +582,16 @@ def ball_part(s: Structure, k: float) -> Structure:
 # -- morphism predicates ------------------------------------------------------
 
 
+def maps_into(tuples, h: Mapping[str, str], target: Structure) -> bool:
+    """Whether the partial map ``h`` sends each ``(relation, tuple)`` it is
+    defined on to a tuple of that relation in ``target``."""
+    inside, image = h.__contains__, h.__getitem__
+    for name, tup in tuples:
+        if all(map(inside, tup)) and tuple(map(image, tup)) not in target.tuple_set(name):
+            return False
+    return True
+
+
 def is_homomorphism(h: Mapping[str, str], a: Structure, b: Structure) -> bool:
     """True iff ``h`` preserves every relation tuple and maps basepoints
     to basepoints componentwise.  ``h`` must be total on ``a`` and land in
@@ -625,11 +606,9 @@ def is_homomorphism(h: Mapping[str, str], a: Structure, b: Structure) -> bool:
     for x, y in zip(a.basepoints, b.basepoints):
         if h[x] != y:
             return False
-    for name, tuples in a.relations.items():
-        for tup in tuples:
-            if not b.has_tuple(name, tuple(h[e] for e in tup)):
-                return False
-    return True
+    return maps_into(
+        ((name, tup) for name, tuples in a.relations.items() for tup in tuples), h, b
+    )
 
 
 def is_partial_isomorphism(

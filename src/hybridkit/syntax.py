@@ -335,6 +335,10 @@ class CountExists(FOFormula):
     guard: FOFormula
     body: FOFormula
 
+    def __post_init__(self):  # on an intern-table miss only
+        if type(self.count) is not int or self.count < 1:
+            raise ValueError(f"a count must be an int of at least 1, got {self.count!r}")
+
 
 @_node
 class Acc(FOFormula):

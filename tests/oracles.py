@@ -881,13 +881,15 @@ def parse_hybrid(text: str) -> sx.HybridFormula:
 
 
 def _index(tok: tuple[str, str, int]) -> int | None:
-    """The index of a nominal or constant token, else ``None``; index 0 is
-    refused at the token."""
+    """The index of a nominal or constant token, else ``None``; index 0 and
+    a leading zero are refused at the token."""
     m = _NOMINAL_RE.match(tok[1])
     if m is None:
         return None
     if int(m.group(1)) == 0:
         raise ParseError(f"{tok[1]!r} names no basepoint: indices start at 1", tok[2])
+    if m.group(1).startswith("0"):
+        raise ParseError(f"{tok[1]!r} has a leading zero", tok[2])
     return int(m.group(1))
 
 

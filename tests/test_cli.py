@@ -210,6 +210,15 @@ def test_module_entry_point_matches_golden():
             "at position 1: 'c0' names no basepoint: indices start at 1",
         ),
         (
+            ["translate", "--formula", "@c01 p"],
+            "at position 1: 'c01' has a leading zero",
+        ),
+        (
+            ["check", "--structure", "data/loop.json", "--logic", "fo"]
+            + ["--formula", "E(c01,c1)"],
+            "at position 2: 'c01' has a leading zero",
+        ),
+        (
             ["check", "--structure", "data/loop.json", "--formula", "e"],
             "relation 'E' has arity 2, used with 1 argument",
         ),
@@ -238,6 +247,8 @@ def test_module_entry_point_matches_golden():
         "translate_transition_keyword",
         "translate_anchor_c0",
         "translate_nominal_c0",
+        "translate_nominal_leading_zero",
+        "check_fo_constant_leading_zero",
         "check_hybrid_atom_wrong_arity",
         "check_fo_atom_wrong_arity",
         "invariance_atom_wrong_arity",
@@ -248,6 +259,19 @@ def test_bad_number_is_an_input_error(capsys, argv, message):
     assert run(argv, out=sink) == 2
     assert sink.getvalue() == f"error: {message}\n"
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("left, right", [("aa", "ab"), ("ab", "aa")])
+def test_repeated_constant_is_reported_as_one_sided_equality(tmp_path, left, right):
+    paths = []
+    for bps in (left, right):
+        doc = {**GOOD, "relations": {"E": [["a", "b"]], "P": []}, "basepoints": list(bps)}
+        paths.append(tmp_path / f"{bps}.json")
+        paths[-1].write_text(json.dumps(doc))
+    sink = io.StringIO()
+    argv = ["equiv", "--left", str(paths[0]), "--right", str(paths[1])]
+    assert run(argv + ["--logic", "bf", "--depth", "1"], out=sink) == 1
+    assert sink.getvalue().splitlines()[-1] == "reason: c1 = c2 holds on one side only"
 
 
 @pytest.mark.parametrize(

@@ -528,6 +528,7 @@ class TestPairSetQuotient:
 TERNARY = Signature({"E": 2, "R": 3}, ["E"], 1)
 WITH_R = Structure(TERNARY, ["a", "b", "c"], {"R": [("a", "b", "c")]}, ["a"])
 WITHOUT_R = Structure(TERNARY, ["a", "b", "c"], {}, ["a"])
+UNARY_EDGE = Signature({"E": 2, "P": 1}, ["E"], 1)
 
 
 class TestReplyFilter:
@@ -550,6 +551,30 @@ class TestReplyFilter:
         arena = games._arena(WITH_R, WITH_R, GameVariant.EF, 2)
         assert list(arena.fits(self.PLAYED, "A", "c")) == ["c"]
         assert solve(WITH_R, WITH_R, GameVariant.EF, 3).winner == DUPLICATOR
+
+    @pytest.mark.parametrize(
+        "a_rels, b_rels, kept",
+        [
+            # E(a, b) lands on a loop when b's reply repeats a's image u
+            ({"E": [("a", "b")]}, {"E": [("u", "u")]}, ["u"]),
+            ({"E": [("a", "b")]}, {"E": [("u", "v")]}, ["v"]),
+            # as does P(b)
+            ({"P": [("b",)]}, {"P": [("u",)]}, ["u"]),
+            ({"P": [("b",)]}, {"P": [("v",)]}, ["v"]),
+        ],
+    )
+    def test_existential_reply_repeating_an_image(self, a_rels, b_rels, kept):
+        a = Structure(UNARY_EDGE, ["a", "b"], a_rels, ["a"])
+        b = Structure(UNARY_EDGE, ["u", "v"], b_rels, ["u"])
+        arena = games._arena(a, b, GameVariant.EXISTENTIAL_EF, 1)
+        assert list(arena.fits((("a", "u"),), "A", "b")) == kept
+
+    @pytest.mark.parametrize("variant", [GameVariant.EXISTENTIAL_EF, GameVariant.EF])
+    def test_repeated_move_keeps_its_earlier_image(self, variant):
+        a = Structure(UNARY_EDGE, ["a", "b"], {}, ["a"])
+        b = Structure(UNARY_EDGE, ["u", "v"], {}, ["u"])
+        arena = games._arena(a, b, variant, 1)
+        assert list(arena.fits((("a", "v"),), "A", "a")) == ["v"]
 
 
 def _reached(fn) -> tuple[set[str], set]:

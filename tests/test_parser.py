@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from hybridkit.errors import ParseError, ScopeError
@@ -192,3 +194,17 @@ class TestRoundTrips:
             assert parse_fo(print_fo(f)) == f
             g = random_fo_sentence(rng, sig, rng.randint(0, 2))
             assert parse_fo(print_fo(g)) == g
+
+
+@pytest.mark.parametrize(
+    "parse, show, atom",
+    [(parse_fo, print_fo, "E(c1,c1)"), (parse_hybrid, print_hybrid, "p")],
+)
+def test_a_nesting_level_costs_the_parser_two_frames_and_the_printer_one(
+    parse, show, atom
+):
+    limit = sys.getrecursionlimit()
+    depth = limit * 2 // 5
+    assert parse("(" * depth + atom + ")" * depth) == parse(atom)
+    chain = " & ".join([atom] * (limit * 4 // 5))  # left-nested when parsed
+    assert show(parse(chain)) == chain

@@ -421,6 +421,8 @@ class TestPinnedWalkers:
 
     def test_construction_refuses_a_misplaced_part(self):
         x = sx.Var("x")
+        # a guard no other test builds, so each count misses the intern table
+        guard = sx.Rel("Refused", (sx.Const(1), sx.Var("y")))
         builds = {
             "^not a first-order formula: Var": [
                 lambda: sx.Not(x),
@@ -437,6 +439,11 @@ class TestPinnedWalkers:
             for build in calls:
                 with pytest.raises(TypeError, match=message):
                     build()
+        # "at least 0" would hold everywhere, yet count as no witness found
+        for count in (0, -1, True):
+            message = f"^a count must be an int of at least 1, got {count}$"
+            with pytest.raises(ValueError, match=message):
+                sx.CountExists(count, "y", guard, sx.FALSE)
 
     def test_walker_outputs_are_unchanged(self):
         # computed before the walkers shared one structural walk
