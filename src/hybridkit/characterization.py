@@ -113,6 +113,15 @@ class WorkspaceStrategy:
         self.left, self.right = left, right
         self.left_dist = gaifman_distance(left)
         self.right_dist = gaifman_distance(right)
+        # (summand type, responding on the left) -> the summands that may
+        # answer, least first: the real one is a copy of A on the left and
+        # the ball N on the right
+        self._fresh_tags = {
+            (kind, on_left): ((REAL_TAG,) if (kind == "M") == on_left else ())
+            + tuple(f"{kind}{i}" for i in range(1, q + 1))
+            for kind in "MN"
+            for on_left in (True, False)
+        }
 
     def verify(self) -> bool:
         """:func:`verify_workspace` on this machine's workspace."""
@@ -146,14 +155,17 @@ class WorkspaceStrategy:
         self, move_tag: str, move_on_left: bool, state: WorkspaceStrategyState
     ) -> tuple[str, str]:
         """Least-indexed unused summand of the same type on the responding
-        side; returns the rho tag pair (left tag, right tag)."""
+        side; returns the rho tag pair (left tag, right tag).
+
+        The summands in use are read from ``rho``: a far index holds the tag
+        pair of its elements, and every other index (a basepoint or a Case I
+        copy) is near, at a finite distance from a basepoint, so its element
+        lies in the real summand."""
         kind = self._summand_type(move_tag, move_on_left)
         respond_left = not move_on_left
-        play = state.left_play if respond_left else state.right_play
-        used = {_summand_tag(e) for e in play}
-        candidates = [REAL_TAG] if (kind == "M") == respond_left else []
-        candidates += [f"{kind}{i}" for i in range(1, self.q + 1)]
-        for tag in candidates:
+        side = 0 if respond_left else 1
+        used = {REAL_TAG if entry is None else entry[side] for entry in state.rho}
+        for tag in self._fresh_tags[kind, respond_left]:
             if tag not in used:
                 return (tag, move_tag) if respond_left else (move_tag, tag)
         raise AssertionError(

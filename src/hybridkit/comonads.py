@@ -8,11 +8,14 @@ its element tuple, whose last element is the counit ε, to its prefix plays,
 which are the comultiplication δ, and to its children.  It serves the
 carrier (:class:`ComonadStructure` keeps the maps next to it), the
 coKleisli search and the game ``G_k`` alike, and refuses a tree of more
-than ``MAX_PLAYS`` plays.  Other modules read these maps.  How a name
-encodes its play (the elements joined with ``.``) is private to this
-module; ``play_parts`` and ``play_join`` state it for the tests, for
-coextension values that need not be plays of any carrier, and for the image
-plays this module renders.
+than ``MAX_PLAYS`` plays.  A structure keeps the last carrier built over
+it, so repeated requests for one kind, k and ``with_I`` (every cover of a
+structure, then the coalgebra search) share one play tree and one lift; the
+coKleisli search and ``G_k`` walk a tree of their own and store nothing.
+Other modules read these maps.  How a name encodes its play (the elements
+joined with ``.``) is private to this module; ``play_parts`` and
+``play_join`` state it for the tests, for coextension values that need not
+be plays of any carrier, and for the image plays this module renders.
 
 Plays start with the basepoint tuple and are capped at length k+m; each
 comonad kind restricts how a play may grow:
@@ -42,7 +45,6 @@ from .structures import (
     RESERVED_IDENTITY,
     Structure,
     check_comparable,
-    is_homomorphism,
     with_identity_I,
 )
 
@@ -174,7 +176,19 @@ def build_comonad(
     so ``I`` is lifted like any other relation: a play is related to itself
     and, both ways, to each prefix ending in the same element.  A base that
     already interprets ``I`` raises ``InvalidStructureError``.
+
+    The base keeps the pieces of the last carrier built over it, so a second
+    call with the same kind, k and ``with_I`` returns a new
+    ``ComonadStructure`` around the same carrier and maps; ``MAX_PLAYS`` is
+    checked again.  A call that raises stores nothing.
     """
+    key = (kind, k, with_I)
+    got = base._carrier
+    if got is not None and got[0] == key:
+        _, carrier, parts, prefixes, children = got
+        if len(parts) > MAX_PLAYS:
+            raise ResourceLimitError(f"carrier would exceed {MAX_PLAYS} plays")
+        return ComonadStructure(kind, k, base, carrier, with_I, parts, prefixes, children)
     parts, prefixes, children = _play_tree(base, kind, k)
     lifted = with_identity_I(base) if with_I else base
     sig = lifted.signature
@@ -189,6 +203,7 @@ def build_comonad(
         if modal_edge is not None and base.has_tuple(modal_edge, played[-2:]):
             rels[modal_edge].append(chain[-2:])
     carrier = Structure(sig, plays, rels, plays[: sig.num_basepoints])
+    base._carrier = key, carrier, parts, prefixes, children
     return ComonadStructure(kind, k, base, carrier, with_I, parts, prefixes, children)
 
 
@@ -376,15 +391,6 @@ def find_cokleisli_morphism(
         chosen[play] = images
         witness[play] = images[-1]
     return witness
-
-
-def is_cokleisli_homomorphism(
-    h: Mapping[str, str], c_a: ComonadStructure, b: Structure
-) -> bool:
-    """Whether h is a homomorphism from the carrier over A to B, with the
-    identity interpretation of I when the carrier tracks it."""
-    target = with_identity_I(b) if c_a.with_I else b
-    return is_homomorphism(h, c_a.carrier, target)
 
 
 def dump_carrier(c: ComonadStructure) -> str:

@@ -166,24 +166,27 @@ class _HybridParser(_Parser):
                 self.fail(f"expected a world variable after 'down', found {var!r}", self.i - 1)
             self.expect(".")
             return sx.Bind(var, self.expr())
-        nominal = self.indexed(tok, self.i - 1)
-        if nominal is not None:
-            return nominal
-        if _WORLD_VAR_RE.match(tok):
-            return sx.WVar(tok)
-        return sx.Atom(tok)
+        return self.name(tok, self.i - 1) or sx.Atom(tok)
 
     def name_ref(self) -> sx.HybridFormula:
         tok = self.tokens[self.i]
         self.i += 1
         if tok[:1] not in _ID_START:
             self.fail(f"expected a world variable or nominal, found {tok!r}", self.i - 1)
-        nominal = self.indexed(tok, self.i - 1)
+        ref = self.name(tok, self.i - 1)
+        if ref is None:
+            self.fail(f"{tok!r} is neither a world variable nor a nominal", self.i - 1)
+        return ref
+
+    def name(self, tok: str, at: int) -> sx.HybridFormula | None:
+        """The nominal or world variable that the identifier ``tok`` at
+        ``at`` names, else ``None``."""
+        nominal = self.indexed(tok, at)
         if nominal is not None:
             return nominal
         if _WORLD_VAR_RE.match(tok):
             return sx.WVar(tok)
-        self.fail(f"{tok!r} is neither a world variable nor a nominal", self.i - 1)
+        return None
 
 
 def parse_hybrid(

@@ -131,7 +131,9 @@ class Structure:
     transitions, merged from those partners (``accessible``), and the
     atom-code table (``atom_codes``): one small int per element and per
     ordered pair of elements for the atoms on exactly those elements, as
-    tuples of ints indexed by universe position.
+    tuples of ints indexed by universe position.  It also keeps the last
+    comonad carrier built over it (see ``comonads.build_comonad``), so that
+    asking again for the same kind, k and ``with_I`` reuses it.
     ``atoms_at_last`` is the one atom step along a tuple or play, shared by
     Scott types, ``back_and_forth_rank``, the coKleisli search and the
     carrier lift; the game arena reads the atom codes instead.
@@ -149,6 +151,7 @@ class Structure:
         "_tuples_at",
         "_atoms",
         "_gaifman",
+        "_carrier",
     )
 
     def __init__(
@@ -214,6 +217,8 @@ class Structure:
         )
         self._atoms: tuple | None = None
         self._gaifman: MappingProxyType | None = None
+        # (key, carrier, parts, prefixes, children) of the last carrier built
+        self._carrier: tuple | None = None
 
     # -- identity -----------------------------------------------------------
 
@@ -379,19 +384,6 @@ class Structure:
             for name, tuples in self.relations.items()
         }
         return Structure(self.signature, uni, rels, self.basepoints)
-
-    def relabel(self, mapping: Mapping[str, str]) -> "Structure":
-        """Rename elements injectively; universe order follows the old order."""
-        images = [mapping[e] for e in self.universe]
-        if len(set(images)) != len(images):
-            raise ValueError("relabeling must be injective")
-        uni = images
-        rels = {
-            name: [tuple(mapping[e] for e in t) for t in tuples]
-            for name, tuples in self.relations.items()
-        }
-        bps = tuple(mapping[e] for e in self.basepoints)
-        return Structure(self.signature, uni, rels, bps)
 
 
 # -- atom codes ---------------------------------------------------------------

@@ -328,16 +328,30 @@ class BoundedExists(FOFormula):
     body: FOFormula
 
 
+def _check_count(count: object) -> None:
+    if type(count) is not int or count < 1:
+        raise ValueError(f"a count must be an int of at least 1, got {count!r}")
+
+
+class _Counting(_Interning):
+    """Metaclass of ``CountExists``: a positional count is checked before the
+    intern lookup, where ``True == 1`` would find the count-1 node."""
+
+    def __call__(cls, *parts, **named):
+        if parts:
+            _check_count(parts[0])
+        return super().__call__(*parts, **named)
+
+
 @_node
-class CountExists(FOFormula):
+class CountExists(FOFormula, metaclass=_Counting):
     count: int  # at least `count` witnesses, count >= 1
     var: str
     guard: FOFormula
     body: FOFormula
 
-    def __post_init__(self):  # on an intern-table miss only
-        if type(self.count) is not int or self.count < 1:
-            raise ValueError(f"a count must be an int of at least 1, got {self.count!r}")
+    def __post_init__(self):  # a count given by keyword
+        _check_count(self.count)
 
 
 @_node

@@ -6,6 +6,29 @@ from typing import Mapping
 from hybridkit import syntax as sx
 from hybridkit.coalgebras import TreeCover
 from hybridkit.comonads import ComonadStructure, play_join, play_parts
+from hybridkit.structures import Structure, is_homomorphism, with_identity_I
+
+
+def relabel(s: Structure, mapping: Mapping[str, str]) -> Structure:
+    """Rename elements injectively; universe order follows the old order."""
+    images = [mapping[e] for e in s.universe]
+    if len(set(images)) != len(images):
+        raise ValueError("relabeling must be injective")
+    rels = {
+        name: [tuple(mapping[e] for e in t) for t in tuples]
+        for name, tuples in s.relations.items()
+    }
+    bps = tuple(mapping[e] for e in s.basepoints)
+    return Structure(s.signature, images, rels, bps)
+
+
+def is_cokleisli_homomorphism(
+    h: Mapping[str, str], c_a: ComonadStructure, b: Structure
+) -> bool:
+    """Whether h is a homomorphism from the carrier over A to B, with the
+    identity interpretation of I when the carrier tracks it."""
+    target = with_identity_I(b) if c_a.with_I else b
+    return is_homomorphism(h, c_a.carrier, target)
 
 
 def lift_homomorphism(

@@ -32,6 +32,7 @@ from hybridkit.comonads import (
     play_parts,
 )
 from hybridkit import syntax as sx
+from hybridkit.characterization import REAL_TAG
 from hybridkit.games import DUPLICATOR, SPOILER, _BijectionArena, _least_matching
 from hybridkit.errors import ParseError, ScopeError
 from hybridkit.structures import Structure, with_identity_I
@@ -587,6 +588,19 @@ def expand_certificate(arena, strategy: dict, winner: str) -> dict:
 
 
 # -- the workspace replay -------------------------------------------------------
+
+
+def fresh_partner_from_plays(machine, move_tag, move_on_left, state):
+    """``WorkspaceStrategy._fresh_partner`` reading the summands in use from
+    the tags of the responding side's played elements."""
+    kind = machine._summand_type(move_tag, move_on_left)
+    respond_left = not move_on_left
+    play = state.left_play if respond_left else state.right_play
+    used = {e.split(":", 1)[0] for e in play}
+    candidates = [REAL_TAG] if (kind == "M") == respond_left else []
+    candidates += [f"{kind}{i}" for i in range(1, machine.q + 1)]
+    tag = next(tag for tag in candidates if tag not in used)
+    return (tag, move_tag) if respond_left else (move_tag, tag)
 
 
 def workspace_replay(machine):

@@ -22,7 +22,6 @@ from hybridkit.comonads import (
     build_comonad,
     check_comonad_laws,
     find_cokleisli_morphism,
-    is_cokleisli_homomorphism,
 )
 from hybridkit.games import (
     DUPLICATOR,
@@ -45,6 +44,7 @@ from hybridkit.semantics import eval_fo, gaifman_relativize
 from hybridkit.structures import Signature, ball_part
 
 from cli_cases import CASES
+from helpers import is_cokleisli_homomorphism
 from fixtures import (
     BACK_EDGE,
     BOUNDED_FIXTURES,

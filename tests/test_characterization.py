@@ -38,6 +38,7 @@ from hybridkit.structures import (
 import oracles
 
 from fixtures import (
+    BOUNDED_FIXTURES,
     C2,
     FIXTURES30,
     ISOLATED_P,
@@ -307,6 +308,32 @@ def mutants(parent, child, rng: random.Random, universe):
         yield dataclasses.replace(
             child, c0=parent.c0 | {x}, c1=parent.c1, d0=parent.d0 | {y}, d1=parent.d1
         )
+
+
+class TestFreshPartner:
+    # the summands in use, read from rho, are those the played elements'
+    # tags name; every workspace fixture replays as with the tags read
+    # the last one's element id "x:1" holds the tag separator
+    TWO = Structure(
+        Signature({"E": 2}, ["E"], 1), ["x:1", "b"], {"E": [("x:1", "b")]}, ["x:1"]
+    )
+    FIXTURES = [LOOP, PATH3, C2, STAR2, ISOLATED_P, PATH6, *BOUNDED_FIXTURES[:3], TWO]
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("s", FIXTURES, ids=range(len(FIXTURES)))
+    def test_replay_matches_the_tags_of_the_plays(self, s, q):
+        result, violations = workspace_game_result(s, q)
+        calls = []
+
+        def from_plays(machine, *args):
+            calls.append(args)
+            return oracles.fresh_partner_from_plays(machine, *args)
+
+        with mock.patch.object(WorkspaceStrategy, "_fresh_partner", from_plays):
+            expected, expected_violations = workspace_game_result(s, q)
+        assert calls
+        assert list(result.strategy.items()) == list(expected.strategy.items())
+        assert violations == expected_violations
 
 
 class TestInvariantClauses:

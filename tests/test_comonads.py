@@ -1,4 +1,5 @@
 import ast
+import gc
 import hashlib
 import pathlib
 import random
@@ -18,12 +19,11 @@ from hybridkit.comonads import (
     counit,
     dump_carrier,
     find_cokleisli_morphism,
-    is_cokleisli_homomorphism,
     play_parts,
 )
 from hybridkit.structures import Signature, Structure, is_homomorphism, with_identity_I
 
-from helpers import lands_in_carrier, lift_homomorphism
+from helpers import is_cokleisli_homomorphism, lands_in_carrier, lift_homomorphism
 from randgen import random_cokleisli_map, random_structure
 
 from fixtures import (
@@ -413,6 +413,94 @@ class TestDump:
             "a.b.c",
         ]
         assert dump_carrier(c) == text
+
+
+def copy_of(s: Structure) -> Structure:
+    """An equal structure that shares no index or stored carrier with ``s``."""
+    return Structure(s.signature, s.universe, s.relations, s.basepoints)
+
+
+class TestSharedCarrier:
+    def test_same_key_reuses_the_pieces(self):
+        s = copy_of(PATH3)
+        first = build_comonad(s, ComonadKind.HYBRID, 2)
+        again = build_comonad(s, ComonadKind.HYBRID, 2)
+        assert again == first
+        assert again.carrier is first.carrier
+        assert again.parts is first.parts
+        assert again.prefixes is first.prefixes
+        assert again.children("a") is first.children("a")
+
+    @pytest.mark.parametrize("with_I", [False, True])
+    def test_equal_structures_build_equal_carriers(self, with_I):
+        s = BOUNDED_FIXTURES[0]
+        ours = build_comonad(copy_of(s), ComonadKind.BOUNDED, 2, with_I)
+        theirs = build_comonad(copy_of(s), ComonadKind.BOUNDED, 2, with_I)
+        assert ours.carrier is not theirs.carrier
+        assert (ours.kind, ours.k, ours.base, ours.carrier, ours.with_I) == (
+            theirs.kind, theirs.k, theirs.base, theirs.carrier, theirs.with_I
+        )
+        assert ours.carrier.relations == theirs.carrier.relations
+        assert ours.parts == theirs.parts
+        assert ours.prefixes == theirs.prefixes
+        assert ours._children == theirs._children
+
+    def test_each_key_has_its_own_carrier(self):
+        s = copy_of(PATH3)
+        first = build_comonad(s, ComonadKind.HYBRID, 2)
+        others = [
+            (ComonadKind.HYBRID, 3, False),
+            (ComonadKind.EF, 2, False),
+            (ComonadKind.HYBRID, 2, True),
+        ]
+        for kind, k, with_I in others:
+            got = build_comonad(s, kind, k, with_I)
+            assert got == build_comonad(copy_of(PATH3), kind, k, with_I)
+            assert (got.kind, got.k, got.with_I) == (kind, k, with_I)
+            back = build_comonad(s, ComonadKind.HYBRID, 2)
+            assert back == first
+            assert back.carrier is not first.carrier
+            first = back
+
+    def test_a_stored_carrier_keeps_the_play_cap(self, monkeypatch):
+        s = copy_of(PATH3)
+        plays = len(build_comonad(s, ComonadKind.EF, 3).plays)
+        monkeypatch.setattr(comonads, "MAX_PLAYS", plays - 1)
+        with pytest.raises(ResourceLimitError, match=f"exceed {plays - 1} plays"):
+            build_comonad(s, ComonadKind.EF, 3)
+        monkeypatch.setattr(comonads, "MAX_PLAYS", plays)
+        assert len(build_comonad(s, ComonadKind.EF, 3).plays) == plays
+
+    def test_no_reference_cycle(self):
+        gc.collect()
+        gc.disable()
+        try:
+            s = copy_of(PATH3)
+            c = build_comonad(s, ComonadKind.HYBRID, 2, with_I=True)
+            del s, c
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_invalid_requests_raise_every_time(self):
+        s = copy_of(PATH3)
+        bounded = copy_of(BOUNDED_FIXTURES[0])
+        no_basepoint = Structure(Signature({"E": 2}, ["E"], 0), ["a"], {"E": []}, [])
+        dotted = Structure(Signature({"E": 2}, ["E"], 1), ["a.b"], {"E": []}, ["a.b"])
+        with_I = build_comonad(copy_of(SINGLE), ComonadKind.HYBRID, 1, with_I=True).carrier
+        calls = [
+            (ValueError, lambda: build_comonad(s, ComonadKind.HYBRID, 0)),
+            (ValueError, lambda: build_comonad(bounded, ComonadKind.MODAL, 1)),
+            (ValueError, lambda: build_comonad(no_basepoint, ComonadKind.BOUNDED, 1)),
+            (ValueError, lambda: build_comonad(dotted, ComonadKind.EF, 1)),
+            (InvalidStructureError, lambda: build_comonad(with_I, ComonadKind.EF, 1, True)),
+        ]
+        for structure in (s, bounded, no_basepoint, with_I):  # each holds a carrier
+            build_comonad(structure, ComonadKind.EF, 1)
+        for error, call in calls:
+            for _ in range(2):
+                with pytest.raises(error):
+                    call()
 
 
 class TestPinnedCarriers:

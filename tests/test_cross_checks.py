@@ -51,6 +51,7 @@ from hybridkit.semantics import eval_fo
 from hybridkit.structures import Signature, Structure, is_partial_isomorphism
 
 import oracles
+from helpers import relabel
 from fixtures import BOUNDED_FIXTURES, C2, FIXTURES30, LOOP, fitting_kinds, pairs, star
 
 BIMODAL = Signature({"P": 1, "E": 2, "F": 2}, ["E", "F"], 2)
@@ -99,7 +100,7 @@ def structure_pairs(draw, shapes=SHAPES):
     if how == "iso":
         order = draw(st.permutations(a.universe))
         mapping = {e: f"w{i}" for i, e in enumerate(order)}
-        image = a.relabel(mapping)
+        image = relabel(a, mapping)
         return a, Structure(
             signature, sorted(image.universe), image.relations, image.basepoints
         )

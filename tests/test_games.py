@@ -38,6 +38,7 @@ from fixtures import (
     unimodal,
 )
 import oracles
+from helpers import relabel
 
 
 class TestSolve:
@@ -71,7 +72,7 @@ class TestBijection:
         assert solve_bijection(STAR2, STAR3, 1).winner == SPOILER
 
     def test_isomorphic_structures(self):
-        relabeled = STAR2.relabel({"a": "r", "b1": "s", "b2": "t"})
+        relabeled = relabel(STAR2, {"a": "r", "b1": "s", "b2": "t"})
         assert solve_bijection(STAR2, relabeled, 3).winner == DUPLICATOR
 
     def test_counting_gap_with_plain_game(self):
@@ -195,7 +196,7 @@ class TestProperties:
 
     def test_isomorphism_closure(self):
         for a, b in pairs(FIXTURES30[:8]):
-            relabeled = a.relabel({e: f"z{i}" for i, e in enumerate(a.universe)})
+            relabeled = relabel(a, {e: f"z{i}" for i, e in enumerate(a.universe)})
             for variant in (GameVariant.BACK_FORTH_HYBRID, GameVariant.EXISTENTIAL_HYBRID):
                 assert (
                     solve(a, b, variant, 2).winner

@@ -11,12 +11,13 @@ from hybridkit.scott import (
 from hybridkit.semantics import eval_fo
 from hybridkit.syntax import is_bounded, quantifier_rank
 
+from helpers import relabel
 from fixtures import C2, FIXTURES30, LOOP, PATH3, STAR2, STAR3, UNIMODAL
 
 
 class TestScottType:
     def test_isomorphic_structures_agree(self):
-        relabeled = PATH3.relabel({"a": "u", "b": "v", "c": "w"})
+        relabeled = relabel(PATH3, {"a": "u", "b": "v", "c": "w"})
         for k in (0, 1, 2, 3):
             assert scott_type(PATH3, k) == scott_type(relabeled, k)
 

@@ -19,6 +19,7 @@ from hybridkit.structures import (
     structure_to_data,
 )
 
+from helpers import relabel
 from fixtures import (
     BACK_EDGE,
     BOUNDED_FIXTURES,
@@ -117,8 +118,8 @@ class TestDisjointUnion:
             for k in (0, 1, 2, INF):
                 reduced = reachable_part(summed, k)
                 expected = reachable_part(PATH3, k)
-                stripped = reduced.relabel(
-                    {e: e.removeprefix("L:") for e in reduced.universe}
+                stripped = relabel(
+                    reduced, {e: e.removeprefix("L:") for e in reduced.universe}
                 )
                 assert stripped == expected
 
@@ -126,8 +127,8 @@ class TestDisjointUnion:
         summed = disjoint_union(PATH3, C2)
         for k in (0, 1, 2):
             reduced = ball_part(summed, k)
-            stripped = reduced.relabel(
-                {e: e.removeprefix("L:") for e in reduced.universe}
+            stripped = relabel(
+                reduced, {e: e.removeprefix("L:") for e in reduced.universe}
             )
             assert stripped == ball_part(PATH3, k)
 

@@ -445,6 +445,17 @@ class TestPinnedWalkers:
             with pytest.raises(ValueError, match=message):
                 sx.CountExists(count, "y", guard, sx.FALSE)
 
+    def test_a_bool_count_is_refused_while_its_int_twin_lives(self):
+        # True == 1, so an intern lookup before the check would find the twin
+        guard = sx.Rel("E", (sx.Const(1), sx.Var("y")))
+        twin = sx.CountExists(1, "y", guard, sx.TRUE)
+        message = "^a count must be an int of at least 1, got True$"
+        with pytest.raises(ValueError, match=message):
+            sx.CountExists(True, "y", guard, sx.TRUE)
+        with pytest.raises(ValueError, match=message):
+            sx.CountExists(count=True, var="y", guard=guard, body=sx.TRUE)
+        assert sx.CountExists(1, "y", guard, sx.TRUE) is twin
+
     def test_walker_outputs_are_unchanged(self):
         # computed before the walkers shared one structural walk
         digest = hashlib.sha256()
