@@ -151,10 +151,7 @@ def run(argv: list[str], out: TextIO | None = None) -> int:
     except MemoryError:
         print("resource limit: out of memory", file=out)
         return 3
-    except HybridKitError as exc:
-        print(f"error: {exc}", file=out)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (HybridKitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=out)
         return 2
 

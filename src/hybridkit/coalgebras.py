@@ -46,7 +46,7 @@ class TreeCover:
                     raise InvalidStructureError(
                         f"parent.{child}: {role} {el!r} is not in the universe"
                     )
-        self._branches: dict[str, tuple[str, ...]] | None = None
+        self._branches: dict[str, tuple[str, ...]] = {}
 
     def __eq__(self, other):
         if not isinstance(other, TreeCover):
@@ -64,8 +64,6 @@ class TreeCover:
 
     def branch(self, element: str) -> tuple[str, ...]:
         """Ancestor chain listed root-to-element; raises on a parent cycle."""
-        if self._branches is None:
-            self._branches = {}
         got = self._branches.get(element)
         if got is not None:
             return got

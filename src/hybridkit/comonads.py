@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from typing import Mapping
 
 from .errors import InvalidStructureError, ResourceLimitError
@@ -333,29 +334,26 @@ def find_cokleisli_morphism(
         next(iter(a.signature.transitions)) if kind is ComonadKind.MODAL else None
     )
 
-    constraints: dict[str, tuple] = {}
-
-    def constraints_of(play: tuple[str, ...]):
+    @cache
+    def constraints(play: str):
         """The earlier depth whose image the play's last depth must repeat
         (or None), and the (B relation, depths) pairs through that depth;
         a repeat has none but the Modal parent-to-child edge."""
-        n = len(play) - 1
-        same = play.index(play[n])
-        found = a.atoms_at_last(play)[0] if same == n else ()
+        seq = parts[play]
+        n = len(seq) - 1
+        same = seq.index(seq[n])
+        found = a.atoms_at_last(seq)[0] if same == n else ()
         tuples = [
             (b.tuple_set(name), depths) for name, depths in found if name != modal_edge
         ]
-        if n and modal_edge is not None and a.has_tuple(modal_edge, play[n - 1 :]):
+        if n and modal_edge is not None and a.has_tuple(modal_edge, seq[n - 1 :]):
             tuples.append((b.tuple_set(modal_edge), (n - 1, n)))
         return (same if same < n else None), tuples
 
     def choices(play: str, images: tuple[str, ...]):
         """The image tuples of the play that extend its parent's ``images``
         and meet the play's constraints, least last image first."""
-        got = constraints.get(play)
-        if got is None:
-            got = constraints[play] = constraints_of(parts[play])
-        same, tuples = got
+        same, tuples = constraints(play)
         n = len(images)
         pool = b.universe if n >= m else (b.basepoints[n],)
         if same is not None:
@@ -366,17 +364,12 @@ def find_cokleisli_morphism(
             if all(tuple(full[d] for d in ds) in target for target, ds in tuples):
                 yield full
 
-    viable_memo: dict[tuple[str, tuple[str, ...]], bool] = {}
-
+    @cache
     def viable(play: str, images: tuple[str, ...]) -> bool:
-        key = (play, images)
-        got = viable_memo.get(key)
-        if got is None:
-            got = viable_memo[key] = all(
-                any(viable(child, full) for full in choices(child, images))
-                for child in children[play]
-            )
-        return got
+        return all(
+            any(viable(child, full) for full in choices(child, images))
+            for child in children[play]
+        )
 
     chosen: dict[str, tuple[str, ...]] = {"": ()}  # the empty sequence
     witness: dict[str, str] = {}

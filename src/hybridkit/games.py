@@ -58,6 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from itertools import compress
 from typing import Callable
 
@@ -161,6 +162,7 @@ class _Arena:
         self.k = k
         self.existential = variant in _EXISTENTIAL
         self.start = tuple(zip(a.basepoints, b.basepoints))
+        # dicts, not @cache: they key on a position's key or pair set
         self.memo: dict = {}
         self.answers: dict = {}
         self.held: dict = {}
@@ -586,7 +588,7 @@ def back_and_forth_rank(a: Structure, b: Structure, k: int) -> bool:
     Full atomic agreement is checked once, at the basepoints; an extension
     pair agrees when the atoms and equalities through its new positions do
     (``Structure.atoms_at_last``), each side's computed once per tuple and
-    compared after the memo lookup.  A tuple whose new element repeats an
+    compared after the cache lookup.  A tuple whose new element repeats an
     earlier one skips the atom step: two such tuples agree when they repeat
     at the same positions.
     The one-step extensions are each component's partners in the
@@ -594,29 +596,23 @@ def back_and_forth_rank(a: Structure, b: Structure, k: int) -> bool:
     """
     check_comparable(a, b)
     transitions = sorted(a.signature.transitions)
-    memo: dict[tuple[tuple[str, ...], tuple[str, ...], int], bool] = {}
-    seen_a: dict[tuple[str, ...], tuple] = {}
-    seen_b: dict[tuple[str, ...], tuple] = {}
 
-    def atoms(s: Structure, seen: dict, tup: tuple[str, ...]):
-        got = seen.get(tup)
-        if got is None:
+    def atom_step(s: Structure):
+        @cache
+        def atoms(tup: tuple[str, ...]):
             last = tup[-1]
             earlier = tuple(i for i, e in enumerate(tup[:-1]) if e == last)
-            got = seen[tup] = earlier or frozenset(s.atoms_at_last(tup)[0])
-        return got
+            return earlier or frozenset(s.atoms_at_last(tup)[0])
 
-    def agree(ta: tuple[str, ...], tb: tuple[str, ...]) -> bool:
-        return atoms(a, seen_a, ta) == atoms(b, seen_b, tb)
+        return atoms
 
+    atoms_a, atoms_b = atom_step(a), atom_step(b)
+
+    @cache
     def bf(ta: tuple[str, ...], tb: tuple[str, ...], rank: int) -> bool:
         """Whether a pair whose atoms agree below its newest positions is
         in the rank-``rank`` relation."""
-        key = (ta, tb, rank)
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = agree(ta, tb) and forth_and_back(ta, tb, rank)
-        return got
+        return atoms_a(ta) == atoms_b(tb) and forth_and_back(ta, tb, rank)
 
     def forth_and_back(ta: tuple[str, ...], tb: tuple[str, ...], rank: int) -> bool:
         if rank == 0:
@@ -636,7 +632,9 @@ def back_and_forth_rank(a: Structure, b: Structure, k: int) -> bool:
         return True
 
     ta, tb = a.basepoints, b.basepoints
-    roots_agree = all(agree(ta[:i], tb[:i]) for i in range(1, len(ta) + 1))
+    roots_agree = all(
+        atoms_a(ta[:i]) == atoms_b(tb[:i]) for i in range(1, len(ta) + 1)
+    )
     return roots_agree and forth_and_back(ta, tb, k)
 
 

@@ -238,22 +238,16 @@ class _FOParser(_Parser):
             return sx.FALSE
         if tok == "acc":
             self.expect("(")
-            sources = [self.term()]
-            while tokens[self.i] == ",":
-                self.i += 1
-                sources.append(self.term())
+            sources = self.term_list()
             self.expect(";")
             var = self.variable()
             self.expect(")")
-            return sx.Acc(tuple(sources), var)
+            return sx.Acc(sources, var)
         if tokens[self.i] == "(":
             self.i += 1
-            args = [self.term()]
-            while tokens[self.i] == ",":
-                self.i += 1
-                args.append(self.term())
+            args = self.term_list()
             self.expect(")")
-            return sx.Rel(tok, tuple(args))
+            return sx.Rel(tok, args)
         left = self.indexed(tok, self.i - 1, sx.Const) or sx.Var(tok)
         self.expect("=")
         return sx.Eq(left, self.term())
@@ -296,6 +290,14 @@ class _FOParser(_Parser):
         ):
             return sx.BoundedForall(var, body.left.sub, body.right)
         return sx.Forall(var, body)
+
+    def term_list(self) -> tuple[sx.Term, ...]:
+        """A comma-separated list of one or more terms."""
+        out = [self.term()]
+        while self.tokens[self.i] == ",":
+            self.i += 1
+            out.append(self.term())
+        return tuple(out)
 
     def term(self) -> sx.Term:
         tok = self.tokens[self.i]

@@ -7,6 +7,7 @@ form.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from itertools import product
 
 from .structures import Structure, Signature
@@ -95,13 +96,9 @@ def characteristic_formula(s: Structure, k: int, temporal: bool = False) -> FOFo
     m = s.signature.num_basepoints
     if m < 1:
         raise ValueError("characteristic formulas need at least one basepoint")
-    memo: dict[tuple[tuple[str, ...], int], FOFormula] = {}
 
+    @cache
     def chi(tup: tuple[str, ...], rank: int) -> FOFormula:
-        key = (tup, rank)
-        got = memo.get(key)
-        if got is not None:
-            return got
         parts: list[FOFormula] = [_atomic_type_formula(s, tup, m)]
         if rank > 0:
             y = f"y{len(tup) - m + 1}"
@@ -120,9 +117,7 @@ def characteristic_formula(s: Structure, k: int, temporal: bool = False) -> FOFo
                         for cf in child_fms:
                             parts.append(BoundedExists(y, guard, cf))
                         parts.append(BoundedForall(y, guard, sx.disj_all(child_fms)))
-        out = sx.conj_all(list(dict.fromkeys(parts)))
-        memo[key] = out
-        return out
+        return sx.conj_all(list(dict.fromkeys(parts)))
 
     return chi(s.basepoints, k)
 
@@ -134,33 +129,22 @@ def _types(s: Structure):
     """The descriptor function ``ty(tup, rank)`` of ``s``, memoized per
     extension tuple and rank for the life of the returned closure.  Atomic
     keys are built incrementally along each tuple, once per prefix."""
-    memo: dict[tuple[tuple[str, ...], int], object] = {}
-    keys: dict[tuple[str, ...], object] = {
-        (): (tuple((name, ()) for name in sorted(s.signature.relations)), ())
-    }
 
+    @cache
     def atomic(tup: tuple[str, ...]):
-        got = keys.get(tup)
-        if got is None:
-            got = keys[tup] = _extend_key(s, atomic(tup[:-1]), tup)
-        return got
+        if not tup:
+            return (tuple((name, ()) for name in sorted(s.signature.relations)), ())
+        return _extend_key(s, atomic(tup[:-1]), tup)
 
+    @cache
     def ty(tup: tuple[str, ...], rank: int):
-        key = (tup, rank)
-        got = memo.get(key)
-        if got is not None:
-            return got
         if rank == 0:
-            out = ("atomic", atomic(tup))
-        else:
-            acc = s.accessible(tup)
-            if not acc:
-                out = ("stuck", atomic(tup))
-            else:
-                counts = Counter(ty(tup + (b,), rank - 1) for b in acc)
-                out = ("counts", tuple(sorted(counts.items())))
-        memo[key] = out
-        return out
+            return ("atomic", atomic(tup))
+        acc = s.accessible(tup)
+        if not acc:
+            return ("stuck", atomic(tup))
+        counts = Counter(ty(tup + (b,), rank - 1) for b in acc)
+        return ("counts", tuple(sorted(counts.items())))
 
     return ty
 
@@ -195,43 +179,32 @@ def scott_formula(s: Structure, k: int) -> FOFormula:
         raise ValueError(f"rank must be non-negative, got {k}")
     m = s.signature.num_basepoints
     ty = _types(s)
-    fm_memo: dict[tuple[tuple[str, ...], int], FOFormula] = {}
 
+    @cache
     def fm(tup: tuple[str, ...], rank: int) -> FOFormula:
-        key = (tup, rank)
-        got = fm_memo.get(key)
-        if got is not None:
-            return got
         if rank == 0:
-            out = _atomic_type_formula(s, tup, m)
-        else:
-            acc = s.accessible(tup)
-            sources = tuple(_position_term(i, m) for i in range(len(tup)))
-            y = f"y{len(tup) - m + 1}"
-            guard = Acc(sources, y)
-            if not acc:
-                out = And(
-                    Not(Exists(y, guard)), _atomic_type_formula(s, tup, m)
-                )
-            else:
-                classes: dict[object, tuple[int, str]] = {}
-                for b in acc:
-                    descr = ty(tup + (b,), rank - 1)
-                    count, representative = classes.get(descr, (0, b))
-                    classes[descr] = (count + 1, representative)
-                ordered = sorted(classes.items(), key=lambda item: item[0])
-                class_fms = [
-                    fm(tup + (representative,), rank - 1)
-                    for _, (_, representative) in ordered
-                ]
-                parts: list[FOFormula] = [
-                    sx.exact_count(count, y, guard, class_fm)
-                    for ((_, (count, _)), class_fm) in zip(ordered, class_fms)
-                ]
-                parts.append(Forall(y, Or(Not(guard), sx.disj_all(class_fms))))
-                out = sx.conj_all(parts)
-        fm_memo[key] = out
-        return out
+            return _atomic_type_formula(s, tup, m)
+        acc = s.accessible(tup)
+        sources = tuple(_position_term(i, m) for i in range(len(tup)))
+        y = f"y{len(tup) - m + 1}"
+        guard = Acc(sources, y)
+        if not acc:
+            return And(Not(Exists(y, guard)), _atomic_type_formula(s, tup, m))
+        classes: dict[object, tuple[int, str]] = {}
+        for b in acc:
+            descr = ty(tup + (b,), rank - 1)
+            count, representative = classes.get(descr, (0, b))
+            classes[descr] = (count + 1, representative)
+        ordered = sorted(classes.items(), key=lambda item: item[0])
+        class_fms = [
+            fm(tup + (representative,), rank - 1) for _, (_, representative) in ordered
+        ]
+        parts: list[FOFormula] = [
+            sx.exact_count(count, y, guard, class_fm)
+            for ((_, (count, _)), class_fm) in zip(ordered, class_fms)
+        ]
+        parts.append(Forall(y, Or(Not(guard), sx.disj_all(class_fms))))
+        return sx.conj_all(parts)
 
     return fm(s.basepoints, k)
 
@@ -257,6 +230,8 @@ def normalize_counting(f: FOFormula, signature: Signature) -> FOFormula:
     atoms (or an ``Acc`` node) into Boolean combinations of single-guard
     counting quantifiers, avoiding double counting and preserving quantifier
     rank.  Other nodes are rebuilt with normalized subformulas."""
+    # a dict, not @cache: walk recurses once per nesting level, and a cache
+    # wrapper halves the depth a recursion can reach
     memo: dict[FOFormula, FOFormula] = {}
 
     def split(count: int, var: str, guards: list[Rel], body: FOFormula) -> FOFormula:

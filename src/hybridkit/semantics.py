@@ -7,6 +7,7 @@ semantics definitionally aligned.
 """
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from typing import Iterable, Mapping
 
@@ -90,6 +91,8 @@ class _Evaluator:
 
     def __init__(self, s: Structure):
         self.s = s
+        # dicts, not @cache: a cache on a method would keep every evaluator
+        # alive, and _cache keys on a node's free variables, not on env
         self._cache: dict[tuple[FOFormula, tuple], bool] = {}
         self._sets: dict[str, frozenset[tuple[str, ...]]] = {}
 
@@ -405,15 +408,13 @@ def gaifman_relativize(f: FOFormula, k: int, signature: Signature) -> FOFormula:
     ``f`` holds in its ball part.  Each distinct node of the formula DAG is
     relativized once per call."""
     anchors = tuple(Const(i) for i in range(1, signature.num_basepoints + 1))
-    dist_cache: dict[str, FOFormula] = {}
 
+    @cache
     def dist(var: str) -> FOFormula:
-        got = dist_cache.get(var)
-        if got is None:
-            got = distance_at_most(anchors, var, k, signature)
-            dist_cache[var] = got
-        return got
+        return distance_at_most(anchors, var, k, signature)
 
+    # a dict, not @cache: rel recurses once per nesting level, and a cache
+    # wrapper halves the depth a recursion can reach
     memo: dict[FOFormula, FOFormula] = {}
 
     def rel(g: FOFormula) -> FOFormula:

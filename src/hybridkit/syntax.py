@@ -171,6 +171,12 @@ class _Interning(type):
             # the fields in order
             probe = super().__call__(*parts, **named)
             parts = tuple(getattr(probe, name) for name in cls.__match_args__)
+        # checked before the lookup, where True == 1 would find an int twin
+        for i, what in cls._int_parts:
+            if i < len(parts) and (type(parts[i]) is not int or parts[i] < 1):
+                raise ValueError(
+                    f"a {what} must be an int of at least 1, got {parts[i]!r}"
+                )
         # a wrong number of parts matches no key, and __init__ rejects it below
         key = (cls, *parts)
         entry = _table.get(key)
@@ -236,11 +242,15 @@ _CHECKED_PARTS = {
     "tuple[Term, ...]": (Term, "term", True),
 }
 
+#: Fields declared ``int``, each a positive int, with the wording of a refusal.
+_INT_PARTS = {"count": "count", "index": "constant index"}
+
 
 def _node(cls):
     """A frozen, slotted first-order node class whose equality is identity,
     constructed through the intern table with its dataclass signature, and
-    refusing a part that is not the term or formula its field declares."""
+    refusing a part that is not the term or formula its field declares, or
+    an ``int`` field that is not an int of at least 1."""
     cls = dataclass(frozen=True, eq=False, slots=True)(cls)
     init = inspect.signature(cls.__init__)
     cls.__signature__ = init.replace(parameters=list(init.parameters.values())[1:])
@@ -249,6 +259,11 @@ def _node(cls):
         (i, *_CHECKED_PARTS[declared[name]])
         for i, name in enumerate(cls.__match_args__)
         if declared[name] in _CHECKED_PARTS
+    )
+    cls._int_parts = tuple(
+        (i, _INT_PARTS[name])
+        for i, name in enumerate(cls.__match_args__)
+        if declared[name] == "int"
     )
     return cls
 
@@ -328,30 +343,12 @@ class BoundedExists(FOFormula):
     body: FOFormula
 
 
-def _check_count(count: object) -> None:
-    if type(count) is not int or count < 1:
-        raise ValueError(f"a count must be an int of at least 1, got {count!r}")
-
-
-class _Counting(_Interning):
-    """Metaclass of ``CountExists``: a positional count is checked before the
-    intern lookup, where ``True == 1`` would find the count-1 node."""
-
-    def __call__(cls, *parts, **named):
-        if parts:
-            _check_count(parts[0])
-        return super().__call__(*parts, **named)
-
-
 @_node
-class CountExists(FOFormula, metaclass=_Counting):
+class CountExists(FOFormula):
     count: int  # at least `count` witnesses, count >= 1
     var: str
     guard: FOFormula
     body: FOFormula
-
-    def __post_init__(self):  # a count given by keyword
-        _check_count(self.count)
 
 
 @_node
@@ -470,6 +467,8 @@ def is_bounded(f: FOFormula, signature: Signature) -> bool:
     """True iff every quantifier is guarded by a transition atom over a
     transition symbol of the signature, with the bound variable distinct
     from the source term.  Each distinct subformula is visited once."""
+    # a set, not @cache: walk recurses once per nesting level, and a cache
+    # wrapper halves the depth a recursion can reach
     seen: set[FOFormula] = set()
 
     def walk(g: FOFormula) -> bool:

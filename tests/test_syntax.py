@@ -8,6 +8,7 @@ import hashlib
 import inspect
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -455,6 +456,19 @@ class TestPinnedWalkers:
         with pytest.raises(ValueError, match=message):
             sx.CountExists(count=True, var="y", guard=guard, body=sx.TRUE)
         assert sx.CountExists(1, "y", guard, sx.TRUE) is twin
+
+    def test_a_bad_constant_index_is_refused_while_c1_lives(self):
+        # True == 1 == 1.0, so an intern lookup before the check would find c1
+        c1 = sx.Const(1)
+        for index in (True, 0, 1.0):
+            message = f"a constant index must be an int of at least 1, got {index}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                sx.Const(index)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                sx.Const(index=index)
+        assert sx.Const(1) is c1
+        text = "exists y (E(c1,y) & P(y))"
+        assert print_fo(parse_fo(text)) == text
 
     def test_walker_outputs_are_unchanged(self):
         # computed before the walkers shared one structural walk
