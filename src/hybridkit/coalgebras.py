@@ -200,51 +200,40 @@ class CoalgebraLawReport:
 
 
 def check_coalgebra_laws(c: Coalgebra) -> CoalgebraLawReport:
-    base = c.base
-    carrier = c.target.carrier
+    base, alpha = c.base, c.alpha
     parts, prefixes = c.target.parts, c.target.prefixes
+    stray = next((e for e in base.universe if alpha.get(e) not in parts), None)
+    if stray is not None:
+        failure = (
+            f"branch of {stray!r} is not a play of the carrier"
+            if stray in alpha
+            else f"no play assigned to {stray!r}"
+        )
+        return CoalgebraLawReport(False, False, False, False, (failure,))
+
     failures: list[str] = []
-
-    membership = True
-    for e in base.universe:
-        if e not in c.alpha:
-            failures.append(f"no play assigned to {e!r}")
-            membership = False
-            break
-        if c.alpha[e] not in parts:
-            failures.append(f"branch of {e!r} is not a play of the carrier")
-            membership = False
-            break
-
-    counit_law = membership
-    if membership:
-        for e in base.universe:
-            if parts[c.alpha[e]][-1] != e:
-                failures.append(f"counit law fails at {e!r}")
-                counit_law = False
-                break
-
-    comult_law = membership
-    if membership:
-        for e in base.universe:
-            play = c.alpha[e]
-            for entry, prefix in zip(parts[play], prefixes[play]):
-                if c.alpha.get(entry) != prefix:
-                    failures.append(
-                        f"comultiplication law fails at {e!r} (entry {entry!r})"
-                    )
-                    comult_law = False
-                    break
-            if not comult_law:
-                break
-
-    hom = membership
-    if membership:
-        hom = is_homomorphism(c.alpha, base, carrier)
-        if not hom:
-            failures.append("assignment is not a homomorphism into the carrier")
-
-    return CoalgebraLawReport(membership, counit_law, comult_law, hom, tuple(failures))
+    counit = next((e for e in base.universe if parts[alpha[e]][-1] != e), None)
+    if counit is not None:
+        failures.append(f"counit law fails at {counit!r}")
+    comult = next(
+        (
+            (e, entry)
+            for e in base.universe
+            for entry, prefix in zip(parts[alpha[e]], prefixes[alpha[e]])
+            if alpha.get(entry) != prefix
+        ),
+        None,
+    )
+    if comult is not None:
+        failures.append(
+            f"comultiplication law fails at {comult[0]!r} (entry {comult[1]!r})"
+        )
+    hom = is_homomorphism(alpha, base, c.target.carrier)
+    if not hom:
+        failures.append("assignment is not a homomorphism into the carrier")
+    return CoalgebraLawReport(
+        True, counit is None, comult is None, hom, tuple(failures)
+    )
 
 
 # -- enumeration -----------------------------------------------------------------
@@ -480,30 +469,20 @@ def check_open_pathwise_embedding(
         if u.parent.get(f[child]) != f[par]:
             raise ValueError("map does not preserve the covering relation")
 
-    for x in t.base.universe:
-        pairs = tuple((e, f[e]) for e in t.branch(x))
-        if not is_partial_isomorphism(pairs, t.base, u.base):
-            return False
+    @cache
+    def image(x: str) -> tuple[str, ...]:
+        return tuple(f[e] for e in t.branch(x))
 
-    for x in t.base.universe:
-        fx = f[x]
-        for z in u.base.universe:
-            if not u.le(fx, z):
-                continue
-            target = u.branch(z)
-            lifted = False
-            for w in t.base.universe:
-                if not t.le(x, w):
-                    continue
-                branch = t.branch(w)
-                if len(branch) == len(target) and all(
-                    f[branch[i]] == target[i] for i in range(len(branch))
-                ):
-                    lifted = True
-                    break
-            if not lifted:
-                return False
-    return True
+    pathwise = all(
+        is_partial_isomorphism(tuple(zip(t.branch(x), image(x))), t.base, u.base)
+        for x in t.base.universe
+    )
+    return pathwise and all(
+        any(t.le(x, w) and image(w) == u.branch(z) for w in t.base.universe)
+        for x in t.base.universe
+        for z in u.base.universe
+        if u.le(f[x], z)
+    )
 
 
 # -- cover files ------------------------------------------------------------------------

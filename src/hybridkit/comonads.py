@@ -267,27 +267,24 @@ def check_comonad_laws(
     of C.
     """
     failures: list[str] = []
+
+    def first(fails) -> str | None:
+        """The first play over A where ``fails`` holds, or None."""
+        return next((play for play in c_a.plays if fails(play)), None)
+
+    def law(name: str, fails) -> bool:
+        bad = first(fails)
+        if bad is not None:
+            failures.append(f"{name} law fails at {bad!r}")
+        return bad is None
+
     h_star = cokleisli_extension(h, c_a, c_b)
     g_star = cokleisli_extension(g, c_b, c_c)
-
-    law1 = True
-    for play in c_a.plays:
-        if play_parts(h_star[play])[-1] != h[play]:
-            law1 = False
-            failures.append(f"counit law fails at {play!r}")
-            break
-
+    law1 = law("counit", lambda p: play_parts(h_star[p])[-1] != h[p])
     eps = {play: c_a.parts[play][-1] for play in c_a.plays}
     eps_star = cokleisli_extension(eps, c_a, c_a)
-    law2 = True
-    for play in c_a.plays:
-        if eps_star[play] != play:
-            law2 = False
-            failures.append(f"identity law fails at {play!r}")
-            break
-
-    law3 = True
-    escape = next((p for p in c_a.plays if h_star[p] not in g_star), None)
+    law2 = law("identity", lambda p: eps_star[p] != p)
+    escape = first(lambda p: h_star[p] not in g_star)
     if escape is not None:
         law3 = False
         failures.append(
@@ -295,14 +292,8 @@ def check_comonad_laws(
             f"{h_star[escape]!r} is outside the middle carrier"
         )
     else:
-        gh = {p: g[h_star[p]] for p in c_a.plays}
-        gh_star = cokleisli_extension(gh, c_a, c_c)
-        for play in c_a.plays:
-            if gh_star[play] != g_star[h_star[play]]:
-                law3 = False
-                failures.append(f"associativity law fails at {play!r}")
-                break
-
+        gh_star = cokleisli_extension({p: g[h_star[p]] for p in c_a.plays}, c_a, c_c)
+        law3 = law("associativity", lambda p: gh_star[p] != g_star[h_star[p]])
     return ComonadLawReport(law1, law2, law3, tuple(failures))
 
 

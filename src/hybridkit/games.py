@@ -621,14 +621,19 @@ def back_and_forth_rank(a: Structure, b: Structure, k: int) -> bool:
             succ_a, succ_b = a.partners(name), b.partners(name)
             for i in range(len(ta)):
                 xs, ys = succ_a[ta[i]], succ_b[tb[i]]
-                forth = all(
-                    any(bf(ta + (x,), tb + (y,), rank - 1) for y in ys) for x in xs
-                )
-                back = forth and all(
-                    any(bf(ta + (x,), tb + (y,), rank - 1) for x in xs) for y in ys
-                )
-                if not (forth and back):
-                    return False
+                # plain loops, not all(any(...)): one frame per rank
+                for x in xs:
+                    for y in ys:
+                        if bf(ta + (x,), tb + (y,), rank - 1):
+                            break
+                    else:
+                        return False
+                for y in ys:
+                    for x in xs:
+                        if bf(ta + (x,), tb + (y,), rank - 1):
+                            break
+                    else:
+                        return False
         return True
 
     ta, tb = a.basepoints, b.basepoints

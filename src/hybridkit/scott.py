@@ -6,7 +6,6 @@ form.
 """
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache
 from itertools import product
 
@@ -143,7 +142,10 @@ def _types(s: Structure):
         acc = s.accessible(tup)
         if not acc:
             return ("stuck", atomic(tup))
-        counts = Counter(ty(tup + (b,), rank - 1) for b in acc)
+        counts: dict = {}  # a plain count, not Counter(genexpr): one frame per rank
+        for b in acc:
+            sub = ty(tup + (b,), rank - 1)
+            counts[sub] = counts.get(sub, 0) + 1
         return ("counts", tuple(sorted(counts.items())))
 
     return ty

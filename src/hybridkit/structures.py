@@ -538,8 +538,6 @@ def disjoint_union(a: Structure, b: Structure) -> Structure:
 
     Elements are retagged with ``L:`` / ``R:`` prefixes.
     """
-    if not a.signature.same_vocabulary(b.signature):
-        raise InvalidStructureError("signature mismatch between operands")
     return tagged_sum([("L", a), ("R", b)], basepoints_from=0)
 
 

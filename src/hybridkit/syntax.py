@@ -192,12 +192,7 @@ class _Interning(type):
                     for part in parts[i] if many else (parts[i],):
                         if not isinstance(part, kind):
                             raise TypeError(f"not a {what}: {part!r}")
-                try:
-                    free, rank = _derive(node)
-                except AttributeError:
-                    raise TypeError(
-                        f"{cls.__name__}: parts must be terms or first-order formulas"
-                    ) from None
+                free, rank = _derive(node)
                 set_slot = object.__setattr__  # the dataclass is frozen
                 set_slot(node, "_hash", hash((cls.__name__, *parts)))
                 set_slot(node, "free", free)
@@ -240,6 +235,7 @@ _CHECKED_PARTS = {
     "Term": (Term, "term", False),
     "FOFormula": (FOFormula, "first-order formula", False),
     "tuple[Term, ...]": (Term, "term", True),
+    "str": (str, "name", False),
 }
 
 #: Fields declared ``int``, each a positive int, with the wording of a refusal.
@@ -249,8 +245,8 @@ _INT_PARTS = {"count": "count", "index": "constant index"}
 def _node(cls):
     """A frozen, slotted first-order node class whose equality is identity,
     constructed through the intern table with its dataclass signature, and
-    refusing a part that is not the term or formula its field declares, or
-    an ``int`` field that is not an int of at least 1."""
+    refusing a part that is not the term, formula or name its field declares,
+    or an ``int`` field that is not an int of at least 1."""
     cls = dataclass(frozen=True, eq=False, slots=True)(cls)
     init = inspect.signature(cls.__init__)
     cls.__signature__ = init.replace(parameters=list(init.parameters.values())[1:])

@@ -20,7 +20,7 @@ from hybridkit.coalgebras import (
 )
 from hybridkit.comonads import ComonadKind, build_comonad, counit, play_join
 from hybridkit.errors import ResourceLimitError
-from hybridkit.structures import INF, Signature, Structure
+from hybridkit.structures import INF, Signature, Structure, is_partial_isomorphism
 
 from helpers import carrier_tree_cover
 
@@ -176,6 +176,64 @@ class TestLaws:
         assert "a.z" in set(ef.plays)
 
 
+class TestLawPins:
+    """One sabotaged assignment per failure branch of
+    ``check_coalgebra_laws``: flags and failures in the order checked."""
+
+    def report(self, base, alpha):
+        target = build_comonad(base, ComonadKind.HYBRID, 2)
+        report = check_coalgebra_laws(Coalgebra(target, alpha))
+        flags = (
+            report.membership,
+            report.counit_law,
+            report.comultiplication_law,
+            report.homomorphism,
+        )
+        return flags, report.failures
+
+    def test_no_play_assigned(self):
+        assert self.report(PATH3, {"a": "a", "b": "a.b"}) == (
+            (False, False, False, False),
+            ("no play assigned to 'c'",),
+        )
+
+    def test_not_a_play(self):
+        # the first element in universe order is blamed, not the missing one
+        assert self.report(PATH3, {"a": "a", "b": "a.c"}) == (
+            (False, False, False, False),
+            ("branch of 'b' is not a play of the carrier",),
+        )
+
+    def test_counit(self):
+        assert self.report(PATH3, {"a": "a", "b": "a.b", "c": "a.b"}) == (
+            (True, False, True, False),
+            (
+                "counit law fails at 'c'",
+                "assignment is not a homomorphism into the carrier",
+            ),
+        )
+
+    def test_comultiplication(self):
+        # b's branch runs through c, whose own branch runs through b
+        edges = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "b")]
+        base = unimodal(["a", "b", "c"], edges)
+        assert self.report(base, {"a": "a", "b": "a.c.b", "c": "a.b.c"}) == (
+            (True, True, False, False),
+            (
+                "comultiplication law fails at 'b' (entry 'c')",
+                "assignment is not a homomorphism into the carrier",
+            ),
+        )
+
+    def test_homomorphism(self):
+        # consistent branches, but the edge b -> c joins incomparable plays
+        base = unimodal(["a", "b", "c"], [("a", "b"), ("a", "c"), ("b", "c")])
+        assert self.report(base, {"a": "a", "b": "a.b", "c": "a.c"}) == (
+            (True, True, True, False),
+            ("assignment is not a homomorphism into the carrier",),
+        )
+
+
 class TestDepthAndNumber:
     def test_path3(self):
         assert generated_tree_depth(PATH3) == 3
@@ -278,6 +336,29 @@ class TestOpenPathwiseEmbeddings:
         pruned_cover = TreeCover(pruned, {"b": "a"})
         inclusion = {"a": "a", "b": "b"}
         assert not check_open_pathwise_embedding(inclusion, pruned_cover, full_cover)
+
+    def test_pins_not_pathwise(self):
+        # a cover morphism, open, but b2 lacks P, and its image b has it
+        base = unimodal(["a", "b1", "b2"], [("a", "b1"), ("a", "b2")], pos=["b1"])
+        target = unimodal(["a", "b"], [("a", "b")], pos=["b"])
+        cover = TreeCover(base, {"b1": "a", "b2": "a"})
+        target_cover = TreeCover(target, {"b": "a"})
+        f = {"a": "a", "b1": "b", "b2": "b"}
+        pairs = tuple((e, f[e]) for e in cover.branch("b2"))
+        assert not is_partial_isomorphism(pairs, base, target)
+        assert not check_open_pathwise_embedding(f, cover, target_cover)
+
+    def test_pins_not_open(self):
+        # every branch embeds, but the branch a.c of the target has no lift
+        small = unimodal(["a", "b"], [("a", "b")])
+        big = unimodal(["a", "b", "c"], [("a", "b"), ("a", "c")])
+        cover = TreeCover(small, {"b": "a"})
+        big_cover = TreeCover(big, {"b": "a", "c": "a"})
+        f = {"a": "a", "b": "b"}
+        for x in small.universe:
+            pairs = tuple((e, f[e]) for e in cover.branch(x))
+            assert is_partial_isomorphism(pairs, small, big)
+        assert not check_open_pathwise_embedding(f, cover, big_cover)
 
     def test_size_guard(self, monkeypatch):
         monkeypatch.setattr(coalgebras, "MAX_EMBEDDING_SIZE", 2)

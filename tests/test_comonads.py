@@ -327,6 +327,71 @@ class TestLaws:
         assert not report.counit_law
 
 
+def _corrupt_call(monkeypatch, n):
+    """Make the ``n``-th coextension a law check computes (1-based) drop the
+    last move of every play longer than one move."""
+    calls = []
+
+    def corrupted(h, c_a, c_b):
+        star = cokleisli_extension(h, c_a, c_b)
+        calls.append(None)
+        if len(calls) != n:
+            return star
+        return {
+            play: ".".join(play_parts(image)[:-1]) if "." in image else image
+            for play, image in star.items()
+        }
+
+    monkeypatch.setattr(comonads, "cokleisli_extension", corrupted)
+
+
+class TestLawPins:
+    """One sabotaged input per failure branch of ``check_comonad_laws``; the
+    coextensions are computed for h, g, the counit and g after h, in order."""
+
+    def setup_method(self):
+        self.c = build_comonad(PATH3, ComonadKind.HYBRID, 2)
+        self.eps = {p: counit(self.c, p) for p in self.c.plays}
+
+    def check(self, h):
+        return check_comonad_laws(self.c, self.c, self.c, h, self.eps)
+
+    def test_counit(self, monkeypatch):
+        _corrupt_call(monkeypatch, 1)
+        report = self.check(self.eps)
+        assert (report.counit_law, report.identity_law) == (False, True)
+        assert not report.associativity_law
+        assert report.failures == (
+            "counit law fails at 'a.b'",
+            "associativity law fails at 'a.b'",
+        )
+
+    def test_identity(self, monkeypatch):
+        _corrupt_call(monkeypatch, 3)
+        report = self.check(self.eps)
+        assert (report.counit_law, report.identity_law) == (True, False)
+        assert report.associativity_law
+        assert report.failures == ("identity law fails at 'a.b'",)
+
+    def test_associativity_escape(self):
+        # a.b goes to c, and a.c is no play of PATH3
+        h = {p: "c" if p.endswith("b") else counit(self.c, p) for p in self.c.plays}
+        report = self.check(h)
+        assert (report.counit_law, report.identity_law) == (True, True)
+        assert not report.associativity_law
+        assert report.failures == (
+            "associativity law not checkable at 'a.b': "
+            "'a.c' is outside the middle carrier",
+        )
+
+    def test_associativity(self, monkeypatch):
+        _corrupt_call(monkeypatch, 4)
+        report = self.check(self.eps)
+        assert (report.counit_law, report.identity_law) == (True, True)
+        assert not report.associativity_law
+        assert report.failures == ("associativity law fails at 'a.b'",)
+
+
 class TestMorphismSearch:
     def test_path3_to_loop_exists(self):
         witness = find_cokleisli_morphism(PATH3, LOOP, ComonadKind.HYBRID, 3)

@@ -177,6 +177,10 @@ class TestBackAndForthRank:
         assert back_and_forth_rank(PATH3, PATH3, 0)
         assert not back_and_forth_rank(LOOP, C2, 0)
 
+    def test_deep_rank_stays_within_the_recursion_limit(self):
+        # each rank adds one tuple on LOOP, and one frame plus the cache wrapper
+        assert back_and_forth_rank(LOOP, LOOP, 200)
+
 
 class TestProperties:
     def test_spoiler_wins_are_monotone_in_k(self):

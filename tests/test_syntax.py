@@ -446,6 +446,22 @@ class TestPinnedWalkers:
             with pytest.raises(ValueError, match=message):
                 sx.CountExists(count, "y", guard, sx.FALSE)
 
+    def test_a_name_must_be_a_string(self):
+        # a non-string name would print as text that parse_fo refuses
+        builds = [
+            lambda: sx.Var(5),
+            lambda: sx.Rel(7, (sx.Const(1),)),
+            lambda: sx.Exists(5, sx.TRUE),
+            lambda: sx.Forall(None, sx.TRUE),
+            lambda: sx.BoundedExists(5, sx.TRUE, sx.TRUE),
+            lambda: sx.CountExists(2, 5, sx.TRUE, sx.TRUE),
+            lambda: sx.Acc((sx.Const(1),), 5),
+            lambda: sx.Exists(var=5, body=sx.TRUE),
+        ]
+        for build in builds:
+            with pytest.raises(TypeError, match="^not a name: (5|7|None)$"):
+                build()
+
     def test_a_bool_count_is_refused_while_its_int_twin_lives(self):
         # True == 1, so an intern lookup before the check would find the twin
         guard = sx.Rel("E", (sx.Const(1), sx.Var("y")))
