@@ -20,9 +20,10 @@ from .structures import (
     Structure,
     load_structure,
 )
-from .parser import is_relation_name, parse_fo, parse_hybrid, parse_term, print_fo
+from .parser import parse_fo, parse_hybrid, parse_term, print_fo
 from .semantics import eval_fo, eval_hybrid, standard_translation
 from .scott import characteristic_formula
+from .syntax import is_relation_name
 from .comonads import ComonadKind, build_comonad, dump_carrier
 from .games import GameVariant, solve, trace_game
 from .coalgebras import (

@@ -13,7 +13,8 @@ into B (``structures.maps_into``).  Elsewhere atoms on at most two elements
 are local, so it compares the cached atom codes (``Structure.atom_codes``) of
 move and reply at the played pairs, and checks wider tuples per reply.  ``holds`` computes the condition from scratch, once
 per pair set, for the initial position, the traces and ``replay``, which
-trusts no recorded move; ``trace_game`` renders a solved ``GameResult``
+trusts no recorded move and reads the pair set off the memo key
+(``holds_at``); ``trace_game`` renders a solved ``GameResult``
 without solving again.  ``win`` memoizes ``value``, and ``answer``
 Duplicator's least winning reply per memo key, shared by solving and
 extraction.  Strategies are recorded per memo key too (``key``), since the
@@ -174,6 +175,10 @@ class _Arena:
     def pairs(self, pos) -> tuple[tuple[str, str], ...]:
         return pos
 
+    def pair_set(self, key, pos) -> frozenset:
+        """The pairs at ``pos`` as a set, read off its memo key ``key``."""
+        return key[0]
+
     def elements(self, i: int, moves):
         """The elements that moves in structure A (``i`` 0) or B (1) play."""
         return moves
@@ -203,10 +208,14 @@ class _Arena:
     # -- the winning condition ---------------------------------------------------------
 
     def holds(self, pos) -> bool:
-        """The winning condition at ``pos``, computed from scratch, once per
-        pair set.  Only this method fills ``held``, never ``fits`` or the
-        solver's memo."""
-        pairs = frozenset(self.pairs(pos))
+        """The winning condition at ``pos``."""
+        return self.holds_at(self.key(pos), pos)
+
+    def holds_at(self, key, pos) -> bool:
+        """The winning condition at ``pos``, whose memo key is ``key``,
+        computed from scratch, once per pair set.  Only this method fills
+        ``held``, never ``fits`` or the solver's memo."""
+        pairs = self.pair_set(key, pos)
         value = self.held.get(pairs)
         if value is None:
             value = self.held[pairs] = self._condition(pairs)
@@ -336,9 +345,9 @@ class _Arena:
         done: set = set()
 
         def play(pos) -> bool:
-            if not self.holds(pos):
-                return winner == SPOILER
             key = self.key(pos)
+            if not self.holds_at(key, pos):
+                return winner == SPOILER
             if key in done:
                 return True
             children = self.follow(strategy, winner, key, pos)
@@ -386,6 +395,9 @@ class _CarrierArena(_Arena):
     def pairs(self, pos) -> tuple[tuple[str, str], ...]:
         a, b = self.parts
         return tuple(zip(a[pos[0]], b[pos[1]]))
+
+    def pair_set(self, key, pos) -> frozenset:
+        return frozenset(self.pairs(pos))
 
     def elements(self, i: int, moves):
         parts = self.parts[i]
@@ -585,12 +597,15 @@ def back_and_forth_rank(a: Structure, b: Structure, k: int) -> bool:
     tuples: atomic agreement at every level, and matching one-step transition
     extensions of every tuple component.  Independent of the game engine.
 
-    Full atomic agreement is checked once, at the basepoints; an extension
-    pair agrees when the atoms and equalities through its new positions do
-    (``Structure.atoms_at_last``), each side's computed once per tuple and
-    compared after the cache lookup.  A tuple whose new element repeats an
-    earlier one skips the atom step: two such tuples agree when they repeat
-    at the same positions.
+    A pair of tuples that agree is fixed by their distinct elements, in
+    order of first occurrence, so the memo is over pairs of distinct-element
+    tuples and their rank.  A move onto the element at place i of one side
+    has one agreeing reply, the element at place i of the other (a
+    successor too, since the pair's atoms agree), and leaves the pair as it
+    is, one rank lower.  A move onto a new element must be
+    answered by a new one whose atoms through the new position
+    (``Structure.atoms_at_last``) agree, each side's computed once per
+    tuple; full atomic agreement is checked once, at the basepoints.
     The one-step extensions are each component's partners in the
     structure's index of each transition relation.
     """
@@ -600,47 +615,61 @@ def back_and_forth_rank(a: Structure, b: Structure, k: int) -> bool:
     def atom_step(s: Structure):
         @cache
         def atoms(tup: tuple[str, ...]):
-            last = tup[-1]
-            earlier = tuple(i for i, e in enumerate(tup[:-1]) if e == last)
-            return earlier or frozenset(s.atoms_at_last(tup)[0])
+            return frozenset(s.atoms_at_last(tup)[0])
 
         return atoms
 
     atoms_a, atoms_b = atom_step(a), atom_step(b)
 
     @cache
-    def bf(ta: tuple[str, ...], tb: tuple[str, ...], rank: int) -> bool:
-        """Whether a pair whose atoms agree below its newest positions is
-        in the rank-``rank`` relation."""
-        return atoms_a(ta) == atoms_b(tb) and forth_and_back(ta, tb, rank)
-
-    def forth_and_back(ta: tuple[str, ...], tb: tuple[str, ...], rank: int) -> bool:
+    def forth_and_back(da: tuple[str, ...], db: tuple[str, ...], rank: int) -> bool:
+        """Whether a pair of distinct-element tuples whose atoms agree is in
+        the rank-``rank`` relation."""
         if rank == 0:
             return True
         for name in transitions:
             succ_a, succ_b = a.partners(name), b.partners(name)
-            for i in range(len(ta)):
-                xs, ys = succ_a[ta[i]], succ_b[tb[i]]
+            for ea, eb in zip(da, db):
+                xs, ys = succ_a[ea], succ_b[eb]
                 # plain loops, not all(any(...)): one frame per rank
                 for x in xs:
+                    if x in da:
+                        if forth_and_back(da, db, rank - 1):
+                            continue
+                        return False
+                    ta = da + (x,)
+                    want = atoms_a(ta)
                     for y in ys:
-                        if bf(ta + (x,), tb + (y,), rank - 1):
+                        if y in db:
+                            continue
+                        tb = db + (y,)
+                        if atoms_b(tb) == want and forth_and_back(ta, tb, rank - 1):
                             break
                     else:
                         return False
                 for y in ys:
+                    if y in db:
+                        if forth_and_back(da, db, rank - 1):
+                            continue
+                        return False
+                    tb = db + (y,)
+                    want = atoms_b(tb)
                     for x in xs:
-                        if bf(ta + (x,), tb + (y,), rank - 1):
+                        if x in da:
+                            continue
+                        ta = da + (x,)
+                        if atoms_a(ta) == want and forth_and_back(ta, tb, rank - 1):
                             break
                     else:
                         return False
         return True
 
-    ta, tb = a.basepoints, b.basepoints
-    roots_agree = all(
-        atoms_a(ta[:i]) == atoms_b(tb[:i]) for i in range(1, len(ta) + 1)
+    da, db = tuple(dict.fromkeys(a.basepoints)), tuple(dict.fromkeys(b.basepoints))
+    places_agree = list(map(da.index, a.basepoints)) == list(map(db.index, b.basepoints))
+    roots_agree = places_agree and all(
+        atoms_a(da[:i]) == atoms_b(db[:i]) for i in range(1, len(da) + 1)
     )
-    return roots_agree and forth_and_back(ta, tb, k)
+    return roots_agree and forth_and_back(da, db, k)
 
 
 # -- traces ------------------------------------------------------------------------------

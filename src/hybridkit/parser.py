@@ -14,7 +14,9 @@ binds loosest and associates to the right.
 Identifier classification: ``c``+digits is a nominal/constant; a single letter
 from ``x y z u v w`` (optionally digit-suffixed) is a world/first-order
 variable in hybrid syntax; anything else is a propositional atom.  In
-first-order syntax every non-constant identifier is a variable.  Quantifiers
+first-order syntax every identifier that is neither a constant nor a
+keyword is a variable (``syntax.is_variable_name``), bound or not, and the
+node constructors refuse any other variable name.  Quantifiers
 whose body starts with a binary atom over the bound variable in exactly one
 position are classified as bounded quantifier nodes; the printer reverses
 this, so ASTs round-trip.
@@ -40,7 +42,7 @@ from typing import NoReturn
 from .errors import ParseError, ScopeError
 from . import syntax as sx
 
-_TOKEN = r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|->|>=|[().,;=&|!@]"
+_TOKEN = rf"{sx.IDENTIFIER}|[0-9]+|->|>=|[().,;=&|!@]"
 _TOKEN_RE = re.compile(_TOKEN)
 #: the longest prefix of a text made of tokens and whitespace
 _TOKENS_PREFIX_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*\s*")
@@ -48,10 +50,8 @@ _ID_START = frozenset(string.ascii_letters + "_")
 
 _MODALITIES = {"box": sx.Box, "dia": sx.Dia, "boxinv": sx.BoxInv, "diainv": sx.DiaInv}
 _MODALITY_NAMES = {cls: name for name, cls in _MODALITIES.items()}
-_FO_KEYWORDS = {"forall", "exists", "true", "false", "acc"}
 
 _WORLD_VAR_RE = re.compile(r"^[xyzuvw][0-9]*$")
-_NOMINAL_RE = re.compile(r"^c([0-9]+)$")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -99,7 +99,7 @@ class _Parser:
         token at ``at`` names, else ``None``.  Index 0 names no basepoint and
         fails there, as does a leading zero, so each index has one
         spelling."""
-        m = _NOMINAL_RE.match(tok)
+        m = sx.INDEXED_RE.match(tok)
         if m is None:
             return None
         digits = m.group(1)
@@ -255,7 +255,7 @@ class _FOParser(_Parser):
     def variable(self) -> str:
         tok = self.tokens[self.i]
         self.i += 1
-        if tok[:1] not in _ID_START or _NOMINAL_RE.match(tok):
+        if not sx.is_variable_name(tok):
             self.fail(f"expected a variable, found {tok!r}", self.i - 1)
         return tok
 
@@ -304,7 +304,7 @@ class _FOParser(_Parser):
         self.i += 1
         t = self.terms.get(tok)
         if t is None:
-            if tok[:1] not in _ID_START or tok in _FO_KEYWORDS:
+            if tok[:1] not in _ID_START or tok in sx.FO_KEYWORDS:
                 self.fail(f"expected a term, found {_found(tok)}", self.i - 1)
             t = self.terms[tok] = self.indexed(tok, self.i - 1, sx.Const) or sx.Var(tok)
         return t
@@ -321,16 +321,6 @@ def parse_term(text: str) -> sx.Term:
     t = p.term()
     p.done()
     return t
-
-
-def is_relation_name(text: str) -> bool:
-    """Whether ``text`` reads as a relation name: an identifier that is not
-    a keyword."""
-    return (
-        _TOKEN_RE.fullmatch(text) is not None
-        and text[:1] in _ID_START
-        and text not in _FO_KEYWORDS
-    )
 
 
 # -- printers ----------------------------------------------------------------------

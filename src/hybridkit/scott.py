@@ -158,14 +158,40 @@ def scott_type(s: Structure, k: int):
     extension types over the accessible elements.
 
     Two structures get equal descriptors exactly when they satisfy the same
-    rank-k Scott sentence.  Atomic types are built incrementally along each
-    extension tuple: a tuple's type is its prefix's type plus the atoms
-    through its last position, read from the tuples at that element, and
-    that position's equalities with earlier ones.
+    rank-k Scott sentence.  A tuple's type is fixed by its distinct
+    elements, in order of first occurrence, and the place among them of
+    each position, so the recursion and its memo run over distinct-element
+    tuples only.  An accessible element that is new extends them; one at
+    place i leaves them as they are, one rank lower.  Each child descriptor
+    ends with the place of its element (the new element's place is the
+    length of the parent's tuple), and the basepoints' places end the
+    whole descriptor.  Rank-0 and stuck descriptors carry the atomic type
+    of the distinct elements from ``_types``, built incrementally along
+    the tuple.
     """
     if k < 0:
         raise ValueError(f"rank must be non-negative, got {k}")
-    return _types(s)(s.basepoints, k)
+    ty = _types(s)
+
+    @cache
+    def distinct(elements: tuple[str, ...], rank: int):
+        if rank == 0:
+            return ty(elements, 0)
+        acc = s.accessible(elements)
+        if not acc:
+            return ("stuck", ty(elements, 0)[1])
+        counts: dict = {}  # a plain count, not Counter(genexpr): one frame per rank
+        for b in acc:
+            if b in elements:
+                place, sub = elements.index(b), distinct(elements, rank - 1)
+            else:
+                place, sub = len(elements), distinct(elements + (b,), rank - 1)
+            child = sub + (place,)
+            counts[child] = counts.get(child, 0) + 1
+        return ("counts", tuple(sorted(counts.items())))
+
+    elements = tuple(dict.fromkeys(s.basepoints))
+    return distinct(elements, k) + (tuple(map(elements.index, s.basepoints)),)
 
 
 def scott_formula(s: Structure, k: int) -> FOFormula:

@@ -25,6 +25,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InvalidStructureError
+from .syntax import is_relation_name
 
 #: Distinguished infinite distance / unbounded resource value.  Arithmetic
 #: and comparisons saturate the way extended naturals should.
@@ -43,9 +44,11 @@ class Signature:
     """Relation symbols with arities, a transition sub-vocabulary, and a basepoint count.
 
     ``transitions`` must be binary relation symbols; they are the relations
-    that guard bounded quantifiers and game moves.  The symbol name ``I`` is
-    reserved for the injected identity relation and cannot appear in user
-    signatures.
+    that guard bounded quantifiers and game moves.  A symbol name is one a
+    formula can use (``syntax.is_relation_name``: an identifier other than a
+    keyword), so every formula over the signature prints text that parses
+    back.  The symbol name ``I`` is reserved for the injected identity
+    relation and cannot appear in user signatures.
     """
 
     __slots__ = ("relations", "transitions", "num_basepoints")
@@ -59,6 +62,10 @@ class Signature:
     ):
         rels = dict(relations)
         for name, arity in rels.items():
+            if not is_relation_name(name):
+                raise InvalidStructureError(
+                    f"signature.relations.{name}: not a relation name the parser reads"
+                )
             if not _is_natural(arity) or arity < 1:
                 raise InvalidStructureError(
                     f"signature.relations.{name}: arity must be a positive integer, got {arity!r}"

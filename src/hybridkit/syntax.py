@@ -28,11 +28,14 @@ they treat differently.
 from __future__ import annotations
 
 import inspect
+import re
 import threading
 import weakref
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .structures import Signature
+if TYPE_CHECKING:  # structures reads the name rules below
+    from .structures import Signature
 
 # -- hybrid logic --------------------------------------------------------------
 
@@ -137,6 +140,29 @@ def hybrid_depth(f: HybridFormula) -> int:
     return depth + 1 if isinstance(f, (Box, Dia, BoxInv, DiaInv)) else depth
 
 
+# -- names ------------------------------------------------------------------------
+
+#: The identifiers of the concrete syntax, which the parser tokenizes with.
+IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
+#: ``c`` and digits: a nominal, or a constant of the first-order syntax.
+INDEXED_RE = re.compile(r"^c([0-9]+)$")
+#: Identifiers the first-order syntax reads as keywords.
+FO_KEYWORDS = frozenset({"forall", "exists", "true", "false", "acc"})
+_IDENTIFIER_RE = re.compile(IDENTIFIER)
+
+
+def is_relation_name(text: str) -> bool:
+    """Whether ``text`` reads as a relation name: an identifier that is not
+    a keyword."""
+    return _IDENTIFIER_RE.fullmatch(text) is not None and text not in FO_KEYWORDS
+
+
+def is_variable_name(text: str) -> bool:
+    """Whether ``text`` reads as a variable, bound or as a term: a relation
+    name that is not ``c`` and digits."""
+    return is_relation_name(text) and not INDEXED_RE.match(text)
+
+
 # -- first-order logic ----------------------------------------------------------
 
 
@@ -192,6 +218,9 @@ class _Interning(type):
                     for part in parts[i] if many else (parts[i],):
                         if not isinstance(part, kind):
                             raise TypeError(f"not a {what}: {part!r}")
+                for i, reads, what in cls._name_checks:
+                    if not reads(parts[i]):
+                        raise ValueError(f"not a {what} the parser reads: {parts[i]!r}")
                 free, rank = _derive(node)
                 set_slot = object.__setattr__  # the dataclass is frozen
                 set_slot(node, "_hash", hash((cls.__name__, *parts)))
@@ -242,11 +271,21 @@ _CHECKED_PARTS = {
 _INT_PARTS = {"count": "count", "index": "constant index"}
 
 
+def _name_rule(cls, field: str):
+    """The parser's rule for a name field, with the wording of a refusal: a
+    formula's ``name`` (``Rel``) is a relation's, any other holds a
+    variable."""
+    if issubclass(cls, FOFormula) and field == "name":
+        return is_relation_name, "relation name"
+    return is_variable_name, "variable name"
+
+
 def _node(cls):
     """A frozen, slotted first-order node class whose equality is identity,
     constructed through the intern table with its dataclass signature, and
     refusing a part that is not the term, formula or name its field declares,
-    or an ``int`` field that is not an int of at least 1."""
+    a name the parser would not read back, or an ``int`` field that is not
+    an int of at least 1."""
     cls = dataclass(frozen=True, eq=False, slots=True)(cls)
     init = inspect.signature(cls.__init__)
     cls.__signature__ = init.replace(parameters=list(init.parameters.values())[1:])
@@ -255,6 +294,11 @@ def _node(cls):
         (i, *_CHECKED_PARTS[declared[name]])
         for i, name in enumerate(cls.__match_args__)
         if declared[name] in _CHECKED_PARTS
+    )
+    cls._name_checks = tuple(
+        (i, *_name_rule(cls, name))
+        for i, name in enumerate(cls.__match_args__)
+        if declared[name] == "str"
     )
     cls._int_parts = tuple(
         (i, _INT_PARTS[name])

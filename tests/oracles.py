@@ -912,6 +912,11 @@ def _term_of(tok: tuple[str, str, int]) -> sx.Term:
     return sx.Var(tok[1]) if index is None else sx.Const(index)
 
 
+def _is_variable(tok: tuple[str, str, int]) -> bool:
+    """An identifier that is neither a keyword nor ``c`` and digits."""
+    return tok[0] == "id" and tok[1] not in _FO_KEYWORDS and not _NOMINAL_RE.match(tok[1])
+
+
 def _guard_shape(guard: sx.FOFormula, var: str) -> bool:
     if not isinstance(guard, sx.Rel) or len(guard.args) != 2:
         return False
@@ -963,7 +968,7 @@ class _FOParser(_Parser):
             if count < 1:
                 raise ParseError("counting threshold must be at least 1", num[2])
         var_tok = self.next()
-        if var_tok[0] != "id" or _NOMINAL_RE.match(var_tok[1]):
+        if not _is_variable(var_tok):
             raise ParseError(f"expected a variable, found {var_tok[1]!r}", var_tok[2])
         var = var_tok[1]
         body = self.unary()
@@ -1003,7 +1008,7 @@ class _FOParser(_Parser):
                 sources.append(self.term())
             self.expect("op", ";")
             var_tok = self.next()
-            if var_tok[0] != "id" or _NOMINAL_RE.match(var_tok[1]):
+            if not _is_variable(var_tok):
                 raise ParseError(f"expected a variable, found {var_tok[1]!r}", var_tok[2])
             self.expect("op", ")")
             return sx.Acc(tuple(sources), var_tok[1])

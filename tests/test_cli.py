@@ -317,6 +317,14 @@ GOOD = {
             {"signature": {"relations": {"E": 2, "P": False}, "transitions": ["E"]}},
             "signature.relations.P: arity must be a positive integer, got False",
         ),
+        (
+            {"signature": {"relations": {"next-step": 2}, "transitions": ["next-step"]}},
+            "signature.relations.next-step: not a relation name the parser reads",
+        ),
+        (
+            {"signature": {"relations": {"E": 2, "acc": 1}, "transitions": ["E"]}},
+            "signature.relations.acc: not a relation name the parser reads",
+        ),
     ],
     ids=[
         "relation_not_a_list",
@@ -327,6 +335,8 @@ GOOD = {
         "basepoint_not_a_string",
         "arity_true",
         "arity_false",
+        "relation_name_not_an_identifier",
+        "relation_name_a_keyword",
     ],
 )
 def test_malformed_document_is_an_input_error(tmp_path, capsys, patch, where):

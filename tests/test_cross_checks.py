@@ -136,6 +136,29 @@ class TestAgainstOracles:
             )
 
 
+#: Shapes whose basepoints repeat one element, with one or two basepoints.
+REPEATED_SHAPES = {
+    "repeated": (BIMODAL, True),
+    "repeated-one": (BIMODAL.with_num_basepoints(1), True),
+}
+
+
+class TestRepeatsAtHigherRank:
+    # the distinct-element recursions of scott_type and back_and_forth_rank
+    # against the literal-tuple references, where repeats pile up
+    @settings(max_examples=100, deadline=None)
+    @given(
+        structure_pairs(REPEATED_SHAPES).filter(lambda p: max(map(len, p)) <= 5),
+        st.integers(3, 4),
+    )
+    def test_checks_match_their_references(self, pair, k):
+        a, b = pair
+        assert (scott_type(a, k) == scott_type(b, k)) == (
+            oracles.scott_type(a, k) == oracles.scott_type(b, k)
+        )
+        assert back_and_forth_rank(a, b, k) == oracles.back_and_forth_rank(a, b, k)
+
+
 class TestRepeatsOnOneSide:
     # every play over LOOP repeats its one element, while C2's first move
     # is new: the rank and coKleisli checks settle LOOP's repeats from the

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridkit import syntax as sx
+from hybridkit.errors import ParseError
 from hybridkit.parser import parse_fo, print_fo
 from hybridkit.scott import characteristic_formula, normalize_counting, scott_formula
 from hybridkit.semantics import eval_fo, gaifman_relativize, standard_translation
@@ -405,6 +406,14 @@ def _walker_outputs():
             yield print_fo(standard_translation(g))
 
 
+#: Names for the constructors: some the parser reads, some it refuses, and
+#: one it reads only as a relation (``c1``).
+NAMES = st.one_of(
+    st.sampled_from(["x", "y1", "E", "c1", "c01", "true", "acc", "_", ""]),
+    st.text("cxyE_01 -'", max_size=4),
+)
+
+
 class TestPinnedWalkers:
     def test_a_term_in_a_formula_field_is_refused(self):
         # a first-order constructor refuses a term where a formula belongs,
@@ -461,6 +470,54 @@ class TestPinnedWalkers:
         for build in builds:
             with pytest.raises(TypeError, match="^not a name: (5|7|None)$"):
                 build()
+
+    def test_a_name_must_parse_back(self):
+        # each printed as text that parse_fo refuses, or reads as another node
+        builds = {
+            "variable name": [
+                lambda: sx.Exists("", sx.TRUE),
+                lambda: sx.Exists("5", sx.TRUE),
+                lambda: sx.Exists("true", sx.TRUE),
+                lambda: sx.Forall("c1", sx.TRUE),
+                lambda: sx.Acc((sx.Const(1),), "y-1"),
+                lambda: sx.Rel("P", (sx.Var("x y"),)),
+                lambda: sx.Var("c2"),
+                lambda: sx.Var("true"),
+            ],
+            "relation name": [
+                lambda: sx.Rel("acc", (sx.Const(1),)),
+                lambda: sx.Rel("E'", (sx.Const(1),)),
+            ],
+        }
+        for what, calls in builds.items():
+            for build in calls:
+                with pytest.raises(ValueError, match=f"^not a {what} the parser reads: "):
+                    build()
+        # a keyword is no variable, bound or not, while c1 may name a relation
+        with pytest.raises(ParseError, match="expected a variable, found 'true'"):
+            parse_fo("exists true (P(c1))")
+        for text in ("c1(c1)", "acc(c1; _)"):
+            assert print_fo(parse_fo(text)) == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 5), st.lists(NAMES, min_size=3, max_size=3))
+    def test_a_node_built_from_names_prints_back(self, kind, names):
+        a, b, c = names
+        builds = [
+            lambda: sx.Rel(a, (sx.Var(b), sx.Const(1))),
+            lambda: sx.Eq(sx.Var(a), sx.Var(b)),
+            lambda: sx.Exists(a, sx.Rel("P", (sx.Var(b),))),
+            lambda: sx.Forall(a, sx.Rel(b, (sx.Const(1),))),
+            lambda: sx.Acc((sx.Var(a),), b),
+            lambda: sx.BoundedExists(
+                a, sx.Rel(b, (sx.Const(1), sx.Var(a))), sx.Rel("P", (sx.Var(c),))
+            ),
+        ]
+        try:
+            node = builds[kind]()
+        except ValueError:
+            return
+        assert parse_fo(print_fo(node)) is node
 
     def test_a_bool_count_is_refused_while_its_int_twin_lives(self):
         # True == 1, so an intern lookup before the check would find the twin
