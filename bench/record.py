@@ -13,7 +13,15 @@ and quartiles, with the first-100 verdict digests and failure counts.  With
 between the two checkouts, each pair starting with the other side than the
 last, and the record adds the parent's runs and how many pairs the checkout
 won per metric.  Before writing, the script prints the difference between
-the new medians and those of the BENCH file it replaces, if there is one.
+the new medians and those of the BENCH file it replaces, if there is one,
+and beside ``peak_rss_mb`` each side's median tasks attempted and its peak
+RSS per 10,000 of them, so an RSS move reads against throughput.
+
+Before the first run, each checkout's ``src`` and ``perfbench`` are
+byte-compiled (``python -m compileall``), so every run on both sides loads
+its modules from current bytecode: with ``PYTHONDONTWRITEBYTECODE`` set, a
+checkout left uncompiled would compile its package in every process and
+read a slower ``setup_s`` than one compiled by an earlier run.
 """
 from __future__ import annotations
 
@@ -109,12 +117,17 @@ def main() -> int:
     metrics = bench["end_to_end"]
     seconds = bench["run_seconds"]
 
+    parent = os.path.abspath(args.parent) if args.parent else None
+    compile_argv = [sys.executable, "-m", "compileall", "-q", "src", "perfbench"]
+    for checkout in filter(None, (ROOT, parent)):
+        subprocess.run(compile_argv, cwd=checkout, check=True, timeout=TIMEOUT_S)
+
     change_runs: list[dict] = []
     parent_runs: list[dict] = []
     for i in range(args.runs):
         order = [(ROOT, change_runs)]
         if args.parent:
-            order.append((os.path.abspath(args.parent), parent_runs))
+            order.append((parent, parent_runs))
             if i % 2:
                 order.reverse()
         for checkout, runs in order:
@@ -132,7 +145,7 @@ def main() -> int:
         **side(ROOT, change_runs, metrics),
     }
     if args.parent:
-        record["parent"] = side(os.path.abspath(args.parent), parent_runs, metrics)
+        record["parent"] = side(parent, parent_runs, metrics)
         record["pairs_won"] = {m["name"]: wins(change_runs, parent_runs, m) for m in metrics}
 
     path = os.path.join(ROOT, f"BENCH_{args.label or args.workload}.json")
@@ -156,6 +169,15 @@ def main() -> int:
             change = (now["median"] / before - 1) * 100
             line += f"   previous file {before:.3f} ({change:+.1f}%)"
         print(line)
+        if name == "peak_rss_mb":
+            sides = [("checkout", record)]
+            if parent:
+                sides.append(("parent", record["parent"]))
+            for label, part in sides:
+                tasks = statistics.median(part["attempted"])
+                rss = part["metrics"][name]["median"]
+                per = f"{rss / tasks * 1e4:.3f} MB" if tasks else "n/a"
+                print(f"{'':12} {label}: {tasks:.0f} tasks attempted, {per} per 10,000")
     if previous is None:
         print(f"no previous {os.path.basename(path)} to compare with")
     with open(path, "w") as fh:

@@ -46,9 +46,9 @@ Outside the arena stay the independent checks of the games, which share no
 arena code and read no atom codes: ``back_and_forth_rank`` here,
 ``comonads.find_cokleisli_morphism``, ``scott.scott_type``,
 ``coalgebras.coalgebra_number`` and ``characterization.ef_types_agree``.
-Each reads the atoms along its tuples or plays from
-``Structure.atoms_at_last``, which the arena never calls; the first two and
-the last skip it where the newest element repeats an earlier one.
+Each reads the atoms along its tuples or plays from ``Structure.atoms_at_last``,
+which the arena never calls; all but ``coalgebra_number`` (through the
+carrier lift) skip it where the newest element repeats an earlier one.
 
 All iteration follows universe (or carrier) order, which makes winners,
 strategies and traces deterministic.  The exposed round count ``k`` is the
@@ -607,7 +607,8 @@ def back_and_forth_rank(a: Structure, b: Structure, k: int) -> bool:
     (``Structure.atoms_at_last``) agree, each side's computed once per
     tuple; full atomic agreement is checked once, at the basepoints.
     The one-step extensions are each component's partners in the
-    structure's index of each transition relation.
+    structure's index of each transition relation.  One move loop runs
+    forth and, with the structures swapped, back.
     """
     check_comparable(a, b)
     transitions = sorted(a.signature.transitions)
@@ -630,38 +631,29 @@ def back_and_forth_rank(a: Structure, b: Structure, k: int) -> bool:
         for name in transitions:
             succ_a, succ_b = a.partners(name), b.partners(name)
             for ea, eb in zip(da, db):
-                xs, ys = succ_a[ea], succ_b[eb]
-                # plain loops, not all(any(...)): one frame per rank
-                for x in xs:
-                    if x in da:
-                        if forth_and_back(da, db, rank - 1):
-                            continue
-                        return False
-                    ta = da + (x,)
-                    want = atoms_a(ta)
-                    for y in ys:
-                        if y in db:
-                            continue
-                        tb = db + (y,)
-                        if atoms_b(tb) == want and forth_and_back(ta, tb, rank - 1):
-                            break
-                    else:
-                        return False
-                for y in ys:
-                    if y in db:
-                        if forth_and_back(da, db, rank - 1):
-                            continue
-                        return False
-                    tb = db + (y,)
-                    want = atoms_b(tb)
+                # forth, then back with the sides swapped; ``forth`` keeps A's
+                # tuple first.  Plain loops, not all(any(...)): one frame per rank
+                for forth, xs, ys, dx, dy, atoms_x, atoms_y in (
+                    (True, succ_a[ea], succ_b[eb], da, db, atoms_a, atoms_b),
+                    (False, succ_b[eb], succ_a[ea], db, da, atoms_b, atoms_a),
+                ):
                     for x in xs:
-                        if x in da:
-                            continue
-                        ta = da + (x,)
-                        if atoms_a(ta) == want and forth_and_back(ta, tb, rank - 1):
-                            break
-                    else:
-                        return False
+                        if x in dx:
+                            if forth_and_back(da, db, rank - 1):
+                                continue
+                            return False
+                        tx = dx + (x,)
+                        want = atoms_x(tx)
+                        for y in ys:
+                            if y in dy:
+                                continue
+                            ty = dy + (y,)
+                            if atoms_y(ty) == want and forth_and_back(
+                                *((tx, ty) if forth else (ty, tx)), rank - 1
+                            ):
+                                break
+                        else:
+                            return False
         return True
 
     da, db = tuple(dict.fromkeys(a.basepoints)), tuple(dict.fromkeys(b.basepoints))

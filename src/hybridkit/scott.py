@@ -210,7 +210,8 @@ def scott_formula(s: Structure, k: int) -> FOFormula:
 
     @cache
     def fm(tup: tuple[str, ...], rank: int) -> FOFormula:
-        if rank == 0:
+        # nothing is accessible from no sources, so the guards are vacuous
+        if rank == 0 or not tup:
             return _atomic_type_formula(s, tup, m)
         acc = s.accessible(tup)
         sources = tuple(_position_term(i, m) for i in range(len(tup)))

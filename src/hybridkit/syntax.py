@@ -215,6 +215,9 @@ class _Interning(type):
             if node is None:
                 node = super().__call__(*parts)
                 for i, kind, what, many in cls._part_checks:
+                    if many and parts[i] == ():
+                        # ``P()`` and ``acc(; y)`` do not parse back
+                        raise ValueError(f"needs at least one {what}, got ()")
                     for part in parts[i] if many else (parts[i],):
                         if not isinstance(part, kind):
                             raise TypeError(f"not a {what}: {part!r}")
@@ -284,8 +287,8 @@ def _node(cls):
     """A frozen, slotted first-order node class whose equality is identity,
     constructed through the intern table with its dataclass signature, and
     refusing a part that is not the term, formula or name its field declares,
-    a name the parser would not read back, or an ``int`` field that is not
-    an int of at least 1."""
+    an empty term tuple, a name the parser would not read back, or an
+    ``int`` field that is not an int of at least 1."""
     cls = dataclass(frozen=True, eq=False, slots=True)(cls)
     init = inspect.signature(cls.__init__)
     cls.__signature__ = init.replace(parameters=list(init.parameters.values())[1:])

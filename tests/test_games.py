@@ -214,6 +214,11 @@ class TestProperties:
                     solve(a, b, GameVariant.BACK_FORTH_HYBRID, k).winner
                     == solve(b, a, GameVariant.BACK_FORTH_HYBRID, k).winner
                 )
+        # BOUNDED_FIXTURES have two basepoints and two transitions
+        for fixtures in (FIXTURES30[:8], BOUNDED_FIXTURES[:6]):
+            for a, b in pairs(fixtures):
+                for k in (0, 1, 2):
+                    assert back_and_forth_rank(a, b, k) == back_and_forth_rank(b, a, k)
 
 
 class TestVerification:

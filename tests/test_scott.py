@@ -2,6 +2,7 @@ import pytest
 
 from hybridkit import syntax as sx
 from hybridkit.games import GameVariant, solve, solve_bijection
+from hybridkit.parser import parse_fo, print_fo
 from hybridkit.scott import (
     characteristic_formula,
     normalize_counting,
@@ -9,6 +10,7 @@ from hybridkit.scott import (
     scott_type,
 )
 from hybridkit.semantics import eval_fo
+from hybridkit.structures import Signature, Structure
 from hybridkit.syntax import is_bounded, quantifier_rank
 
 from helpers import relabel
@@ -96,6 +98,14 @@ class TestScottFormula:
                 fm = scott_formula(a, k)
                 for b in subset:
                     assert eval_fo(fm, b) == (scott_type(a, k) == scott_type(b, k))
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_unpointed_sentence_prints_back(self, k):
+        # no basepoints: the root tuple is empty, and so are its acc sources
+        unpointed = Signature({"P": 1, "E": 2}, ["E"], 0)
+        s = Structure(unpointed, ["a"], {"P": [], "E": [("a", "a")]}, [])
+        f = scott_formula(s, k)
+        assert parse_fo(print_fo(f)) is f
 
     def test_type_equality_matches_bijection_game(self):
         subset = FIXTURES30[:8]

@@ -500,7 +500,7 @@ class TestPinnedWalkers:
             assert print_fo(parse_fo(text)) == text
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 5), st.lists(NAMES, min_size=3, max_size=3))
+    @given(st.integers(0, 7), st.lists(NAMES, min_size=3, max_size=3))
     def test_a_node_built_from_names_prints_back(self, kind, names):
         a, b, c = names
         builds = [
@@ -512,6 +512,8 @@ class TestPinnedWalkers:
             lambda: sx.BoundedExists(
                 a, sx.Rel(b, (sx.Const(1), sx.Var(a))), sx.Rel("P", (sx.Var(c),))
             ),
+            lambda: sx.Rel(a, ()),
+            lambda: sx.Acc((), b),
         ]
         try:
             node = builds[kind]()
