@@ -428,7 +428,7 @@ def _ef_type(s: Structure, k: int, table: dict) -> int:
         if e in seen:
             return seen, intern((atomic, seen.index(e)))
         seen += (e,)
-        return seen, intern((atomic, frozenset(s.atoms_at_last(seen)[0])))
+        return seen, intern((atomic, frozenset(s.atoms_at_last(seen))))
 
     def ef_type(seen: tuple, atomic: int, rank: int) -> int:
         if rank == 0:

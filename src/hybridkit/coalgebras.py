@@ -428,10 +428,11 @@ def generated_tree_depth(s: Structure) -> float:
 
 def coalgebra_number(s: Structure, kind: ComonadKind | None = None) -> float:
     """Least resource k admitting a coalgebra; INF when there is none for any
-    k.  Computed by direct coalgebra search so it can be checked against the
-    tree-depth route independently."""
+    k, as over no element or, for the bounded kind, no basepoint.  Computed
+    by direct coalgebra search so it can be checked against the tree-depth
+    route independently."""
     kind = kind or default_kind(s)
-    if not s.universe:
+    if not s.universe or (kind is ComonadKind.BOUNDED and not s.basepoints):
         return INF
     for k in range(1, len(s.universe) + 1):
         for _ in enumerate_coalgebras(s, kind, k):

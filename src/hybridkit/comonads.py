@@ -198,7 +198,7 @@ def build_comonad(
     modal_edge = next(iter(sig.transitions)) if kind is ComonadKind.MODAL else None
     for p in plays:
         chain, played = prefixes[p], parts[p]
-        for name, idx in lifted.atoms_at_last(played)[0]:
+        for name, idx in lifted.atoms_at_last(played):
             if name != modal_edge:
                 rels[name].append(tuple(map(chain.__getitem__, idx)))
         if modal_edge is not None and base.has_tuple(modal_edge, played[-2:]):
@@ -333,7 +333,7 @@ def find_cokleisli_morphism(
         seq = parts[play]
         n = len(seq) - 1
         same = seq.index(seq[n])
-        found = a.atoms_at_last(seq)[0] if same == n else ()
+        found = a.atoms_at_last(seq) if same == n else ()
         tuples = [
             (b.tuple_set(name), depths) for name, depths in found if name != modal_edge
         ]

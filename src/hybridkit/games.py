@@ -46,9 +46,9 @@ Outside the arena stay the independent checks of the games, which share no
 arena code and read no atom codes: ``back_and_forth_rank`` here,
 ``comonads.find_cokleisli_morphism``, ``scott.scott_type``,
 ``coalgebras.coalgebra_number`` and ``characterization.ef_types_agree``.
-Each reads the atoms along its tuples or plays from ``Structure.atoms_at_last``,
-which the arena never calls; all but ``coalgebra_number`` (through the
-carrier lift) skip it where the newest element repeats an earlier one.
+Each reads the atoms along its tuples or plays from ``Structure.atoms_at_last``
+(atoms only), which the arena never calls; all but ``coalgebra_number`` (through
+the carrier lift) skip it where the newest element repeats an earlier one.
 
 All iteration follows universe (or carrier) order, which makes winners,
 strategies and traces deterministic.  The exposed round count ``k`` is the
@@ -616,7 +616,7 @@ def back_and_forth_rank(a: Structure, b: Structure, k: int) -> bool:
     def atom_step(s: Structure):
         @cache
         def atoms(tup: tuple[str, ...]):
-            return frozenset(s.atoms_at_last(tup)[0])
+            return frozenset(s.atoms_at_last(tup))
 
         return atoms
 

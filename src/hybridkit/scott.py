@@ -41,24 +41,19 @@ def _position_term(i: int, m: int) -> Term:
 
 
 def _extend_key(s: Structure, key, tup: tuple[str, ...]):
-    """Canonical atomic type of ``tup`` (which relation atoms and equalities
-    hold between its components) from ``key``, that of ``tup[:-1]``, plus
-    the atoms and equalities through the last position
-    (``Structure.atoms_at_last``)."""
-    n = len(tup) - 1
-    found, earlier = s.atoms_at_last(tup)
-    atoms, eqs = key
-    if found:
-        hits: dict[str, list[tuple[int, ...]]] = {}
-        for name, idx in found:
-            hits.setdefault(name, []).append(idx)
-        atoms = tuple(
-            (name, tuple(sorted(old + tuple(hits[name]))) if name in hits else old)
-            for name, old in atoms
-        )
-    if earlier:
-        eqs = tuple(sorted(eqs + tuple((i, n) for i in earlier)))
-    return (atoms, eqs)
+    """Canonical atoms of the distinct-element tuple ``tup`` (which relation
+    atoms hold between its components) from ``key``, those of ``tup[:-1]``,
+    plus the atoms through the last position (``Structure.atoms_at_last``)."""
+    found = s.atoms_at_last(tup)
+    if not found:
+        return key
+    hits: dict[str, list[tuple[int, ...]]] = {}
+    for name, idx in found:
+        hits.setdefault(name, []).append(idx)
+    return tuple(
+        (name, tuple(sorted(old + tuple(hits[name]))) if name in hits else old)
+        for name, old in key
+    )
 
 
 def _atomic_type_formula(s: Structure, tup: tuple[str, ...], m: int) -> FOFormula:
@@ -125,27 +120,36 @@ def characteristic_formula(s: Structure, k: int, temporal: bool = False) -> FOFo
 
 
 def _types(s: Structure):
-    """The descriptor function ``ty(tup, rank)`` of ``s``, memoized per
-    extension tuple and rank for the life of the returned closure.  Atomic
-    keys are built incrementally along each tuple, once per prefix."""
+    """The descriptor function ``ty(elements, rank)`` of ``s`` over
+    distinct-element tuples, memoized for the life of the returned closure.
+
+    A tuple's type is fixed by its distinct elements, in order of first
+    occurrence, and the place among them of each position.  A new accessible
+    element extends them; one at place i leaves them, one rank lower.  Each
+    child descriptor ends with its element's place.  Rank-0 and stuck
+    descriptors carry the atoms, built incrementally, once per prefix."""
 
     @cache
-    def atomic(tup: tuple[str, ...]):
-        if not tup:
-            return (tuple((name, ()) for name in sorted(s.signature.relations)), ())
-        return _extend_key(s, atomic(tup[:-1]), tup)
+    def atomic(elements: tuple[str, ...]):
+        if not elements:
+            return tuple((name, ()) for name in sorted(s.signature.relations))
+        return _extend_key(s, atomic(elements[:-1]), elements)
 
     @cache
-    def ty(tup: tuple[str, ...], rank: int):
+    def ty(elements: tuple[str, ...], rank: int):
         if rank == 0:
-            return ("atomic", atomic(tup))
-        acc = s.accessible(tup)
+            return ("atomic", atomic(elements))
+        acc = s.accessible(elements)
         if not acc:
-            return ("stuck", atomic(tup))
+            return ("stuck", atomic(elements))
         counts: dict = {}  # a plain count, not Counter(genexpr): one frame per rank
         for b in acc:
-            sub = ty(tup + (b,), rank - 1)
-            counts[sub] = counts.get(sub, 0) + 1
+            if b in elements:
+                place, sub = elements.index(b), ty(elements, rank - 1)
+            else:
+                place, sub = len(elements), ty(elements + (b,), rank - 1)
+            child = sub + (place,)
+            counts[child] = counts.get(child, 0) + 1
         return ("counts", tuple(sorted(counts.items())))
 
     return ty
@@ -158,40 +162,13 @@ def scott_type(s: Structure, k: int):
     extension types over the accessible elements.
 
     Two structures get equal descriptors exactly when they satisfy the same
-    rank-k Scott sentence.  A tuple's type is fixed by its distinct
-    elements, in order of first occurrence, and the place among them of
-    each position, so the recursion and its memo run over distinct-element
-    tuples only.  An accessible element that is new extends them; one at
-    place i leaves them as they are, one rank lower.  Each child descriptor
-    ends with the place of its element (the new element's place is the
-    length of the parent's tuple), and the basepoints' places end the
-    whole descriptor.  Rank-0 and stuck descriptors carry the atomic type
-    of the distinct elements from ``_types``, built incrementally along
-    the tuple.
+    rank-k Scott sentence.  It is ``_types``' descriptor of the basepoints'
+    distinct elements, followed by the basepoints' places among them.
     """
     if k < 0:
         raise ValueError(f"rank must be non-negative, got {k}")
-    ty = _types(s)
-
-    @cache
-    def distinct(elements: tuple[str, ...], rank: int):
-        if rank == 0:
-            return ty(elements, 0)
-        acc = s.accessible(elements)
-        if not acc:
-            return ("stuck", ty(elements, 0)[1])
-        counts: dict = {}  # a plain count, not Counter(genexpr): one frame per rank
-        for b in acc:
-            if b in elements:
-                place, sub = elements.index(b), distinct(elements, rank - 1)
-            else:
-                place, sub = len(elements), distinct(elements + (b,), rank - 1)
-            child = sub + (place,)
-            counts[child] = counts.get(child, 0) + 1
-        return ("counts", tuple(sorted(counts.items())))
-
     elements = tuple(dict.fromkeys(s.basepoints))
-    return distinct(elements, k) + (tuple(map(elements.index, s.basepoints)),)
+    return _types(s)(elements, k) + (tuple(map(elements.index, s.basepoints)),)
 
 
 def scott_formula(s: Structure, k: int) -> FOFormula:
@@ -199,9 +176,11 @@ def scott_formula(s: Structure, k: int) -> FOFormula:
     accessibility guards whose models are exactly the structures with the
     same rank-k descriptor.
 
-    Successor classes are grouped by descriptor (not by emitted formula) so
-    counts cover each class once, and they are ordered canonically so the
-    output is deterministic.
+    The recursion runs over literal tuples, whose positions the variables
+    follow.  Successor classes are grouped by ``_types``' descriptor over
+    the distinct elements, ended by the successor's place (not by emitted
+    formula), so counts cover each class once, and ordered by descriptor so
+    the output is deterministic.
     """
     if k < 0:
         raise ValueError(f"rank must be non-negative, got {k}")
@@ -220,8 +199,12 @@ def scott_formula(s: Structure, k: int) -> FOFormula:
         if not acc:
             return And(Not(Exists(y, guard)), _atomic_type_formula(s, tup, m))
         classes: dict[object, tuple[int, str]] = {}
+        elements = tuple(dict.fromkeys(tup))
         for b in acc:
-            descr = ty(tup + (b,), rank - 1)
+            if b in elements:
+                descr = ty(elements, rank - 1) + (elements.index(b),)
+            else:
+                descr = ty(elements + (b,), rank - 1) + (len(elements),)
             count, representative = classes.get(descr, (0, b))
             classes[descr] = (count + 1, representative)
         ordered = sorted(classes.items(), key=lambda item: item[0])

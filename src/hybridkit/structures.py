@@ -142,8 +142,8 @@ class Structure:
     comonad carrier built over it (see ``comonads.build_comonad``), so that
     asking again for the same kind, k and ``with_I`` reuses it.
     ``atoms_at_last`` is the one atom step along a tuple or play, shared by
-    Scott types, ``back_and_forth_rank``, the coKleisli search and the
-    carrier lift; the game arena reads the atom codes instead.
+    the independent checks and the carrier lift; it returns atoms only.  The
+    game arena reads the atom codes instead.
     """
 
     __slots__ = (
@@ -285,11 +285,11 @@ class Structure:
             self._tuples_at = {e: tuple(v) for e, v in at.items()}
         return self._tuples_at[element]
 
-    def atoms_at_last(self, tup: Sequence[str]) -> tuple[list, tuple[int, ...]]:
-        """The atoms of ``tup`` through its last position, and the earlier
-        positions holding its last element.  An atom is a ``(relation,
-        positions)`` pair, one per choice of positions among repeated
-        elements that includes the last; one relation's atoms are adjacent."""
+    def atoms_at_last(self, tup: Sequence[str]) -> list:
+        """The atoms of ``tup`` through its last position.  An atom is a
+        ``(relation, positions)`` pair, one per choice of positions among
+        repeated elements that includes the last; one relation's atoms are
+        adjacent."""
         n = len(tup) - 1
         where: dict[str, list[int]] = {}
         for i, e in enumerate(tup):
@@ -299,7 +299,7 @@ class Structure:
             places = list(map(where.get, t))
             if None not in places:
                 hits += [(name, idx) for idx in product(*places) if n in idx]
-        return hits, tuple(where[tup[n]][:-1])
+        return hits
 
     def atom_codes(
         self,

@@ -26,6 +26,7 @@ CASES = [
     ("depth_path3", ["depth", "--structure", "{d}/path3.json"]),
     ("depth_star2", ["depth", "--structure", "{d}/star2.json"]),
     ("depth_isolated", ["depth", "--structure", "{d}/isolated_p.json"]),
+    ("depth_one", ["depth", "--structure", "{d}/one.json"]),
     ("workspace_path6_q1", ["workspace", "--structure", "{d}/path6.json", "--q", "1", "--verify"]),
     ("workspace_path3_q2", ["workspace", "--structure", "{d}/path3.json", "--q", "2"]),
     ("invariance_unbounded", ["invariance", "--formula", "exists y (P(y))", "--notion", "generated:1", "--corpus", "{d}/corpus"]),

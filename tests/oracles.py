@@ -84,13 +84,12 @@ def atoms_at_last(s: Structure, tup: tuple[str, ...]):
     """``Structure.atoms_at_last`` with the atoms as a set: every relation
     tested at every tuple of positions that holds the last one."""
     n = len(tup) - 1
-    atoms = {
+    return {
         (name, idx)
         for name, arity in s.signature.relations.items()
         for idx in product(range(n + 1), repeat=arity)
         if n in idx and s.has_tuple(name, tuple(tup[i] for i in idx))
     }
-    return atoms, tuple(i for i in range(n) if tup[i] == tup[n])
 
 
 def scott_type(s: Structure, k: int):

@@ -245,6 +245,13 @@ class TestDepthAndNumber:
         assert generated_tree_depth(ISOLATED_P) == INF
         assert coalgebra_number(ISOLATED_P) == INF
 
+    def test_unpointed_structure_has_no_cover(self):
+        # the bounded kind, with no basepoint to build its carrier from
+        unpointed = Signature({"P": 1, "E": 2}, ["E"], 0)
+        s = Structure(unpointed, ["a"], {"P": [], "E": []}, [])
+        assert generated_tree_depth(s) == INF
+        assert coalgebra_number(s) == INF
+
     @pytest.mark.parametrize("s", FIXTURES30[:14], ids=range(14))
     def test_number_matches_depth_offset(self, s):
         depth = generated_tree_depth(s)

@@ -178,8 +178,9 @@ class TestBackAndForthRank:
         assert not back_and_forth_rank(LOOP, C2, 0)
 
     def test_deep_rank_stays_within_the_recursion_limit(self):
-        # each rank adds one tuple on LOOP, and one frame plus the cache wrapper
-        assert back_and_forth_rank(LOOP, LOOP, 200)
+        # on LOOP every rank keeps the one-element pair: one frame plus the
+        # cache wrapper per rank
+        assert back_and_forth_rank(LOOP, LOOP, 400)
 
 
 class TestProperties:

@@ -38,13 +38,14 @@ def test_negative_rank_is_rejected(build):
 
 
 def test_deep_rank_stays_within_the_recursion_limit():
-    # each rank adds one tuple on LOOP, and one frame plus the cache wrapper
-    descriptor, depth = scott_type(LOOP, 200), 0
+    # on LOOP every rank keeps the one-element tuple: one frame plus the
+    # cache wrapper per rank
+    descriptor, depth = scott_type(LOOP, 400), 0
     while descriptor[0] == "counts":
         ((descriptor, count),) = descriptor[1]  # the loop's one successor
         assert count == 1
         depth += 1
-    assert (descriptor[0], depth) == ("atomic", 200)
+    assert (descriptor[0], depth) == ("atomic", 400)
 
 
 class TestCharacteristicFormula:
